@@ -455,19 +455,25 @@ def cmd_eval(args):
     data_path = r.get("data", required=True)
     threshold = r.get("threshold", float)
     batch_size = r.get("batch_size", int, 4096)
+    if batch_size < 1:
+        raise CliError(EXIT_VALIDATION, "batch size must be at least 1")
     report = Report("eval", args.report, r)
     report.add_input(path)
     report.add_input(data_path)
     report.start()
 
     ds = load_dataset(data_path)
+    if len(ds) == 0:
+        raise CliError(EXIT_VALIDATION, "cannot evaluate on an empty dataset")
     kind = _detect_kind(path)
     if kind == "program":
         if threshold is not None:
             raise CliError(EXIT_VALIDATION,
                            "programs have their decision threshold folded "
                            "in; re-lower the checkpoint to change it")
-        pred = run_program(load_program(path), ds.bits)
+        prog = load_program(path)
+        pred = np.concatenate([run_program(prog, ds.bits[i:i + batch_size])
+                               for i in range(0, len(ds), batch_size)])
         confusion = _confusion(pred, ds.labels)
         accuracy = (confusion["tp"] + confusion["tn"]) / len(ds)
     else:

@@ -9,7 +9,10 @@ The residual skip is pure additions: block-input bits join the second
 conv's accumulator. The antisymmetric output pair folds to one channel
 compared against the decision threshold's log-odds; if the rows are not
 exact negations the fold is refused and both accumulators are compared
-directly. run_program evaluates everything in integer arithmetic only.
+directly. run_program sums with float32 GEMMs over 0/1 inputs and +-1
+codes; those sums are exact integers while every channel's fan-in plus its
+skip bit stays below 2**24 (F32_EXACT_LIMIT), which is checked when a
+program is compiled for execution.
 """
 
 from __future__ import annotations
@@ -71,6 +74,9 @@ class BooleanProgram:
     group_size: int
     layers: list
     warnings: list = field(default_factory=list)
+    # run_program's (snapshot, compiled layers); not part of the program
+    _compiled: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def layer(self, name):
         for lp in self.layers:
@@ -127,12 +133,13 @@ def _positions(codes_row):
     return p, n
 
 
-def lower_layer(ternary, bn=None, bias=None, theta_mode="folded"):
+def lower_layer(ternary, bn=None, bias=None, theta_mode="folded", skip=False):
     """ChannelPrograms for one ternary layer.
 
     Conv codes are [out_ch, in_ch, kh, kw]; dense codes are [in, out]
     (channel c is column c). theta_mode "zero" skips folding and emits the
-    literal I(S > 0) convention.
+    literal I(S > 0) convention. skip marks a layer whose sums also take
+    the residual skip bit.
     """
     if theta_mode not in ("folded", "zero"):
         raise ValueError(f"unknown theta mode {theta_mode!r}")
@@ -155,8 +162,9 @@ def lower_layer(ternary, bn=None, bias=None, theta_mode="folded"):
         fold = folds[c]
         if fold[0] == "const":
             channels.append(ChannelProgram(p=(), n=(), const=fold[1]))
-        elif not p and not n:
+        elif not p and not n and not skip:
             # Dead channel: S is identically 0, so the indicator is constant.
+            # With a skip, S is the skip bit and the channel keeps its theta.
             bit = int((0 > fold[1]) ^ fold[2])
             channels.append(ChannelProgram(p=(), n=(), const=bit))
         else:
@@ -235,7 +243,7 @@ def lower_model(model: Model, theta_mode="folded", fold_output=True,
         layers.append(LayerProgram(
             name=f"res{i}.c2", kind="conv", in_width=c, kernel=(3, 3),
             channels=lower_layer(tern(f"res{i}.c2"), bn=blk.bn2,
-                                 theta_mode=theta_mode),
+                                 theta_mode=theta_mode, skip=True),
             skip_from=prev))
         prev = f"res{i}.c2"
 
@@ -289,81 +297,190 @@ def _check_bits(bits, group_size):
     return b, single
 
 
-def _layer_kernel(layer):
-    kh, kw = layer.kernel
-    k = np.zeros((len(layer.channels), layer.in_width, kh, kw), dtype=np.int32)
-    for o, cp in enumerate(layer.channels):
-        for (ci, u, v) in cp.p:
-            k[o, ci, u, v] = 1
-        for (ci, u, v) in cp.n:
-            k[o, ci, u, v] = -1
+# Every integer of magnitude up to 2**24 is a float32, so a float32 GEMM of
+# 0/1 inputs with +-1 codes sums exactly while a channel's fan-in plus its
+# skip bit stays below this: every partial sum, in any order, is bounded by it.
+F32_EXACT_LIMIT = 1 << 24
+GEMM_ROWS = 4096  # output positions per conv GEMM in run_program
+
+
+@dataclass
+class _CompiledLayer:
+    """One layer's execution arrays, built once per program content."""
+    name: str
+    kmat: np.ndarray  # float32 [rows, channels]; conv rows are (tap, in_ch)
+    taps: tuple | None  # conv: (row, col) offsets of taps that reach the input
+    theta: np.ndarray  # float32, clamped into the reachable sum range
+    flip: np.ndarray  # bool
+    skip_from: str | None
+    decision: str | None
+    compare_theta: int | None
+
+
+def _snapshot(prog):
+    """Everything run_program reads from a program, as nested tuples."""
+    return (prog.group_size, tuple(
+        (lp.name, lp.kind, lp.in_width, lp.kernel, lp.skip_from, lp.decision,
+         lp.compare_theta,
+         tuple((tuple(cp.p), tuple(cp.n), cp.theta, cp.flip, cp.const)
+               for cp in lp.channels))
+        for lp in prog.layers))
+
+
+def _codes(layer):
+    """[channels, in_width, *kernel] float32 array of the P (+1) and N (-1)
+    index sets."""
+    k = np.zeros((len(layer.channels), layer.in_width) + tuple(layer.kernel or ()),
+                 dtype=np.float32)
+    for sign, sets in ((1.0, [cp.p for cp in layer.channels]),
+                       (-1.0, [cp.n for cp in layer.channels])):
+        idx = np.array(list(itertools.chain.from_iterable(sets)),
+                       dtype=np.intp).reshape(-1, k.ndim - 1)
+        if ((idx < 0) | (idx >= k.shape[1:])).any():
+            raise ValueError(f"{layer.name}: index outside the layer input")
+        rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+        k[(rows,) + tuple(idx.T)] = sign
     return k
 
 
-def _dense_matrix(layer):
-    m = np.zeros((layer.in_width, len(layer.channels)), dtype=np.int32)
-    for o, cp in enumerate(layer.channels):
-        for i in cp.p:
-            m[i, o] = 1
-        for i in cp.n:
-            m[i, o] = -1
-    return m
-
-
-def _apply_indicators(s, channels):
-    out = np.empty(s.shape, dtype=np.uint8)
-    for o, cp in enumerate(channels):
+def _indicator_vectors(layer, skip):
+    """Clamped float32 thresholds and flips; constant channels become
+    thresholds no sum can fail to exceed, flipped to their constant."""
+    theta, flip = [], []
+    for cp in layer.channels:
+        if cp.fan_in + skip >= F32_EXACT_LIMIT:
+            raise ValueError(f"{layer.name}: fan-in {cp.fan_in} + skip {skip} "
+                             f"is not exact in float32 (limit {F32_EXACT_LIMIT})")
+        lo = -len(cp.n) - 1  # S ranges over [-|N|, |P| + skip]
         if cp.const is not None:
-            out[:, o] = cp.const
+            theta.append(lo)
+            flip.append(not cp.const)
         else:
-            out[:, o] = (s[:, o] > cp.theta) ^ cp.flip
+            theta.append(min(max(cp.theta, lo), len(cp.p) + skip))
+            flip.append(bool(cp.flip))
+    return np.array(theta, dtype=np.float32), np.array(flip, dtype=bool)
+
+
+def _compile(prog):
+    """_CompiledLayer list; checks the layer wiring on the way. Feature maps
+    run channels-last, [N, 16, g, C], so each conv is one GEMM."""
+    shape = (16, prog.group_size, len(INPUT_CHANNEL_NAMES))
+    shapes = {}  # layer name -> output shape, for skip sources
+    out = []
+    for layer in prog.layers:
+        n_ch = len(layer.channels)
+        k = _codes(layer)
+        taps = None
+        if layer.kind == "conv":
+            if len(shape) != 3 or shape[2] != layer.in_width:
+                raise ValueError(f"{layer.name}: expected {layer.in_width} "
+                                 f"input channels, got shape {shape}")
+            hh, ww, _ = shape
+            kh, kw = layer.kernel
+            ph, pw = kh // 2, kw // 2
+            # Taps that only ever read the zero padding are left out.
+            live = [(u, v) for u in range(kh) for v in range(kw)
+                    if abs(u - ph) < hh and abs(v - pw) < ww]
+            taps = tuple((u - ph, v - pw) for u, v in live)
+            us, vs = zip(*live)
+            kmat = k[:, :, list(us), list(vs)].transpose(2, 1, 0).reshape(-1, n_ch)
+            shape = (hh, ww, n_ch)
+        else:
+            if math.prod(shape) != layer.in_width:
+                raise ValueError(f"{layer.name}: expected input width "
+                                 f"{layer.in_width}, got {math.prod(shape)}")
+            kmat = k.T
+            if len(shape) == 3:
+                # Dense indices are in the [C, 16, g] flattening order.
+                hh, ww, c = shape
+                kmat = kmat[np.arange(c * hh * ww).reshape(c, hh, ww)
+                            .transpose(1, 2, 0).ravel()]
+            shape = (n_ch,)
+        skip = 0
+        if layer.skip_from is not None:
+            if shapes.get(layer.skip_from) != shape:
+                raise ValueError(f"{layer.name}: skip source "
+                                 f"{layer.skip_from!r} has no output of shape "
+                                 f"{shape}")
+            skip = 1
+        theta, flip = _indicator_vectors(layer, skip)
+        out.append(_CompiledLayer(
+            name=layer.name, kmat=np.ascontiguousarray(kmat), taps=taps,
+            theta=theta, flip=flip, skip_from=layer.skip_from,
+            decision=layer.decision, compare_theta=layer.compare_theta))
+        if layer.decision == "compare":
+            break
+        shapes[layer.name] = shape
     return out
+
+
+def _compiled_layers(prog):
+    """The program's compiled layers, rebuilt whenever its content changed
+    since they were built (programs are plain dataclasses, edited in place)."""
+    snap = _snapshot(prog)
+    if prog._compiled is None or prog._compiled[0] != snap:
+        prog._compiled = (snap, _compile(prog))
+    return prog._compiled[1]
+
+
+def _conv_sums(x, taps, kmat):
+    """Conv sums [N, H, W, O] of channels-last bits x [N, H, W, C]: one GEMM
+    per block of GEMM_ROWS output positions over their tap windows, reads
+    past the edge being the zero padding. Blocking bounds the window buffer,
+    and OpenBLAS keeps packing memory that grows with the GEMM's row count."""
+    n, hh, ww, c = x.shape
+    step = max(1, GEMM_ROWS // (hh * ww))
+    cols = np.zeros((min(n, step), hh, ww, len(taps), c), dtype=np.float32)
+    s = np.empty((n, hh, ww, kmat.shape[1]), dtype=np.float32)
+    for lo in range(0, n, step):
+        xb = x[lo:lo + step]
+        m = len(xb)
+        # Each block rewrites the same in-bounds regions; padding stays 0.
+        for t, (du, dv) in enumerate(taps):
+            i0, i1 = max(0, -du), min(hh, hh - du)
+            j0, j1 = max(0, -dv), min(ww, ww - dv)
+            cols[:m, i0:i1, j0:j1, t] = xb[:, i0 + du:i1 + du, j0 + dv:j1 + dv]
+        np.matmul(cols[:m].reshape(m * hh * ww, -1), kmat,
+                  out=s[lo:lo + m].reshape(m * hh * ww, -1))
+    return s
 
 
 def run_program(prog: BooleanProgram, bits, return_planes=False):
     """Evaluate the program on [N,4,16,g] (or single [4,16,g]) bit inputs.
 
-    Integer arithmetic only. Returns labels (uint8), plus named intermediate
-    bit planes when requested.
+    Sums are float32 GEMMs of 0/1 bits with +-1 codes, exact integers
+    because every fan-in is below F32_EXACT_LIMIT. Returns labels (uint8),
+    plus named intermediate bit planes when requested.
     """
+    layers = _compiled_layers(prog)
     bits, single = _check_bits(bits, prog.group_size)
     n = bits.shape[0]
     planes = []
-    outputs = {}  # layer name -> bit planes, for skip sources
-    h = bits.astype(np.int32)
+    outputs = {}  # layer name -> channels-last bit planes, for skip sources
+    h = bits.transpose(0, 2, 3, 1)
     labels = None
-    for layer in prog.layers:
-        if layer.kind == "conv":
-            kh, kw = layer.kernel
-            if h.shape[1] != layer.in_width:
-                raise ValueError(f"{layer.name}: expected {layer.in_width} "
-                                 f"input channels, got {h.shape[1]}")
-            cols = nn._im2col(h, kh, kw, kh // 2, kw // 2)
-            kmat = _layer_kernel(layer).reshape(len(layer.channels), -1)
-            s = np.matmul(kmat[None], cols).reshape(
-                n, len(layer.channels), 16, prog.group_size)
-            if layer.skip_from is not None:
-                s = s + outputs[layer.skip_from].astype(np.int32)
-            out = _apply_indicators(
-                s.reshape(n, len(layer.channels), -1), layer.channels
-            ).reshape(s.shape)
+    for cl in layers:
+        if cl.taps is not None:
+            s = _conv_sums(h, cl.taps, cl.kmat)
         else:
-            x = h.reshape(n, -1)
-            if x.shape[1] != layer.in_width:
-                raise ValueError(f"{layer.name}: expected input width "
-                                 f"{layer.in_width}, got {x.shape[1]}")
-            s = x @ _dense_matrix(layer)
-            if layer.decision == "compare":
-                d = s[:, 1] - s[:, 0]
-                labels = (d > layer.compare_theta).astype(np.uint8)
-                planes.append((layer.name + ".sum_diff", d))
-                break
-            out = _apply_indicators(s, layer.channels)
-            if layer.decision == "folded":
-                labels = out[:, 0]
-        outputs[layer.name] = out
-        planes.append((layer.name, out))
-        h = out.astype(np.int32)
+            s = h.reshape(n, -1).astype(np.float32) @ cl.kmat
+        if cl.decision == "compare":
+            si = s.astype(np.int32)
+            d = si[:, 1] - si[:, 0]
+            labels = (d > cl.compare_theta).astype(np.uint8)
+            planes.append((cl.name + ".sum_diff", d))
+            break
+        if cl.skip_from is not None:
+            s += outputs[cl.skip_from]
+        fired = s > cl.theta
+        fired ^= cl.flip
+        out = fired.view(np.uint8)
+        if cl.decision == "folded":
+            labels = out[:, 0]
+        outputs[cl.name] = out
+        planes.append((cl.name, out if out.ndim == 2
+                       else out.transpose(0, 3, 1, 2)))
+        h = out
     if labels is None:
         raise ValueError("program has no decision layer")
     if single:

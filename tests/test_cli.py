@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from ndlite import dataset
 from ndlite.cli import main, sha256_file
-from ndlite.dataset import load_dataset
+from ndlite.dataset import load_dataset, save_dataset
 from ndlite.lowering import load_program, save_program
 from ndlite.model import load_model, save_model
 
@@ -194,6 +195,35 @@ def test_eval_program_matches_checkpoint(work, quant_ckpt, lowered,
         reports[name] = read_report(rpt)["results"]
     assert reports["model"]["accuracy"] == reports["program"]["accuracy"]
     assert reports["model"]["confusion"] == reports["program"]["confusion"]
+
+
+def test_eval_program_batches_odd_sized_set(work, quant_ckpt, lowered,
+                                            tiny_data):
+    ds = load_dataset(tiny_data["val"])
+    odd = work / "odd.nds"
+    save_dataset(dataclasses.replace(ds, bits=ds.bits[:101],
+                                     labels=ds.labels[:101]), odd)
+    confusions = {}
+    for name, path in (("model", quant_ckpt), ("program", lowered)):
+        rpt = work / f"eval.odd.{name}.json"
+        assert run(["eval", path, "--data", odd, "--batch-size", 7,
+                    "--report", rpt]) == 0
+        res = read_report(rpt)["results"]
+        assert res["samples"] == 101
+        confusions[name] = res["confusion"]
+    assert confusions["model"] == confusions["program"]
+    assert run(["eval", lowered, "--data", odd, "--batch-size", 0]) == 2
+
+
+def test_eval_rejects_empty_dataset(work, quant_ckpt, lowered, capsys):
+    empty = work / "empty.nds"
+    empty.write_bytes(dataset._HEADER.pack(dataset._MAGIC, dataset._VERSION,
+                                           3, 1, 0, 0, 0x40, 0))
+    for path, extra in ((quant_ckpt, []), (quant_ckpt, ["--threshold", 2]),
+                        (lowered, [])):
+        capsys.readouterr()
+        assert run(["eval", path, "--data", empty] + extra) == 2
+        assert "empty dataset" in capsys.readouterr().err
 
 
 def test_eval_threshold_out_of_range(work, fp_ckpt, tiny_data):

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ndlite import nn
+from ndlite import lowering, nn
 from ndlite.lowering import (BooleanProgram, ChannelProgram, VerifyReport,
                              conv0_literal_names, fold_batchnorm, fold_bias,
                              fold_output_pair, load_program, lower_layer,
@@ -287,6 +289,21 @@ def test_program_matches_exact_two_blocks_wider_group():
     assert np.array_equal(labels, exact_labels)
 
 
+def test_run_program_gemm_blocks_agree(monkeypatch):
+    m = randomized_quantized_model(8, cfg=small_cfg(group_size=2))
+    prog = lower_model(m)
+    bits = np.random.default_rng(8).integers(0, 2, size=(37, 4, 16, 2),
+                                             dtype=np.uint8)
+    labels, planes = run_program(prog, bits, return_planes=True)
+    # 5 samples per block at 16x2 positions each; the last block is partial
+    monkeypatch.setattr(lowering, "GEMM_ROWS", 5 * 32)
+    blocked_labels, blocked_planes = run_program(prog, bits,
+                                                 return_planes=True)
+    assert np.array_equal(labels, blocked_labels)
+    for (name, plane), (_, blocked) in zip(planes, blocked_planes):
+        assert np.array_equal(plane, blocked), name
+
+
 def test_run_program_single_sample_and_validation():
     m = randomized_quantized_model(6)
     prog = lower_model(m)
@@ -301,6 +318,115 @@ def test_run_program_single_sample_and_validation():
         run_program(prog, np.full((4, 16, 1), 2, dtype=np.uint8))
     with pytest.raises(ValueError):
         run_program(prog, np.full((4, 16, 1), 0.5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), group_size=st.sampled_from((1, 2)),
+       blocks=st.integers(1, 2), fold=st.booleans())
+def test_program_planes_equal_exact_forward_property(seed, group_size, blocks,
+                                                     fold):
+    m = randomized_quantized_model(
+        seed, cfg=small_cfg(residual_blocks=blocks, group_size=group_size))
+    if fold:
+        antisymmetrize_output(m)
+    prog = lower_model(m, fold_output=fold)
+    assert prog.layers[-1].decision == ("folded" if fold else "compare")
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=(64, 4, 16, group_size), dtype=np.uint8)
+    labels, planes = run_program(prog, bits, return_planes=True)
+    exact_labels, _, exact_planes = exact_bit_forward(m, bits,
+                                                      return_planes=True)
+    assert np.array_equal(labels, exact_labels)
+    exact_by_name = dict(exact_planes)
+    for name, plane in planes:
+        want = labels[:, None] if name == "out" else exact_by_name[name]
+        assert np.array_equal(plane, want), name
+
+
+def _planted_skip_model():
+    """Planted conv0 channel 0 (C_l & ~C_r) and an identity res0.c2 whose
+    output is a1 | h0, so the skip bit shows in its plane."""
+    m = _planted_conv0_model()
+    identity_bn(m.blocks[0].bn2)
+    m.blocks[0].w2[:] = 0.0
+    for c in range(m.cfg.channels):
+        m.blocks[0].w2[c, c, 1, 1] = 10.0
+    return m
+
+
+def test_dead_channel_in_skip_layer_passes_skip_bit():
+    m = _planted_skip_model()
+    m.blocks[0].w2[0] = 0.0  # no codes: channel 0's sum is the skip bit alone
+    prog = lower_model(m)
+    cp = prog.layer("res0.c2").channels[0]
+    assert cp.const is None and cp.fan_in == 0
+    bits = np.random.default_rng(14).integers(0, 2, size=(200, 4, 16, 1),
+                                              dtype=np.uint8)
+    _, planes = run_program(prog, bits, return_planes=True)
+    _, _, exact_planes = exact_bit_forward(m, bits, return_planes=True)
+    plane = dict(planes)["res0.c2"]
+    assert plane[:, 0].any()
+    assert np.array_equal(plane, dict(exact_planes)["res0.c2"])
+    assert verify_equivalence(prog, m, trials=100, exhaustive_width=9).passed
+
+
+def _raise_theta(prog):
+    prog.layer("conv0").channels[0].theta += 1
+
+
+def _drop_p_index(prog):
+    prog.layer("conv0").channels[0].p = ()
+
+
+def _drop_skip(prog):
+    prog.layer("res0.c2").skip_from = None
+
+
+@pytest.mark.parametrize("edit", [_raise_theta, _drop_p_index, _drop_skip])
+def test_run_program_sees_in_place_edits(edit):
+    m = _planted_skip_model()
+    bits = np.random.default_rng(12).integers(0, 2, size=(200, 4, 16, 1),
+                                              dtype=np.uint8)
+    prog = lower_model(m)
+    _, before = run_program(prog, bits, return_planes=True)
+    edit(prog)
+    fresh = lower_model(m)
+    edit(fresh)
+    labels, planes = run_program(prog, bits, return_planes=True)
+    want_labels, want_planes = run_program(fresh, bits, return_planes=True)
+    assert np.array_equal(labels, want_labels)
+    assert [name for name, _ in planes] == [name for name, _ in want_planes]
+    for (name, plane), (_, want) in zip(planes, want_planes):
+        assert np.array_equal(plane, want), name
+    assert any(not np.array_equal(a, b)
+               for (_, a), (_, b) in zip(planes, before))
+    rep = verify_equivalence(prog, m, trials=200, exhaustive_width=0)
+    assert not rep.passed
+
+
+def test_run_program_clamps_out_of_range_thresholds():
+    prog = lower_model(_planted_conv0_model())
+    cp = prog.layer("conv0").channels[0]
+    bits = np.random.default_rng(13).integers(0, 2, size=(50, 4, 16, 1),
+                                              dtype=np.uint8)
+    for theta, flip, want in ((10**400, False, 0), (-10**400, False, 1),
+                              (2**24 + 1, True, 1), (-2**24 - 3, True, 0)):
+        cp.theta, cp.flip = theta, flip
+        _, planes = run_program(prog, bits, return_planes=True)
+        assert (dict(planes)["conv0"][:, 0] == want).all(), theta
+
+
+def test_run_program_asserts_float32_exact_bound(monkeypatch):
+    m = randomized_quantized_model(6)
+    bits = np.zeros((3, 4, 16, 1), dtype=np.uint8)
+    prog = lower_model(m)
+    widest = max(cp.fan_in + (layer.skip_from is not None)
+                 for layer in prog.layers for cp in layer.channels)
+    monkeypatch.setattr(lowering, "F32_EXACT_LIMIT", widest + 1)
+    run_program(prog, bits)
+    monkeypatch.setattr(lowering, "F32_EXACT_LIMIT", widest)
+    with pytest.raises(ValueError, match="float32"):
+        run_program(lower_model(m), bits)
 
 
 def test_lower_model_requires_full_stage():
@@ -484,8 +610,9 @@ def test_program_roundtrip_folded(tmp_path):
     prog = lower_model(m)
     path = tmp_path / "prog.bprog"
     save_program(prog, path)
+    run_program(prog, np.zeros((1, 4, 16, 1), dtype=np.uint8))
     loaded = load_program(path)
-    assert loaded == prog
+    assert loaded == prog  # the execution cache takes no part in ==
     bits = np.random.default_rng(31).integers(0, 2, size=(100, 4, 16, 1),
                                               dtype=np.uint8)
     assert np.array_equal(run_program(loaded, bits), run_program(prog, bits))
