@@ -11,7 +11,7 @@ compared against the decision threshold's log-odds; if the rows are not
 exact negations the fold is refused and both accumulators are compared
 directly. run_program sums with float32 GEMMs over 0/1 inputs and +-1
 codes; those sums are exact integers while every channel's fan-in plus its
-skip bit stays below 2**24 (F32_EXACT_LIMIT), which is checked when a
+skip bit stays below 2**24 (nn.F32_EXACT_LIMIT), which is checked when a
 program is compiled for execution.
 """
 
@@ -297,13 +297,6 @@ def _check_bits(bits, group_size):
     return b, single
 
 
-# Every integer of magnitude up to 2**24 is a float32, so a float32 GEMM of
-# 0/1 inputs with +-1 codes sums exactly while a channel's fan-in plus its
-# skip bit stays below this: every partial sum, in any order, is bounded by it.
-F32_EXACT_LIMIT = 1 << 24
-GEMM_ROWS = 4096  # output positions per conv GEMM in run_program
-
-
 @dataclass
 class _CompiledLayer:
     """One layer's execution arrays, built once per program content."""
@@ -346,11 +339,10 @@ def _codes(layer):
 def _indicator_vectors(layer, skip):
     """Clamped float32 thresholds and flips; constant channels become
     thresholds no sum can fail to exceed, flipped to their constant."""
+    nn.check_f32_exact(layer.name, skip + max(
+        (cp.fan_in for cp in layer.channels), default=0))
     theta, flip = [], []
     for cp in layer.channels:
-        if cp.fan_in + skip >= F32_EXACT_LIMIT:
-            raise ValueError(f"{layer.name}: fan-in {cp.fan_in} + skip {skip} "
-                             f"is not exact in float32 (limit {F32_EXACT_LIMIT})")
         lo = -len(cp.n) - 1  # S ranges over [-|N|, |P| + skip]
         if cp.const is not None:
             theta.append(lo)
@@ -376,14 +368,7 @@ def _compile(prog):
                 raise ValueError(f"{layer.name}: expected {layer.in_width} "
                                  f"input channels, got shape {shape}")
             hh, ww, _ = shape
-            kh, kw = layer.kernel
-            ph, pw = kh // 2, kw // 2
-            # Taps that only ever read the zero padding are left out.
-            live = [(u, v) for u in range(kh) for v in range(kw)
-                    if abs(u - ph) < hh and abs(v - pw) < ww]
-            taps = tuple((u - ph, v - pw) for u, v in live)
-            us, vs = zip(*live)
-            kmat = k[:, :, list(us), list(vs)].transpose(2, 1, 0).reshape(-1, n_ch)
+            taps, kmat = nn.tap_matrix(k, hh, ww)
             shape = (hh, ww, n_ch)
         else:
             if math.prod(shape) != layer.in_width:
@@ -393,8 +378,7 @@ def _compile(prog):
             if len(shape) == 3:
                 # Dense indices are in the [C, 16, g] flattening order.
                 hh, ww, c = shape
-                kmat = kmat[np.arange(c * hh * ww).reshape(c, hh, ww)
-                            .transpose(1, 2, 0).ravel()]
+                kmat = nn.channels_last_rows(kmat, c, hh, ww)
             shape = (n_ch,)
         skip = 0
         if layer.skip_from is not None:
@@ -423,33 +407,11 @@ def _compiled_layers(prog):
     return prog._compiled[1]
 
 
-def _conv_sums(x, taps, kmat):
-    """Conv sums [N, H, W, O] of channels-last bits x [N, H, W, C]: one GEMM
-    per block of GEMM_ROWS output positions over their tap windows, reads
-    past the edge being the zero padding. Blocking bounds the window buffer,
-    and OpenBLAS keeps packing memory that grows with the GEMM's row count."""
-    n, hh, ww, c = x.shape
-    step = max(1, GEMM_ROWS // (hh * ww))
-    cols = np.zeros((min(n, step), hh, ww, len(taps), c), dtype=np.float32)
-    s = np.empty((n, hh, ww, kmat.shape[1]), dtype=np.float32)
-    for lo in range(0, n, step):
-        xb = x[lo:lo + step]
-        m = len(xb)
-        # Each block rewrites the same in-bounds regions; padding stays 0.
-        for t, (du, dv) in enumerate(taps):
-            i0, i1 = max(0, -du), min(hh, hh - du)
-            j0, j1 = max(0, -dv), min(ww, ww - dv)
-            cols[:m, i0:i1, j0:j1, t] = xb[:, i0 + du:i1 + du, j0 + dv:j1 + dv]
-        np.matmul(cols[:m].reshape(m * hh * ww, -1), kmat,
-                  out=s[lo:lo + m].reshape(m * hh * ww, -1))
-    return s
-
-
 def run_program(prog: BooleanProgram, bits, return_planes=False):
     """Evaluate the program on [N,4,16,g] (or single [4,16,g]) bit inputs.
 
     Sums are float32 GEMMs of 0/1 bits with +-1 codes, exact integers
-    because every fan-in is below F32_EXACT_LIMIT. Returns labels (uint8),
+    because every fan-in is below nn.F32_EXACT_LIMIT. Returns labels (uint8),
     plus named intermediate bit planes when requested.
     """
     layers = _compiled_layers(prog)
@@ -461,7 +423,7 @@ def run_program(prog: BooleanProgram, bits, return_planes=False):
     labels = None
     for cl in layers:
         if cl.taps is not None:
-            s = _conv_sums(h, cl.taps, cl.kmat)
+            s = nn.conv_sums(h, cl.taps, cl.kmat)
         else:
             s = h.reshape(n, -1).astype(np.float32) @ cl.kmat
         if cl.decision == "compare":
@@ -501,13 +463,12 @@ class VerifyReport:
     warnings: list = field(default_factory=list)
 
 
-def _model_channel_coeffs(model, layer_name, channel, folded_output=False):
-    """(index -> ternary coefficient) for one model channel."""
-    t = extract_ternary(model._weight_of(layer_name),
-                        model.delta_of(layer_name))
+def _model_channel_coeffs(codes, channel, folded_output=False):
+    """(index -> ternary coefficient) for one channel of a model layer's
+    ternary codes."""
     if folded_output:
         channel = 1  # folded channel is the real-class column
-    row = t.codes[channel] if t.codes.ndim == 4 else t.codes[:, channel]
+    row = codes[channel] if codes.ndim == 4 else codes[:, channel]
     coeffs = {}
     if row.ndim == 1:
         for i in np.flatnonzero(row):
@@ -518,13 +479,13 @@ def _model_channel_coeffs(model, layer_name, channel, folded_output=False):
     return coeffs
 
 
-def _exhaustive_channel(model, prog, layer, channel_idx, width):
+def _exhaustive_channel(model, layer, codes, channel_idx, width):
     """Compare one indicator channel against the model's batchnorm/bias
-    predicate over every assignment of its support bits. Returns a
-    counterexample dict or None; raises ValueError when the support is
-    wider than `width`."""
+    predicate over every assignment of its support bits; codes are the
+    model layer's ternary codes. Returns a counterexample dict or None;
+    raises ValueError when the support is wider than `width`."""
     cp = layer.channels[channel_idx]
-    coeffs = _model_channel_coeffs(model, layer.name, channel_idx,
+    coeffs = _model_channel_coeffs(codes, channel_idx,
                                    folded_output=layer.decision == "folded")
     support = sorted(set(coeffs) | set(cp.p) | set(cp.n))
     # The model's second residual conv always carries the identity skip;
@@ -647,9 +608,11 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
     for layer in prog.layers:
         if layer.decision == "compare":
             continue
+        codes = extract_ternary(model._weight_of(layer.name),
+                                model.delta_of(layer.name)).codes
         for ci in range(len(layer.channels)):
             try:
-                ce = _exhaustive_channel(model, prog, layer, ci,
+                ce = _exhaustive_channel(model, layer, codes, ci,
                                          exhaustive_width)
             except ValueError:
                 continue
@@ -795,10 +758,13 @@ def conv0_literal_names(cp: ChannelProgram):
 
 
 def program_expressions(prog: BooleanProgram, max_literals=8):
-    """[(layer, channel, formula)] for every small-fan-in live channel."""
+    """[(layer, channel, formula)] for every small-fan-in live channel.
+
+    Layers whose sums take a skip bit are left out: a formula over the
+    channel's P and N inputs alone is not its function."""
     out = []
     for layer in prog.layers:
-        if layer.decision == "compare":
+        if layer.decision == "compare" or layer.skip_from is not None:
             continue
         for ci, cp in enumerate(layer.channels):
             if cp.const is not None or cp.fan_in > max_literals:

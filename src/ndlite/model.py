@@ -14,7 +14,13 @@ conv's step size, so the whole network computes integer accumulator sums of
 input bits. In the "full" stage the model's reference semantics is exact
 rational arithmetic over those integer sums (exact_bit_forward); evaluate()
 and classify() route through it, which is what lowered programs are
-verified against.
+verified against. exact_bit_forward sums the ternary codes in float32 GEMMs
+(nn.conv_sums), exact because it asserts that every channel's fan-in plus
+its skip bit stays below nn.F32_EXACT_LIMIT. Each indicator's rational
+predicate is affine in the integer sum, so it is decided from the point
+where it switches over the batch's observed range, found by evaluating
+that predicate at a few integers; nothing is taken from the lowering's
+folded thresholds.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ from .quant import (STAGES, binarize_activation, binarize_activation_grad,
 from .checkpoint import load_weights, save_weights
 
 _ACTIVATIONS = ("relu", "sigmoid")
+# Feature-map positions (samples x 16 x group size) per float forward in
+# Model.scores, with at least 64 samples; its buffers grow with positions.
+SCORE_ROWS = 8192
 
 
 @dataclass
@@ -272,9 +281,14 @@ class Model:
     # ----------------------------------------------------------- inference
 
     def scores(self, x):
-        """Float-route softmax probability of the real class, [N]."""
-        logits, _ = self.forward(np.asarray(x, dtype=np.float32), training=False)
-        return nn.softmax(logits)[:, 1]
+        """Float-route softmax probability of the real class, [N]. The
+        forward runs on blocks of about SCORE_ROWS positions, so its buffers
+        do not grow with N."""
+        x = np.asarray(x, dtype=np.float32)
+        step = max(64, SCORE_ROWS // (16 * self.cfg.group_size))
+        return np.concatenate([
+            nn.softmax(self.forward(x[i:i + step], training=False)[0])[:, 1]
+            for i in range(0, len(x), step)])
 
 
 # ------------------------------------------------------------------- build
@@ -308,23 +322,47 @@ def _frac(x):
     return Fraction(float(x))
 
 
-def _channel_lut_bits(s_int, predicate):
-    """Apply an integer predicate per channel via a range lookup table.
+def _switch_bits(s, pred, slope, offset):
+    """Bits of an affine rational predicate per channel; channel axis last.
 
-    s_int: int64 [N, C, ...]; predicate(c, s) -> bool, evaluated once per
-    integer in each channel's observed range.
+    s holds integer sums. pred(c, S) is affine in the integer S, so it holds
+    on a half-line of the integers, everywhere or nowhere, and switches at
+    most once over a channel's observed range [lo, hi]. It is evaluated at
+    lo and hi and, where those differ, at the few integers that pin the
+    switch point t, with pred(t) == pred(lo) != pred(t + 1). The float64
+    estimate slope * S + offset of the predicate's left side only picks the
+    first integers tried.
     """
-    out = np.zeros(s_int.shape, dtype=np.uint8)
-    for c in range(s_int.shape[1]):
-        plane = s_int[:, c]
-        lo, hi = int(plane.min()), int(plane.max())
-        lut = np.array([predicate(c, s) for s in range(lo, hi + 1)],
-                       dtype=np.uint8)
-        out[:, c] = lut[plane - lo]
-    return out
+    flat = s.reshape(-1, s.shape[-1])
+    lo = flat.min(axis=0).astype(np.int64)
+    hi = flat.max(axis=0).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = -np.asarray(offset, np.float64) / np.asarray(slope, np.float64)
+    guess = np.floor(np.clip(np.where(np.isnan(root), lo, root), lo, hi))
+    t = np.empty(len(lo), dtype=s.dtype)
+    first = np.empty(len(lo), dtype=bool)
+    for c in range(len(lo)):
+        a, b = int(lo[c]), int(hi[c])
+        first[c] = below = pred(c, a)
+        if pred(c, b) == below:
+            t[c] = b  # constant over the observed range
+            continue
+        # pred(a) == below != pred(b). Rounding aside, the estimate is
+        # within one of t, so these probes usually end the search.
+        g = int(guess[c])
+        probes = [g, g + 1, g - 1, g + 2]
+        while b - a > 1:
+            m = probes.pop(0) if probes else (a + b) // 2
+            if a < m < b:
+                if pred(c, m) == below:
+                    a = m
+                else:
+                    b = m
+        t[c] = a
+    return ((s > t) ^ first).view(np.uint8)
 
 
-def _exact_bn_bits(s_int, bn: nn.BnState, delta):
+def _exact_bn_bits(s, bn: nn.BnState, delta):
     """bit = [gamma*(delta*S - mu)/sigma + beta > 0], exactly, per channel."""
     dlt = _frac(delta)
     gam = [_frac(v) for v in bn.gamma]
@@ -335,10 +373,13 @@ def _exact_bn_bits(s_int, bn: nn.BnState, delta):
     def pred(c, s):
         return gam[c] * (dlt * s - mu[c]) + bet[c] * sig[c] > 0
 
-    return _channel_lut_bits(s_int, pred)
+    gamma = np.asarray(bn.gamma, np.float64)
+    sigma = np.sqrt(np.asarray(bn.running_var, np.float64) + bn.eps)
+    return _switch_bits(s, pred, gamma * float(delta),
+                        bn.beta * sigma - gamma * bn.running_mean)
 
 
-def _exact_bias_bits(s_int, bias, delta):
+def _exact_bias_bits(s, bias, delta):
     """bit = [delta*S + b > 0], exactly, per channel."""
     dlt = _frac(delta)
     b = [_frac(v) for v in bias]
@@ -346,22 +387,19 @@ def _exact_bias_bits(s_int, bias, delta):
     def pred(c, s):
         return dlt * s + b[c] > 0
 
-    return _channel_lut_bits(s_int, pred)
-
-
-def _int_conv(x_bits, codes):
-    y, _ = nn.conv2d(x_bits.astype(np.float64), codes.astype(np.float64))
-    return np.rint(y).astype(np.int64)
+    return _switch_bits(s, pred, float(delta), np.asarray(bias, np.float64))
 
 
 def exact_bit_forward(model: Model, bits, return_planes=False):
     """Exact evaluation of a fully quantized model on binary inputs.
 
-    Integer accumulator sums are computed with ternary codes; every
-    normalization / bias indicator is decided in rational arithmetic; the
-    final decision compares the exact logit difference against
-    log(t / (1-t)) pinned to its float64 value. Returns (labels, scores)
-    or (labels, scores, planes) - scores are float and for reporting only.
+    Integer accumulator sums of the ternary codes are float32 GEMMs
+    (nn.conv_sums), exact because every channel's fan-in plus its skip bit
+    is checked to stay below nn.F32_EXACT_LIMIT; every normalization / bias
+    indicator is decided in rational arithmetic; the final decision
+    compares the exact logit difference against log(t / (1-t)) pinned to
+    its float64 value. Returns (labels, scores) or (labels, scores, planes)
+    - scores are float and for reporting only.
     """
     if model.stage != "full":
         raise ValueError("exact evaluation requires the fully quantized stage")
@@ -371,45 +409,61 @@ def exact_bit_forward(model: Model, bits, return_planes=False):
         if not np.isin(bits, (0, 1)).all():
             raise ValueError("exact evaluation expects binary inputs")
         bits = bits.astype(np.uint8)
+    n, hh, ww = bits.shape[0], 16, model.cfg.group_size
 
-    def codes(name):
-        return extract_ternary(model._weight_of(name), model.delta_of(name)).codes
+    def codes(name, skip=0):
+        """float32 ternary codes; conv [O, C, kh, kw], dense [in, out]."""
+        c = extract_ternary(model._weight_of(name), model.delta_of(name)).codes
+        rows = c.reshape(len(c), -1) if c.ndim == 4 else c.T
+        nn.check_f32_exact(name, skip + int(np.count_nonzero(rows, axis=1).max()))
+        return c.astype(np.float32)
 
-    planes = []
-    s = _int_conv(bits, codes("conv0"))
-    h = _exact_bn_bits(s, model.bn0, model.delta_of("conv0"))
+    def conv(name, x, skip=None):
+        """Channels-last sums [N, 16, g, O]; skip bits join the sums."""
+        taps, kmat = nn.tap_matrix(codes(name, skip is not None), hh, ww)
+        s = nn.conv_sums(x, taps, kmat)
+        if skip is not None:
+            s += skip
+        return s
+
+    planes = []  # channels-last until returned
+    h = _exact_bn_bits(conv("conv0", bits.transpose(0, 2, 3, 1)), model.bn0,
+                       model.delta_of("conv0"))
     planes.append(("conv0", h))
     for i, blk in enumerate(model.blocks):
         h0 = h
-        s1 = _int_conv(h0, codes(f"res{i}.c1"))
-        a1 = _exact_bn_bits(s1, blk.bn1, model.delta_of(f"res{i}.c1"))
+        a1 = _exact_bn_bits(conv(f"res{i}.c1", h0), blk.bn1,
+                            model.delta_of(f"res{i}.c1"))
         planes.append((f"res{i}.c1", a1))
-        s2 = _int_conv(a1, codes(f"res{i}.c2")) + h0.astype(np.int64)
-        h = _exact_bn_bits(s2, blk.bn2, model.delta_of(f"res{i}.c2"))
+        h = _exact_bn_bits(conv(f"res{i}.c2", a1, skip=h0), blk.bn2,
+                           model.delta_of(f"res{i}.c2"))
         planes.append((f"res{i}.c2", h))
 
-    n = bits.shape[0]
-    flat = h.reshape(n, -1).astype(np.float64)
-    s = np.rint(flat @ codes("dense1").astype(np.float64)).astype(np.int64)
-    f1 = _exact_bias_bits(s, model.d1_b, model.delta_of("dense1"))
+    w1 = nn.channels_last_rows(codes("dense1"), model.cfg.channels, hh, ww)
+    f1 = _exact_bias_bits(h.reshape(n, -1).astype(np.float32) @ w1,
+                          model.d1_b, model.delta_of("dense1"))
     planes.append(("dense1", f1))
-    s = np.rint(f1.astype(np.float64) @ codes("dense2").astype(np.float64)).astype(np.int64)
-    f2 = _exact_bias_bits(s, model.d2_b, model.delta_of("dense2"))
+    f2 = _exact_bias_bits(f1.astype(np.float32) @ codes("dense2"),
+                          model.d2_b, model.delta_of("dense2"))
     planes.append(("dense2", f2))
-    s_out = np.rint(f2.astype(np.float64) @ codes("out").astype(np.float64)).astype(np.int64)
+    s_out = (f2.astype(np.float32) @ codes("out")).astype(np.int64)
 
     d = s_out[:, 1] - s_out[:, 0]
     dlt = _frac(model.delta_of("out"))
     db = _frac(model.out_b[1]) - _frac(model.out_b[0])
     thr = model.cfg.decision_threshold
     level = _frac(math.log(thr / (1.0 - thr)))
-    lo, hi = int(d.min()), int(d.max())
-    lut = np.array([dlt * s + db >= level for s in range(lo, hi + 1)],
-                   dtype=np.uint8)
-    labels = lut[d - lo]
+
+    def pred(_, s):
+        return dlt * s + db >= level
+
+    labels = _switch_bits(d[:, None], pred, float(dlt),
+                          np.array([float(db) - float(level)]))[:, 0]
     margin = float(dlt) * d.astype(np.float64) + float(db)
     scores = 1.0 / (1.0 + np.exp(-margin))
     if return_planes:
+        planes = [(name, p.transpose(0, 3, 1, 2) if p.ndim == 4 else p)
+                  for name, p in planes]
         planes.append(("out.sum_diff", d))
         return labels, scores, planes
     return labels, scores
@@ -469,7 +523,6 @@ class TrainHyper:
     adam_eps: float = 1e-8
     patience: int = 5
     seed: int = 0
-    deterministic: bool = True
 
 
 @dataclass

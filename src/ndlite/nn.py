@@ -5,6 +5,11 @@ W=group depth), dense inputs are [N, F]. Forward functions return
 (output, cache); the matching *_grad function consumes the cache. Effective
 weights are passed in by the caller, so quantization-aware training can
 substitute fake-quantized tensors without the kernels knowing.
+
+The exact-sum kernels (conv_sums and its helpers) serve both exact routes,
+the model's rational reference and the lowered program: channels-last
+[N, H, W, C] 0/1 inputs times +-1 codes in float32 GEMMs, exact integers
+under F32_EXACT_LIMIT.
 """
 
 from __future__ import annotations
@@ -65,6 +70,66 @@ def conv2d_grad(dy, cache):
             dxp[:, :, i:i + h, j:j + wd] += dcols[:, :, i, j]
     dx = dxp[:, :, ph:ph + h, pw:pw + wd]
     return dx, dw, db
+
+
+# ---------------------------------------------------- exact integer sums
+
+# Every integer of magnitude up to 2**24 is a float32, so a float32 GEMM of
+# 0/1 inputs with +-1 codes sums exactly while a channel's fan-in plus its
+# skip bit stays below this: every partial sum, in any order, is bounded by it.
+F32_EXACT_LIMIT = 1 << 24
+GEMM_ROWS = 4096  # output positions per conv GEMM in conv_sums
+
+
+def check_f32_exact(name, fan_in):
+    """Raise ValueError unless a sum of fan_in 0/1 x +-1 terms (skip bit
+    included) is exact in float32."""
+    if fan_in >= F32_EXACT_LIMIT:
+        raise ValueError(f"{name}: fan-in {fan_in} is not exact in float32 "
+                         f"(limit {F32_EXACT_LIMIT})")
+
+
+def tap_matrix(k, hh, ww):
+    """(taps, kmat) of a 'same' conv kernel k [O, C, kh, kw] over an hh x ww
+    map: the (row, col) offsets of the taps that can read data, and the
+    float32 GEMM matrix [taps * C, O] over them, rows in (tap, in_ch) order.
+    Taps that only ever read the zero padding are left out."""
+    out_ch, _, kh, kw = k.shape
+    ph, pw = kh // 2, kw // 2
+    live = [(u, v) for u in range(kh) for v in range(kw)
+            if abs(u - ph) < hh and abs(v - pw) < ww]
+    us, vs = zip(*live)
+    kmat = k[:, :, list(us), list(vs)].transpose(2, 1, 0).reshape(-1, out_ch)
+    taps = tuple((u - ph, v - pw) for u, v in live)
+    return taps, np.ascontiguousarray(kmat, dtype=np.float32)
+
+
+def channels_last_rows(w, c, hh, ww):
+    """Rows of a dense weight [c*hh*ww, O], indexed in [C, H, W] flattening
+    order, reordered for inputs flattened channels-last from [H, W, C]."""
+    return w[np.arange(c * hh * ww).reshape(c, hh, ww).transpose(1, 2, 0).ravel()]
+
+
+def conv_sums(x, taps, kmat):
+    """Conv sums [N, H, W, O] of channels-last bits x [N, H, W, C]: one GEMM
+    per block of GEMM_ROWS output positions over their tap windows, reads
+    past the edge being the zero padding. Blocking bounds the window buffer,
+    and OpenBLAS keeps packing memory that grows with the GEMM's row count."""
+    n, hh, ww, c = x.shape
+    step = max(1, GEMM_ROWS // (hh * ww))
+    cols = np.zeros((min(n, step), hh, ww, len(taps), c), dtype=np.float32)
+    s = np.empty((n, hh, ww, kmat.shape[1]), dtype=np.float32)
+    for lo in range(0, n, step):
+        xb = x[lo:lo + step]
+        m = len(xb)
+        # Each block rewrites the same in-bounds regions; padding stays 0.
+        for t, (du, dv) in enumerate(taps):
+            i0, i1 = max(0, -du), min(hh, hh - du)
+            j0, j1 = max(0, -dv), min(ww, ww - dv)
+            cols[:m, i0:i1, j0:j1, t] = xb[:, i0 + du:i1 + du, j0 + dv:j1 + dv]
+        np.matmul(cols[:m].reshape(m * hh * ww, -1), kmat,
+                  out=s[lo:lo + m].reshape(m * hh * ww, -1))
+    return s
 
 
 # --------------------------------------------------------------- batchnorm

@@ -4,6 +4,7 @@ text-format round trip."""
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -296,7 +297,7 @@ def test_run_program_gemm_blocks_agree(monkeypatch):
                                              dtype=np.uint8)
     labels, planes = run_program(prog, bits, return_planes=True)
     # 5 samples per block at 16x2 positions each; the last block is partial
-    monkeypatch.setattr(lowering, "GEMM_ROWS", 5 * 32)
+    monkeypatch.setattr(nn, "GEMM_ROWS", 5 * 32)
     blocked_labels, blocked_planes = run_program(prog, bits,
                                                  return_planes=True)
     assert np.array_equal(labels, blocked_labels)
@@ -422,9 +423,9 @@ def test_run_program_asserts_float32_exact_bound(monkeypatch):
     prog = lower_model(m)
     widest = max(cp.fan_in + (layer.skip_from is not None)
                  for layer in prog.layers for cp in layer.channels)
-    monkeypatch.setattr(lowering, "F32_EXACT_LIMIT", widest + 1)
+    monkeypatch.setattr(nn, "F32_EXACT_LIMIT", widest + 1)
     run_program(prog, bits)
-    monkeypatch.setattr(lowering, "F32_EXACT_LIMIT", widest)
+    monkeypatch.setattr(nn, "F32_EXACT_LIMIT", widest)
     with pytest.raises(ValueError, match="float32"):
         run_program(lower_model(m), bits)
 
@@ -600,6 +601,62 @@ def test_program_expressions_listing():
     assert all(ln != "dense1" or len(prog.layer("dense1").channels[ci].p)
                + len(prog.layer("dense1").channels[ci].n) <= 8
                for ln, ci, _ in entries)
+
+
+def _formula_plane(formula, layer, cp, inputs, shape):
+    """An EXPR formula evaluated at every output position of its channel;
+    inputs are the layer's input bits, [N, C, H, W] or [N, F]."""
+    entries = list(cp.p) + list(cp.n)
+    if layer.kind == "conv":
+        (kh, kw), (_, _, hh, ww) = layer.kernel, inputs.shape
+        padded = np.pad(inputs, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+        lits = [padded[:, c, u:u + hh, v:v + ww] for c, u, v in entries]
+    else:
+        lits = [inputs[:, i] for i in entries]
+    if layer.name == "conv0":
+        names = conv0_literal_names(cp)
+    else:
+        names = [f"x{i}" for i in range(len(entries))]
+    values = {name: lit.astype(bool) for name, lit in zip(names, lits)}
+    if formula in ("0", "1"):
+        return np.full(shape, int(formula), dtype=np.uint8)
+    out = np.zeros(shape, dtype=bool)
+    for term in formula.split(" | "):
+        t = np.ones(shape, dtype=bool)
+        for lit in term.split(" & "):
+            v = values[lit.lstrip("~")]
+            t &= ~v if lit.startswith("~") else v
+        out |= t
+    return out.astype(np.uint8)
+
+
+def test_saved_expressions_match_channel_planes(tmp_path):
+    m = _planted_skip_model()
+    prog = lower_model(m)
+    path = tmp_path / "prog.bprog"
+    save_program(prog, path)
+    lines = path.read_text().splitlines()
+    exprs = [re.match(r"(\S+) ch=(\d+): (.*)$", ln).groups()
+             for ln in lines[lines.index("EXPR") + 1:]]
+    assert ("conv0", "0", "C_l & ~C_r") in exprs
+    # res0.c2 ORs in the skip bit, which no formula over P and N shows
+    assert all(name != "res0.c2" for name, _, _ in exprs)
+
+    bits = np.random.default_rng(15).integers(0, 2, size=(200, 4, 16, 1),
+                                              dtype=np.uint8)
+    _, planes = run_program(prog, bits, return_planes=True)
+    inputs, by_layer = {}, dict(planes)
+    prev = bits
+    for layer in prog.layers:
+        inputs[layer.name] = prev if layer.kind == "conv" else prev.reshape(
+            len(bits), -1)
+        prev = by_layer.get(layer.name)  # none after a compare decision
+    for name, ci, formula in exprs:
+        layer = prog.layer(name)
+        plane = by_layer[name][:, int(ci)]
+        got = _formula_plane(formula, layer, layer.channels[int(ci)],
+                             inputs[name], plane.shape)
+        assert np.array_equal(got, plane), (name, ci, formula)
 
 
 # -------------------------------------------------------------- persistence

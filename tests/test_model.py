@@ -12,13 +12,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ndlite import nn
+from ndlite import lowering, nn
+from ndlite import model as model_module
 from ndlite.dataset import gen_dataset
-from ndlite.model import (Model, ModelConfig, TrainHyper, build_model,
+from ndlite.model import (Model, ModelConfig, TrainHyper, _exact_bias_bits,
+                          _exact_bn_bits, _switch_bits, build_model,
                           classify, evaluate, exact_bit_forward, load_model,
                           save_model, train)
-from ndlite.quant import QuantSchedule
+from ndlite.quant import QuantSchedule, extract_ternary
+
+from exact_reference import channel_lut_bits
 
 
 def small_cfg(**kw):
@@ -350,6 +356,128 @@ def test_exact_forward_guards():
         exact_bit_forward(m, np.full((2, 4, 16, 1), 2.0))
 
 
+F = Fraction
+
+_floats = st.floats(-1e3, 1e3, allow_nan=False)
+_deltas = st.one_of(st.floats(1e-300, 1e-6), st.floats(1e-6, 1e3))
+
+
+@st.composite
+def _sum_column(draw, n, lo):
+    """n integer sums from [lo, lo + width]; width 0 makes them constant."""
+    width = draw(st.sampled_from((0, 1, 3, 40)))
+    return draw(st.lists(st.integers(lo, lo + width), min_size=n, max_size=n))
+
+
+@st.composite
+def _indicator_case(draw):
+    """(delta, bn, bias, sums [N, C]). Most channels' batchnorm and bias
+    predicates switch inside the range of their sums, also at tiny delta."""
+    delta = draw(_deltas)
+    n = draw(st.integers(1, 12))
+    rows, bias, cols = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        col = draw(_sum_column(n, draw(st.integers(-300, 300))))
+        cols.append(col)
+        gamma = draw(st.one_of(st.just(0.0), _floats))
+        var = draw(st.floats(0.0, 1e3))
+        beta, mean, b = draw(_floats), draw(_floats), draw(_floats)
+        if draw(st.booleans()):
+            # switch at S = at: gamma*(delta*at - mean) + beta*sigma = 0
+            at = draw(st.floats(min(col) - 1, max(col) + 1))
+            b0 = draw(_floats)
+            beta, b = delta * b0, -delta * at
+            if gamma != 0:
+                mean = delta * (at + b0 * math.sqrt(var + 1e-5) / gamma)
+                mean = mean if math.isfinite(mean) else 0.0
+        rows.append((gamma, beta, mean, var))
+        bias.append(b)
+    gamma, beta, mean, var = np.array(rows, dtype=np.float64).T
+    bn = nn.BnState(gamma=gamma, beta=beta, running_mean=mean,
+                    running_var=var)
+    return delta, bn, np.array(bias), np.array(cols, dtype=np.float32).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_indicator_case())
+def test_switch_point_bits_equal_lut_oracle(case):
+    delta, bn, bias, s = case
+    dlt = F(delta)
+    sig = [F(nn.bn_sigma(v, bn.eps)) for v in bn.running_var]
+
+    def bn_pred(c, x):
+        return (F(bn.gamma[c]) * (dlt * x - F(bn.running_mean[c]))
+                + F(bn.beta[c]) * sig[c] > 0)
+
+    assert np.array_equal(_exact_bn_bits(s, bn, delta),
+                          channel_lut_bits(s, bn_pred))
+
+    def bias_pred(c, x):
+        return dlt * x + F(bias[c]) > 0
+
+    assert np.array_equal(_exact_bias_bits(s, bias, delta),
+                          channel_lut_bits(s, bias_pred))
+
+
+@settings(max_examples=200, deadline=None)
+@given(step=st.sampled_from((0.25, 0.5, 1.0, 3.0)),
+       root=st.integers(-40, 40), data=st.data(),
+       slope=st.floats(allow_nan=True), offset=st.floats(allow_nan=True))
+def test_switch_point_bits_hold_for_any_estimate(step, root, data, slope,
+                                                 offset):
+    """Inclusive predicates whose switch sits on an integer, searched from
+    an arbitrary (even non-finite) float estimate, still give the oracle's
+    bits: the estimate only orders the probes."""
+    n = data.draw(st.integers(1, 12))
+    s = np.array([data.draw(_sum_column(n, data.draw(
+        st.integers(root - 45, root + 5)))) for _ in range(2)],
+        dtype=np.float32).T
+    signs = (1, -1)
+
+    def pred(c, x):
+        return signs[c] * F(step) * (x - root) >= 0
+
+    got = _switch_bits(s, pred, np.array([slope, -slope]),
+                       np.array([offset, offset]))
+    assert np.array_equal(got, channel_lut_bits(s, pred))
+
+
+def test_exact_forward_needs_no_lowering_fold(monkeypatch):
+    m = randomized_quantized_model(21, cfg=small_cfg(group_size=2))
+    bits = np.random.default_rng(4).integers(0, 2, size=(30, 4, 16, 2),
+                                             dtype=np.uint8)
+    want_labels, want_scores, want_planes = exact_bit_forward(
+        m, bits, return_planes=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact_bit_forward used the lowering's thresholds")
+
+    for name in ("fold_batchnorm", "fold_bias", "fold_output_pair",
+                 "_compare_theta", "lower_layer", "lower_model"):
+        monkeypatch.setattr(lowering, name, refuse)
+    labels, scores, planes = exact_bit_forward(m, bits, return_planes=True)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(scores, want_scores)
+    for (name, plane), (_, want) in zip(planes, want_planes):
+        assert np.array_equal(plane, want), name
+
+
+def test_exact_forward_asserts_float32_exact_bound(monkeypatch):
+    m = randomized_quantized_model(6)
+    bits = np.zeros((3, 4, 16, 1), dtype=np.uint8)
+    widest = 0
+    for name in m.quant_layer_names():
+        codes = extract_ternary(m._weight_of(name), m.delta_of(name)).codes
+        rows = codes.reshape(len(codes), -1) if codes.ndim == 4 else codes.T
+        widest = max(widest, int(np.count_nonzero(rows, axis=1).max())
+                     + name.endswith(".c2"))
+    monkeypatch.setattr(nn, "F32_EXACT_LIMIT", widest + 1)
+    exact_bit_forward(m, bits)
+    monkeypatch.setattr(nn, "F32_EXACT_LIMIT", widest)
+    with pytest.raises(ValueError, match="float32"):
+        exact_bit_forward(m, bits)
+
+
 def test_evaluate_routes_full_stage_through_exact_path():
     m = randomized_quantized_model(33)
     ds = gen_dataset(n_per_class=64, rounds=3, group_size=1, seed=3)
@@ -377,6 +505,17 @@ def test_save_load_roundtrip(tmp_path):
     lb, sb = exact_bit_forward(back, bits)
     assert np.array_equal(la, lb)
     assert np.array_equal(sa, sb)
+
+
+def test_scores_in_blocks_match_one_forward(monkeypatch):
+    m = build_model(small_cfg(), seed=3)
+    x = np.random.default_rng(3).integers(0, 2, size=(150, 4, 16, 1)
+                                          ).astype(np.float32)
+    logits, _ = m.forward(x, training=False)
+    monkeypatch.setattr(model_module, "SCORE_ROWS", 16)  # 64-sample blocks
+    got = m.scores(x)
+    assert got.shape == (150,)
+    assert np.allclose(got, nn.softmax(logits)[:, 1], rtol=1e-5, atol=1e-6)
 
 
 def test_save_load_fp_stage(tmp_path):
