@@ -24,8 +24,8 @@ import numpy as np
 from .dataset import DEFAULT_DELTA, gen_dataset, load_dataset, save_dataset
 from .lowering import (load_program, lower_model, program_expressions,
                        run_program, save_program, verify_equivalence)
-from .model import (ModelConfig, TrainHyper, build_model, evaluate,
-                    load_model, save_model, train)
+from .model import (ModelConfig, TrainHyper, build_model, confusion,
+                    evaluate, load_model, save_model, train)
 from .opcount import count_model, format_csv, format_table, op_ratio
 from .quant import QuantSchedule
 
@@ -150,15 +150,6 @@ def _parse_sizes(text):
     return tuple(int(p) for p in str(text).split(","))
 
 
-def _confusion(pred, truth):
-    return {
-        "tp": int(np.sum((pred == 1) & (truth == 1))),
-        "tn": int(np.sum((pred == 0) & (truth == 0))),
-        "fp": int(np.sum((pred == 1) & (truth == 0))),
-        "fn": int(np.sum((pred == 0) & (truth == 1))),
-    }
-
-
 def _detect_kind(path):
     with open(path, "rb") as f:
         magic = f.read(5)
@@ -180,7 +171,6 @@ def cmd_gen_data(args):
     delta = _parse_delta(r.get("delta", str, "0x0040/0x0000"))
     r.resolved["delta"] = f"0x{delta[0]:04x}/0x{delta[1]:04x}"
     seed = r.seed()
-    r.get("jobs", int, 1)
     report = Report("gen-data", f"{out}.report.json", r)
     report.start()
 
@@ -239,7 +229,6 @@ def cmd_train(args):
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     seed = r.seed()
-    r.get("jobs", int, 1)
 
     train_set = load_dataset(data_path)
     val_set = load_dataset(val_path)
@@ -474,23 +463,21 @@ def cmd_eval(args):
         prog = load_program(path)
         pred = np.concatenate([run_program(prog, ds.bits[i:i + batch_size])
                                for i in range(0, len(ds), batch_size)])
-        confusion = _confusion(pred, ds.labels)
-        accuracy = (confusion["tp"] + confusion["tn"]) / len(ds)
+        accuracy, counts = confusion(pred, ds.labels)
     else:
         model = load_model(path)
         if threshold is not None and not 0.0 < threshold < 1.0:
             # degenerate rule: score >= t is constant on [0, 1] scores
             pred = np.full(len(ds), 1 if threshold <= 0.0 else 0,
                            dtype=np.uint8)
-            confusion = _confusion(pred, ds.labels)
-            accuracy = (confusion["tp"] + confusion["tn"]) / len(ds)
+            accuracy, counts = confusion(pred, ds.labels)
         else:
             if threshold is not None:
                 model.cfg.decision_threshold = threshold
-            accuracy, confusion = evaluate(model, ds, batch_size=batch_size)
+            accuracy, counts = evaluate(model, ds, batch_size=batch_size)
     print(f"accuracy {accuracy:.6f} on {len(ds)} samples")
-    print(" ".join(f"{k}={confusion[k]}" for k in ("tp", "tn", "fp", "fn")))
-    report.finish(accuracy=accuracy, confusion=confusion, samples=len(ds))
+    print(" ".join(f"{k}={counts[k]}" for k in ("tp", "tn", "fp", "fn")))
+    report.finish(accuracy=accuracy, confusion=counts, samples=len(ds))
     return EXIT_OK
 
 
@@ -529,8 +516,6 @@ def cmd_verify(args):
 def _add_common(sp):
     sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--seed", type=int, help="RNG seed (beats ND_SEED)")
-    sp.add_argument("--jobs", type=int,
-                    help="worker cap for internal parallelism (advisory)")
 
 
 def build_parser():

@@ -302,7 +302,7 @@ class _CompiledLayer:
     """One layer's execution arrays, built once per program content."""
     name: str
     kmat: np.ndarray  # float32 [rows, channels]; conv rows are (tap, in_ch)
-    taps: tuple | None  # conv: (row, col) offsets of taps that reach the input
+    reach: tuple | None  # conv: half-extents of the live taps (nn.tap_matrix)
     theta: np.ndarray  # float32, clamped into the reachable sum range
     flip: np.ndarray  # bool
     skip_from: str | None
@@ -362,13 +362,13 @@ def _compile(prog):
     for layer in prog.layers:
         n_ch = len(layer.channels)
         k = _codes(layer)
-        taps = None
+        reach = None
         if layer.kind == "conv":
             if len(shape) != 3 or shape[2] != layer.in_width:
                 raise ValueError(f"{layer.name}: expected {layer.in_width} "
                                  f"input channels, got shape {shape}")
             hh, ww, _ = shape
-            taps, kmat = nn.tap_matrix(k, hh, ww)
+            reach, kmat = nn.tap_matrix(k, hh, ww)
             shape = (hh, ww, n_ch)
         else:
             if math.prod(shape) != layer.in_width:
@@ -389,7 +389,7 @@ def _compile(prog):
             skip = 1
         theta, flip = _indicator_vectors(layer, skip)
         out.append(_CompiledLayer(
-            name=layer.name, kmat=np.ascontiguousarray(kmat), taps=taps,
+            name=layer.name, kmat=np.ascontiguousarray(kmat), reach=reach,
             theta=theta, flip=flip, skip_from=layer.skip_from,
             decision=layer.decision, compare_theta=layer.compare_theta))
         if layer.decision == "compare":
@@ -422,8 +422,8 @@ def run_program(prog: BooleanProgram, bits, return_planes=False):
     h = bits.transpose(0, 2, 3, 1)
     labels = None
     for cl in layers:
-        if cl.taps is not None:
-            s = nn.conv_sums(h, cl.taps, cl.kmat)
+        if cl.reach is not None:
+            s = nn.conv_sums(h, cl.reach, cl.kmat)
         else:
             s = h.reshape(n, -1).astype(np.float32) @ cl.kmat
         if cl.decision == "compare":
@@ -826,64 +826,95 @@ _TUPLE_RE = re.compile(r"\((\d+),(\d+),(\d+)\)")
 
 
 def _parse_indices(text):
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValueError(f"malformed index list {text!r}")
     body = text[1:-1]
     if not body:
         return ()
     if body.startswith("("):
-        return tuple((int(a), int(b), int(c))
-                     for a, b, c in _TUPLE_RE.findall(body))
+        found = _TUPLE_RE.findall(body)
+        if ",".join(f"({a},{b},{c})" for a, b, c in found) != body:
+            raise ValueError(f"malformed index list {text!r}")
+        return tuple((int(a), int(b), int(c)) for a, b, c in found)
     return tuple(int(v) for v in body.split(","))
 
 
 def _parse_kv(parts):
-    return dict(p.split("=", 1) for p in parts)
+    kv = {}
+    for part in parts:
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {part!r}")
+        kv[key] = value
+    return kv
+
+
+def _need(kv, key):
+    if key not in kv:
+        raise ValueError(f"missing {key}=")
+    return kv[key]
+
+
+def _load_line(prog, layer, ln):
+    """Adds one LAYER or channel line to prog; returns the current layer."""
+    kind, _, rest = ln.partition(" ")
+    kv = _parse_kv(rest.split(" ")) if rest else {}
+    if kind == "LAYER":
+        kernel = None
+        if "kernel" in kv:
+            kh, kw = kv["kernel"].split("x")
+            kernel = (int(kh), int(kw))
+        layer = LayerProgram(
+            name=_need(kv, "name"), kind=_need(kv, "kind"),
+            in_width=int(_need(kv, "in")), kernel=kernel, channels=[],
+            skip_from=kv.get("skip"), decision=kv.get("decision"),
+            compare_theta=int(kv["compare_theta"])
+            if "compare_theta" in kv else None)
+        prog.layers.append(layer)
+    elif kind in ("IND", "ACC"):
+        if layer is None:
+            raise ValueError("channel line before any LAYER")
+        if "const" in kv:
+            cp = ChannelProgram(p=(), n=(), const=int(kv["const"]))
+        else:
+            cp = ChannelProgram(
+                p=_parse_indices(_need(kv, "P")),
+                n=_parse_indices(_need(kv, "N")),
+                theta=int(kv.get("theta", 0)),
+                flip=bool(int(kv.get("flip", 0))))
+        layer.channels.append(cp)
+    else:
+        raise ValueError(f"unknown line kind {kind!r}")
+    return layer
 
 
 def load_program(path) -> BooleanProgram:
+    """Reads a .bprog file; a malformed line raises ValueError naming the
+    file and line."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or not lines[0].startswith("BPROG v1 "):
         raise ValueError(f"{path}: not a BPROG v1 file")
-    head = _parse_kv(lines[0].split()[2:])
-    layout = head["layout"].split("x")
-    if layout[:2] != ["4", "16"]:
-        raise ValueError(f"{path}: unsupported layout {head['layout']}")
-    prog = BooleanProgram(group_size=int(layout[2]), layers=[])
+    try:
+        layout = _need(_parse_kv(lines[0].split()[2:]), "layout")
+        dims = layout.split("x")
+        if dims[:2] != ["4", "16"] or len(dims) != 3:
+            raise ValueError(f"unsupported layout {layout}")
+        prog = BooleanProgram(group_size=int(dims[2]), layers=[])
+    except ValueError as e:
+        raise ValueError(f"{path}:1: {e}") from None
     layer = None
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln or ln.startswith("#"):
             if ln.startswith("# warning: "):
                 prog.warnings.append(ln[len("# warning: "):])
             continue
         if ln == "EXPR":
             break
-        kind, rest = ln.split(" ", 1)
-        kv = _parse_kv(rest.split(" "))
-        if kind == "LAYER":
-            kernel = None
-            if "kernel" in kv:
-                kh, kw = kv["kernel"].split("x")
-                kernel = (int(kh), int(kw))
-            layer = LayerProgram(
-                name=kv["name"], kind=kv["kind"], in_width=int(kv["in"]),
-                kernel=kernel, channels=[], skip_from=kv.get("skip"),
-                decision=kv.get("decision"),
-                compare_theta=int(kv["compare_theta"])
-                if "compare_theta" in kv else None)
-            prog.layers.append(layer)
-        elif kind in ("IND", "ACC"):
-            if layer is None:
-                raise ValueError(f"{path}: channel line before any LAYER")
-            if "const" in kv:
-                cp = ChannelProgram(p=(), n=(), const=int(kv["const"]))
-            else:
-                cp = ChannelProgram(
-                    p=_parse_indices(kv["P"]), n=_parse_indices(kv["N"]),
-                    theta=int(kv.get("theta", 0)),
-                    flip=bool(int(kv.get("flip", 0))))
-            layer.channels.append(cp)
-        else:
-            raise ValueError(f"{path}: unknown line kind {kind!r}")
+        try:
+            layer = _load_line(prog, layer, ln)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     if not prog.layers:
         raise ValueError(f"{path}: no layers")
     return prog

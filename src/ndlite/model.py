@@ -420,8 +420,8 @@ def exact_bit_forward(model: Model, bits, return_planes=False):
 
     def conv(name, x, skip=None):
         """Channels-last sums [N, 16, g, O]; skip bits join the sums."""
-        taps, kmat = nn.tap_matrix(codes(name, skip is not None), hh, ww)
-        s = nn.conv_sums(x, taps, kmat)
+        reach, kmat = nn.tap_matrix(codes(name, skip is not None), hh, ww)
+        s = nn.conv_sums(x, reach, kmat)
         if skip is not None:
             s += skip
         return s
@@ -500,15 +500,19 @@ def evaluate(model: Model, dataset: Dataset, batch_size=4096):
         else:
             sc = model.scores(xb.astype(np.float32))
             pred[i:i + batch_size] = sc >= model.cfg.decision_threshold
-    truth = dataset.labels
-    confusion = {
+    return confusion(pred, dataset.labels)
+
+
+def confusion(pred, truth):
+    """(accuracy, {tp, tn, fp, fn}) of 0/1 predictions against 0/1 labels,
+    1 being real; pred must not be empty."""
+    counts = {
         "tp": int(np.sum((pred == 1) & (truth == 1))),
         "tn": int(np.sum((pred == 0) & (truth == 0))),
         "fp": int(np.sum((pred == 1) & (truth == 0))),
         "fn": int(np.sum((pred == 0) & (truth == 1))),
     }
-    accuracy = (confusion["tp"] + confusion["tn"]) / n
-    return accuracy, confusion
+    return (counts["tp"] + counts["tn"]) / len(pred), counts
 
 
 # ------------------------------------------------------------------- train

@@ -6,10 +6,15 @@ W=group depth), dense inputs are [N, F]. Forward functions return
 weights are passed in by the caller, so quantization-aware training can
 substitute fake-quantized tensors without the kernels knowing.
 
-The exact-sum kernels (conv_sums and its helpers) serve both exact routes,
-the model's rational reference and the lowered program: channels-last
-[N, H, W, C] 0/1 inputs times +-1 codes in float32 GEMMs, exact integers
-under F32_EXACT_LIMIT.
+One live-tap conv kernel serves training and every route. A 'same' conv
+is a GEMM of channels-last window rows [N*H*W, live_taps*C] with the kernel
+matrix of tap_matrix, one GEMM per block of GEMM_ROWS rows. Live taps are
+the ones that can read data: at group depth 1 a 3x3 kernel keeps 3 of its
+9 taps, the others only ever reading the zero padding. conv2d/conv2d_grad
+run the float route and training on it (taps that only read padding get
+an exact zero weight gradient); conv_sums runs both exact routes, the
+model's rational reference and the lowered program, on 0/1 inputs times
++-1 codes in float32 GEMMs, exact integers under F32_EXACT_LIMIT.
 """
 
 from __future__ import annotations
@@ -22,53 +27,109 @@ import numpy as np
 
 # ------------------------------------------------------------------ conv2d
 
+# Output positions per conv GEMM. Blocking bounds the window buffers, and
+# OpenBLAS keeps packing memory that grows with a GEMM's row count.
+GEMM_ROWS = 4096
+
+
 def _same_pad(kh, kw):
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("same padding needs odd kernel sizes")
     return kh // 2, kw // 2
 
 
+def _live_taps(ph, pw, hh, ww):
+    """(reach, window) of a 'same' kernel padded by (ph, pw) over an hh x ww
+    map. A tap further than hh-1 rows (ww-1 columns) from the centre only
+    ever reads padding, so the live taps are the centred block of
+    half-extents reach = (rh, rw); window indexes it in a kernel's last two
+    axes."""
+    rh, rw = min(ph, hh - 1), min(pw, ww - 1)
+    return (rh, rw), np.s_[..., ph - rh:ph + rh + 1, pw - rw:pw + rw + 1]
+
+
+def _windows(xp, reach):
+    """The live-tap windows of a zero-padded channels-last map xp
+    [N, H+2rh, W+2rw, C], as a view [N, H, W, 2rh+1, 2rw+1, C]:
+    win[n, i, j, u, v] = xp[n, i + u, j + v]. Copying it fills window rows."""
+    rh, rw = reach
+    n, hp, wp, c = xp.shape
+    sn, sh, sw, sc = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (n, hp - 2 * rh, wp - 2 * rw, 2 * rh + 1, 2 * rw + 1, c),
+        (sn, sh, sw, sh, sw, sc), writeable=False)
+
+
 def _im2col(x, kh, kw, ph, pw):
+    """Window rows [N*H*W, live_taps*C] of x [N, C, H, W], channels-last:
+    row (n, i, j) holds, tap by tap, the C inputs that output position
+    reads. Only the live taps are built (see _live_taps)."""
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # win[n, c, i, j, u, v] = xp[n, c, i + u, j + v]; stride 1 keeps H x W.
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, h * w)
-    return np.ascontiguousarray(cols)
+    reach, _ = _live_taps(ph, pw, h, w)
+    rh, rw = reach
+    xp = np.zeros((n, h + 2 * rh, w + 2 * rw, c), dtype=x.dtype)
+    xp[:, rh:rh + h, rw:rw + w] = x.transpose(0, 2, 3, 1)
+    return _windows(xp, reach).reshape(n * h * w, -1)
+
+
+def tap_matrix(k, hh, ww):
+    """(reach, kmat) of a 'same' conv kernel k [O, C, kh, kw] over an hh x ww
+    map: the half-extents of its live taps (see _live_taps) and the GEMM
+    matrix [live_taps * C, O] over them in k's dtype, rows in (tap, in_ch)
+    order. Taps that only ever read the zero padding are left out."""
+    out_ch, _, kh, kw = k.shape
+    reach, live = _live_taps(*_same_pad(kh, kw), hh, ww)
+    kmat = k[live].transpose(2, 3, 1, 0).reshape(-1, out_ch)
+    return reach, np.ascontiguousarray(kmat)
 
 
 def conv2d(x, w, b=None):
-    """Stride-1 'same' convolution. x [N,C,H,W], w [O,C,kh,kw], b [O]."""
+    """Stride-1 'same' convolution. x [N,C,H,W], w [O,C,kh,kw], b [O].
+    One GEMM per block of GEMM_ROWS window rows over the live taps."""
     n, c, h, wd = x.shape
     out_ch, c_in, kh, kw = w.shape
     if c_in != c:
         raise ValueError(f"input has {c} channels, kernel expects {c_in}")
     ph, pw = _same_pad(kh, kw)
     cols = _im2col(x, kh, kw, ph, pw)
-    wf = w.reshape(out_ch, -1)
-    y = np.matmul(wf[None], cols).reshape(n, out_ch, h, wd)
+    _, kmat = tap_matrix(w, h, wd)
+    y = np.empty((len(cols), out_ch), dtype=np.result_type(cols, kmat))
+    for lo in range(0, len(cols), GEMM_ROWS):
+        np.matmul(cols[lo:lo + GEMM_ROWS], kmat, out=y[lo:lo + GEMM_ROWS])
     if b is not None:
-        y = y + b[None, :, None, None]
+        y = y + b
+    y = np.ascontiguousarray(y.reshape(n, h, wd, out_ch).transpose(0, 3, 1, 2))
     return y, (cols, w, x.shape, b is not None)
 
 
 def conv2d_grad(dy, cache):
-    """Returns (dx, dw, db); db is None when the layer had no bias."""
+    """Returns (dx, dw, db); db is None when the layer had no bias.
+
+    Per block of about GEMM_ROWS positions, dw accumulates cols^T . dY over
+    the live taps, and dY . W^T goes back to dx through the live taps
+    (col2im). Taps that only read padding get an exact zero in dw."""
     cols, w, x_shape, has_b = cache
     n, c, h, wd = x_shape
     out_ch, _, kh, kw = w.shape
-    ph, pw = _same_pad(kh, kw)
-    dyf = dy.reshape(n, out_ch, h * wd)
-    dw = np.tensordot(dyf, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    (rh, rw), live = _live_taps(*_same_pad(kh, kw), h, wd)
+    ku, kv = 2 * rh + 1, 2 * rw + 1
+    _, kmat = tap_matrix(w, h, wd)
+    rows = h * wd
+    step = max(1, GEMM_ROWS // rows)  # samples per block
+    dy_cl = dy.transpose(0, 2, 3, 1)
+    dxp = np.zeros((n, h + 2 * rh, wd + 2 * rw, c), np.result_type(dy, kmat))
+    dw_live = np.zeros((ku * kv * c, out_ch), np.result_type(cols, dy))
+    for lo in range(0, n, step):
+        dyb = dy_cl[lo:lo + step].reshape(-1, out_ch)
+        dw_live += cols[lo * rows:(lo + step) * rows].T @ dyb
+        dcols = (dyb @ kmat.T).reshape(-1, h, wd, ku, kv, c)
+        for u in range(ku):
+            for v in range(kv):
+                dxp[lo:lo + step, u:u + h, v:v + wd] += dcols[:, :, :, u, v]
+    dx = np.ascontiguousarray(dxp[:, rh:rh + h, rw:rw + wd].transpose(0, 3, 1, 2))
+    dw = np.zeros(w.shape, dtype=dw_live.dtype)
+    dw[live] = dw_live.reshape(ku, kv, c, out_ch).transpose(3, 2, 0, 1)
     db = dy.sum(axis=(0, 2, 3)) if has_b else None
-    wf = w.reshape(out_ch, -1)
-    dcols = np.matmul(wf.T[None], dyf)  # [n, c*kh*kw, h*wd]
-    dcols = dcols.reshape(n, c, kh, kw, h, wd)
-    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=dy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + h, j:j + wd] += dcols[:, :, i, j]
-    dx = dxp[:, :, ph:ph + h, pw:pw + wd]
     return dx, dw, db
 
 
@@ -78,7 +139,6 @@ def conv2d_grad(dy, cache):
 # 0/1 inputs with +-1 codes sums exactly while a channel's fan-in plus its
 # skip bit stays below this: every partial sum, in any order, is bounded by it.
 F32_EXACT_LIMIT = 1 << 24
-GEMM_ROWS = 4096  # output positions per conv GEMM in conv_sums
 
 
 def check_f32_exact(name, fan_in):
@@ -89,44 +149,30 @@ def check_f32_exact(name, fan_in):
                          f"(limit {F32_EXACT_LIMIT})")
 
 
-def tap_matrix(k, hh, ww):
-    """(taps, kmat) of a 'same' conv kernel k [O, C, kh, kw] over an hh x ww
-    map: the (row, col) offsets of the taps that can read data, and the
-    float32 GEMM matrix [taps * C, O] over them, rows in (tap, in_ch) order.
-    Taps that only ever read the zero padding are left out."""
-    out_ch, _, kh, kw = k.shape
-    ph, pw = kh // 2, kw // 2
-    live = [(u, v) for u in range(kh) for v in range(kw)
-            if abs(u - ph) < hh and abs(v - pw) < ww]
-    us, vs = zip(*live)
-    kmat = k[:, :, list(us), list(vs)].transpose(2, 1, 0).reshape(-1, out_ch)
-    taps = tuple((u - ph, v - pw) for u, v in live)
-    return taps, np.ascontiguousarray(kmat, dtype=np.float32)
-
-
 def channels_last_rows(w, c, hh, ww):
     """Rows of a dense weight [c*hh*ww, O], indexed in [C, H, W] flattening
     order, reordered for inputs flattened channels-last from [H, W, C]."""
     return w[np.arange(c * hh * ww).reshape(c, hh, ww).transpose(1, 2, 0).ravel()]
 
 
-def conv_sums(x, taps, kmat):
-    """Conv sums [N, H, W, O] of channels-last bits x [N, H, W, C]: one GEMM
-    per block of GEMM_ROWS output positions over their tap windows, reads
-    past the edge being the zero padding. Blocking bounds the window buffer,
-    and OpenBLAS keeps packing memory that grows with the GEMM's row count."""
+def conv_sums(x, reach, kmat):
+    """Conv sums [N, H, W, O] of channels-last bits x [N, H, W, C], with
+    (reach, kmat) from tap_matrix: one float32 GEMM per block of about
+    GEMM_ROWS output positions over their live-tap windows, reads past the
+    edge being the zero padding."""
     n, hh, ww, c = x.shape
-    step = max(1, GEMM_ROWS // (hh * ww))
-    cols = np.zeros((min(n, step), hh, ww, len(taps), c), dtype=np.float32)
+    rh, rw = reach
+    step = max(1, GEMM_ROWS // (hh * ww))  # samples per block
+    # Every block reuses both buffers; the padding border of xp stays 0.
+    xp = np.zeros((min(n, step), hh + 2 * rh, ww + 2 * rw, c), dtype=x.dtype)
+    win = _windows(xp, reach)
+    cols = np.empty(win.shape, np.float32)
     s = np.empty((n, hh, ww, kmat.shape[1]), dtype=np.float32)
     for lo in range(0, n, step):
         xb = x[lo:lo + step]
         m = len(xb)
-        # Each block rewrites the same in-bounds regions; padding stays 0.
-        for t, (du, dv) in enumerate(taps):
-            i0, i1 = max(0, -du), min(hh, hh - du)
-            j0, j1 = max(0, -dv), min(ww, ww - dv)
-            cols[:m, i0:i1, j0:j1, t] = xb[:, i0 + du:i1 + du, j0 + dv:j1 + dv]
+        xp[:m, rh:rh + hh, rw:rw + ww] = xb
+        cols[:m] = win[:m]
         np.matmul(cols[:m].reshape(m * hh * ww, -1), kmat,
                   out=s[lo:lo + m].reshape(m * hh * ww, -1))
     return s

@@ -325,6 +325,53 @@ def test_unknown_file_kind_exits_2(work, tiny_data):
     assert run(["eval", junk, "--data", tiny_data["val"]]) == 2
 
 
+def _broken_program(work, lowered, name, edit):
+    """Copy of the lowered program with edit(lines) applied; returns the
+    path and the 1-based number of the line edit returned."""
+    lines = lowered.read_text(encoding="utf-8").splitlines()
+    idx = edit(lines)
+    path = work / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, idx + 1
+
+
+def _drop_key(key, prefix):
+    def edit(lines):
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[idx] = " ".join(p for p in lines[idx].split(" ")
+                              if not p.startswith(f"{key}="))
+        return idx
+    return edit
+
+
+def _truncate_channel_line(lines):
+    idx = next(i for i, ln in enumerate(lines)
+               if ln.startswith("IND ") and " P=[(" in ln)
+    lines[idx] = lines[idx][:lines[idx].index(" P=[(") + 5]
+    del lines[idx + 1:]
+    return idx
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("no-name", _drop_key("name", "LAYER "), "missing name="),
+    ("no-kind", _drop_key("kind", "LAYER "), "missing kind="),
+    ("no-in", _drop_key("in", "LAYER "), "missing in="),
+    ("no-layout", _drop_key("layout", "BPROG "), "missing layout="),
+    ("truncated", _truncate_channel_line, "malformed index list"),
+])
+def test_malformed_program_exits_2(work, quant_ckpt, lowered, tiny_data,
+                                   capsys, name, edit, message):
+    path, lineno = _broken_program(work, lowered, f"{name}.bprog", edit)
+    for argv in (["eval", path, "--data", tiny_data["val"]],
+                 ["verify", "--checkpoint", quant_ckpt, "--program", path,
+                  "--trials", 10]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{lineno}: {message}" in err
+        assert "Traceback" not in err
+
+
 def test_group_size_mismatch_exits_2(work, quant_ckpt):
     out = work / "g8.nds"
     assert run(["gen-data", "--out", out, "--n-per-class", 16,

@@ -111,6 +111,56 @@ def test_conv_backward_no_bias():
     assert rel_err(dw, fd_grad(loss, w)) < 1e-6
 
 
+def test_conv_backward_depth_one_prunes_padding_taps():
+    # At W=1 the kernel's outer columns only ever read padding: they are
+    # not built, and their weight gradient is exactly zero.
+    r = np.random.default_rng(6)
+    x = r.normal(size=(2, 3, 6, 1))
+    w = r.normal(size=(4, 3, 3, 3))
+    proj = r.normal(size=(2, 4, 6, 1))
+
+    def loss():
+        y, _ = nn.conv2d(x, w)
+        return float((y * proj).sum())
+
+    _, cache = nn.conv2d(x, w)
+    assert cache[0].shape == (2 * 6 * 1, 3 * 3)  # 3 live taps of 9
+    dx, dw, _ = nn.conv2d_grad(proj, cache)
+    assert rel_err(dx, fd_grad(loss, x)) < 1e-6
+    assert rel_err(dw, fd_grad(loss, w)) < 1e-6
+    assert np.all(dw[:, :, :, [0, 2]] == 0.0)
+    assert np.all(dw[:, :, :, 1] != 0.0)
+
+
+def test_conv_gemm_blocks_agree(monkeypatch):
+    r = np.random.default_rng(7)
+    x = r.normal(size=(7, 3, 5, 4))
+    w = r.normal(size=(4, 3, 3, 3))
+    b = r.normal(size=4)
+    proj = r.normal(size=(7, 4, 5, 4))
+    y, cache = nn.conv2d(x, w, b)
+    whole = (y,) + nn.conv2d_grad(proj, cache)
+    monkeypatch.setattr(nn, "GEMM_ROWS", 2 * 5 * 4)  # blocks of 2 samples
+    y, cache = nn.conv2d(x, w, b)
+    blocked = (y,) + nn.conv2d_grad(proj, cache)
+    for a, c in zip(whole, blocked):
+        assert a.shape == c.shape
+        assert rel_err(a, c) < 1e-12
+    assert rel_err(blocked[0], naive_conv2d(x, w, b)) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 3, 6, 1), (2, 3, 4, 3)])
+def test_conv_keeps_dtype(dtype, shape):
+    r = np.random.default_rng(8)
+    x = r.normal(size=shape).astype(dtype)
+    w = r.normal(size=(4, 3, 3, 3)).astype(dtype)
+    y, cache = nn.conv2d(x, w)
+    dx, dw, _ = nn.conv2d_grad(r.normal(size=y.shape).astype(dtype), cache)
+    assert y.dtype == dx.dtype == dw.dtype == dtype
+    assert dx.shape == x.shape and dw.shape == w.shape
+
+
 def test_conv_validates_shapes():
     x = np.zeros((1, 3, 4, 4))
     with pytest.raises(ValueError):
