@@ -8,13 +8,16 @@ substitute fake-quantized tensors without the kernels knowing.
 
 One live-tap conv kernel serves training and every route. A 'same' conv
 is a GEMM of channels-last window rows [N*H*W, live_taps*C] with the kernel
-matrix of tap_matrix, one GEMM per block of GEMM_ROWS rows. Live taps are
-the ones that can read data: at group depth 1 a 3x3 kernel keeps 3 of its
-9 taps, the others only ever reading the zero padding. conv2d/conv2d_grad
-run the float route and training on it (taps that only read padding get
-an exact zero weight gradient); conv_sums runs both exact routes, the
-model's rational reference and the lowered program, on 0/1 inputs times
-+-1 codes in float32 GEMMs, exact integers under F32_EXACT_LIMIT.
+matrix of tap_matrix. The forward passes, conv2d and dense, run a small
+product in row blocks that each stay on one BLAS thread (matmul_rows);
+conv2d_grad and conv_sums run one GEMM per block of GEMM_ROWS rows. Live
+taps are the ones that can read data: at group depth 1 a 3x3 kernel keeps
+3 of its 9 taps, the others only ever reading the zero padding.
+conv2d/conv2d_grad run the float route and training on it (taps that only
+read padding get an exact zero weight gradient); conv_sums runs both exact
+routes, the model's rational reference and the lowered program, on 0/1
+inputs times +-1 codes in float32 GEMMs, exact integers under
+F32_EXACT_LIMIT.
 """
 
 from __future__ import annotations
@@ -30,6 +33,35 @@ import numpy as np
 # Output positions per conv GEMM. Blocking bounds the window buffers, and
 # OpenBLAS keeps packing memory that grows with a GEMM's row count.
 GEMM_ROWS = 4096
+
+# OpenBLAS runs a GEMM of up to 2**18 multiply-adds on the calling thread and
+# splits a larger one over its threads. A split GEMM waits for its slowest
+# thread, which a busy host delays: a [256, 512] x [512, 64] product took
+# 0.11 ms at the median and 2.7 ms on average split, 0.16/0.18 ms in
+# one-thread row blocks (2-core host). Products up to SPLIT_MACS gain little
+# from a second thread (the g=1 float route ran 8.8 ms split, 9.0 ms on one
+# thread), so they run in one-thread blocks; larger ones, such as the g=8
+# conv GEMMs (75M-151M), ran 1.2-1.7x faster split on an idle host.
+ONE_THREAD_MACS = 1 << 18
+SPLIT_MACS = 1 << 25
+
+
+def matmul_rows(a, b):
+    """a [M, K] @ b [K, N], one GEMM per block of rows. Up to SPLIT_MACS
+    multiply-adds, blocks are small enough for OpenBLAS to keep each on the
+    calling thread; beyond that, or where such blocks would be thinner than
+    8 rows (they re-read b every few rows), blocks are GEMM_ROWS rows."""
+    m, k = a.shape
+    n = b.shape[1]
+    rows = ONE_THREAD_MACS // max(1, k * n)
+    if rows < 8 or m * k * n > SPLIT_MACS:
+        rows = GEMM_ROWS
+    blocks, full = m // rows, m - m % rows
+    out = np.empty((m, n), np.result_type(a, b))
+    np.matmul(a[:full].reshape(blocks, rows, k), b,
+              out=out[:full].reshape(blocks, rows, n))
+    np.matmul(a[full:], b, out=out[full:])
+    return out
 
 
 def _same_pad(kh, kw):
@@ -85,7 +117,7 @@ def tap_matrix(k, hh, ww):
 
 def conv2d(x, w, b=None):
     """Stride-1 'same' convolution. x [N,C,H,W], w [O,C,kh,kw], b [O].
-    One GEMM per block of GEMM_ROWS window rows over the live taps."""
+    Window rows on the live taps times the kernel matrix (matmul_rows)."""
     n, c, h, wd = x.shape
     out_ch, c_in, kh, kw = w.shape
     if c_in != c:
@@ -93,9 +125,7 @@ def conv2d(x, w, b=None):
     ph, pw = _same_pad(kh, kw)
     cols = _im2col(x, kh, kw, ph, pw)
     _, kmat = tap_matrix(w, h, wd)
-    y = np.empty((len(cols), out_ch), dtype=np.result_type(cols, kmat))
-    for lo in range(0, len(cols), GEMM_ROWS):
-        np.matmul(cols[lo:lo + GEMM_ROWS], kmat, out=y[lo:lo + GEMM_ROWS])
+    y = matmul_rows(cols, kmat)
     if b is not None:
         y = y + b
     y = np.ascontiguousarray(y.reshape(n, h, wd, out_ch).transpose(0, 3, 1, 2))
@@ -252,8 +282,8 @@ def batchnorm_grad(dy, cache):
 # ------------------------------------------------------------------- dense
 
 def dense(x, w, b):
-    """x [N, F] @ w [F, O] + b [O]."""
-    return x @ w + b, (x, w)
+    """x [N, F] @ w [F, O] + b [O], through matmul_rows."""
+    return matmul_rows(x, w) + b, (x, w)
 
 
 def dense_grad(dy, cache):

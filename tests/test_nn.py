@@ -149,6 +149,24 @@ def test_conv_gemm_blocks_agree(monkeypatch):
     assert rel_err(blocked[0], naive_conv2d(x, w, b)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [0, 5, 24, 29])
+def test_matmul_rows_blocks(monkeypatch, m):
+    # one-thread blocks of 8 rows for k*n = 12 (full blocks, a remainder, no
+    # full block), GEMM_ROWS blocks of 10 for k*n = 13 (blocks would be
+    # thinner than 8 rows) and for products above SPLIT_MACS
+    monkeypatch.setattr(nn, "ONE_THREAD_MACS", 8 * 12)
+    monkeypatch.setattr(nn, "GEMM_ROWS", 10)
+    r = np.random.default_rng(12)
+    for k, n, split in ((3, 4, 1 << 25), (13, 1, 1 << 25), (3, 4, 100)):
+        monkeypatch.setattr(nn, "SPLIT_MACS", split)
+        a, b = r.normal(size=(m, k)), r.normal(size=(k, n))
+        out = nn.matmul_rows(a, b)
+        assert out.shape == (m, n) and out.dtype == np.float64
+        assert np.abs(out - a @ b).max(initial=0.0) < 1e-12
+        y, _ = nn.dense(a, b, np.ones(n))
+        assert np.abs(y - (a @ b + 1)).max(initial=0.0) < 1e-12
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(2, 3, 6, 1), (2, 3, 4, 3)])
 def test_conv_keeps_dtype(dtype, shape):
