@@ -48,8 +48,11 @@ def load_weights(path):
     if len(raw) < 8 + hlen:
         raise ValueError(f"{path}: truncated header")
     header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    if header.get("version") != _VERSION:
-        raise ValueError(f"{path}: unsupported version {header.get('version')}")
+    for key in ("version", "meta", "tensors", "payload_sha256"):
+        if not isinstance(header, dict) or key not in header:
+            raise ValueError(f"{path}: header has no {key!r}")
+    if header["version"] != _VERSION:
+        raise ValueError(f"{path}: unsupported version {header['version']}")
     payload = raw[8 + hlen:]
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:
@@ -57,6 +60,9 @@ def load_weights(path):
     tensors = {}
     off = 0
     for entry in header["tensors"]:
+        if not isinstance(entry, dict) or not {"name", "shape"} <= entry.keys():
+            raise ValueError(f"{path}: tensor entry {entry!r} needs 'name' "
+                             f"and 'shape'")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         end = off + 4 * count

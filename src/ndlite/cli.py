@@ -23,9 +23,10 @@ import numpy as np
 
 from .dataset import DEFAULT_DELTA, gen_dataset, load_dataset, save_dataset
 from .lowering import (load_program, lower_model, program_expressions,
-                       run_program, save_program, verify_equivalence)
+                       run_program, save_program, structure_mismatch,
+                       verify_equivalence)
 from .model import (ModelConfig, TrainHyper, build_model, confusion,
-                    evaluate, load_model, save_model, train)
+                    evaluate, layer_specs, load_model, save_model, train)
 from .opcount import count_model, format_csv, format_table, op_ratio
 from .quant import QuantSchedule
 
@@ -372,17 +373,17 @@ def cmd_lower(args):
 
 
 def _implied_config(prog):
-    by_name = {layer.name: layer for layer in prog.layers}
-    needed = ("conv0", "res0.c1", "dense1", "dense2")
-    if any(name not in by_name for name in needed):
+    """The ModelConfig whose layer table the program's layers are, or None."""
+    layers = prog.layers
+    try:
+        cfg = ModelConfig(group_size=prog.group_size,
+                          channels=len(layers[0].channels),
+                          residual_blocks=(len(layers) - 4) // 2,
+                          dense_sizes=(len(layers[-3].channels),
+                                       len(layers[-2].channels)))
+    except (IndexError, ValueError):
         return None
-    blocks = sum(1 for name in by_name if name.endswith(".c2"))
-    return ModelConfig(
-        group_size=prog.group_size,
-        channels=len(by_name["conv0"].channels),
-        residual_blocks=blocks,
-        dense_sizes=(len(by_name["dense1"].channels),
-                     len(by_name["dense2"].channels)))
+    return None if structure_mismatch(prog, layer_specs(cfg)) else cfg
 
 
 def cmd_count(args):

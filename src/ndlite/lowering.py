@@ -21,12 +21,12 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import nn
-from .model import Model, exact_bit_forward
+from .model import (Model, _frac, exact_bit_forward, exact_predicate,
+                    layer_specs)
 from .quant import extract_ternary
 
 INPUT_CHANNEL_NAMES = ("C_l", "C_r", "C_l'", "C_r'")
@@ -86,10 +86,6 @@ class BooleanProgram:
 
 
 # ------------------------------------------------------------------ folding
-
-def _frac(x):
-    return Fraction(float(x))
-
 
 def fold_batchnorm(bn: nn.BnState, delta):
     """Per-channel ('ind', theta, flip) or ('const', bit).
@@ -186,29 +182,26 @@ def fold_output_pair(ternary, bias, mode="threshold", threshold=0.505):
         raise ValueError("output fold expects a dense [in, 2] layer")
     if not np.array_equal(codes[:, 1], -codes[:, 0]):
         return None
-    p, n = _positions(codes[:, 1])
-    dlt = _frac(ternary.delta)
-    db = _frac(bias[1]) - _frac(bias[0])
-    if mode == "threshold":
-        if not 0.0 < threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
-        level = _frac(math.log(threshold / (1.0 - threshold)))
-        # label = [2*delta*S + db >= level] = [S > ceil((level-db)/2delta)-1]
-        theta = math.ceil((level - db) / (2 * dlt)) - 1
-    elif mode == "argmax":
-        # label = [2*delta*S + db > 0]; ties resolve to random, like argmax
-        # picking the first (random) class.
-        theta = math.floor(-db / (2 * dlt))
-    else:
+    if mode == "threshold" and not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must lie in (0, 1)")
+    if mode not in ("threshold", "argmax"):
         raise ValueError(f"unknown output fold mode {mode!r}")
+    p, n = _positions(codes[:, 1])
+    theta = _compare_theta(ternary, bias, mode, threshold, scale=2)
     if not p and not n:
         return ChannelProgram(p=(), n=(), const=int((0 > theta)))
     return ChannelProgram(p=p, n=n, theta=theta, flip=False)
 
 
-def _compare_theta(ternary, bias, mode, threshold):
-    """Integer theta for the unfolded decision I(S1 - S0 > theta)."""
-    dlt = _frac(ternary.delta)
+def _compare_theta(ternary, bias, mode, threshold, scale=1):
+    """Integer theta of the decision I(S > theta) on S = S1 - S0, or on the
+    real-class sum S of an antisymmetric pair folded with scale=2.
+
+    Threshold mode: label = [scale*delta*S + db >= level], that is
+    S > ceil((level - db) / (scale*delta)) - 1. Argmax mode: label =
+    [scale*delta*S + db > 0]; ties resolve to random, like argmax picking
+    the first (random) class."""
+    dlt = scale * _frac(ternary.delta)
     db = _frac(bias[1]) - _frac(bias[0])
     if mode == "threshold":
         level = _frac(math.log(threshold / (1.0 - threshold)))
@@ -225,58 +218,40 @@ def lower_model(model: Model, theta_mode="folded", fold_output=True,
         raise ValueError(f"unknown output fold mode {output_mode!r}")
 
     def tern(name):
-        return extract_ternary(model._weight_of(name), model.delta_of(name))
+        return extract_ternary(model.weights[name], model.delta_of(name))
 
+    specs = layer_specs(model.cfg)
     layers = []
     warnings = []
-    c = model.cfg.channels
-    layers.append(LayerProgram(
-        name="conv0", kind="conv", in_width=4, kernel=(1, 1),
-        channels=lower_layer(tern("conv0"), bn=model.bn0,
-                             theta_mode=theta_mode)))
-    prev = "conv0"
-    for i, blk in enumerate(model.blocks):
+    for spec in specs[:-1]:
+        # spec.norm, "bn" or "bias", names lower_layer's norm argument
+        channels = lower_layer(tern(spec.name), theta_mode=theta_mode,
+                               skip=spec.skip_from is not None,
+                               **{spec.norm: model.norms[spec.name]})
         layers.append(LayerProgram(
-            name=f"res{i}.c1", kind="conv", in_width=c, kernel=(3, 3),
-            channels=lower_layer(tern(f"res{i}.c1"), bn=blk.bn1,
-                                 theta_mode=theta_mode)))
-        layers.append(LayerProgram(
-            name=f"res{i}.c2", kind="conv", in_width=c, kernel=(3, 3),
-            channels=lower_layer(tern(f"res{i}.c2"), bn=blk.bn2,
-                                 theta_mode=theta_mode, skip=True),
-            skip_from=prev))
-        prev = f"res{i}.c2"
+            name=spec.name, kind=spec.kind, in_width=spec.in_width,
+            kernel=spec.kernel, channels=channels, skip_from=spec.skip_from))
 
-    flat = model.cfg.flatten_width
-    layers.append(LayerProgram(
-        name="dense1", kind="dense", in_width=flat, kernel=None,
-        channels=lower_layer(tern("dense1"), bias=model.d1_b,
-                             theta_mode=theta_mode)))
-    layers.append(LayerProgram(
-        name="dense2", kind="dense", in_width=model.cfg.dense_sizes[0],
-        kernel=None,
-        channels=lower_layer(tern("dense2"), bias=model.d2_b,
-                             theta_mode=theta_mode)))
-
-    out_t = tern("out")
+    # The output pair's fold or compare decision, on the last spec.
+    out = specs[-1]
+    out_t, out_b = tern(out.name), model.norms[out.name]
     thr = model.cfg.decision_threshold
-    folded = fold_output_pair(out_t, model.out_b, mode=output_mode,
+    folded = fold_output_pair(out_t, out_b, mode=output_mode,
                               threshold=thr) if fold_output else None
-    in_w = model.cfg.dense_sizes[1]
     if folded is not None:
-        layers.append(LayerProgram(name="out", kind="dense", in_width=in_w,
-                                   kernel=None, channels=[folded],
-                                   decision="folded"))
+        channels, decision, compare_theta = [folded], "folded", None
     else:
         if fold_output:
             warnings.append("output rows are not antisymmetric; emitting "
                             "both channels with a compare decision")
-        raw = [ChannelProgram(p=p, n=n)
-               for p, n in (_positions(out_t.codes[:, k]) for k in (0, 1))]
-        layers.append(LayerProgram(
-            name="out", kind="dense", in_width=in_w, kernel=None,
-            channels=raw, decision="compare",
-            compare_theta=_compare_theta(out_t, model.out_b, output_mode, thr)))
+        channels = [ChannelProgram(p=p, n=n) for p, n in
+                    (_positions(out_t.codes[:, k]) for k in (0, 1))]
+        decision = "compare"
+        compare_theta = _compare_theta(out_t, out_b, output_mode, thr)
+    layers.append(LayerProgram(
+        name=out.name, kind=out.kind, in_width=out.in_width,
+        kernel=out.kernel, channels=channels, decision=decision,
+        compare_theta=compare_theta))
     return BooleanProgram(group_size=model.cfg.group_size, layers=layers,
                           warnings=warnings)
 
@@ -463,35 +438,21 @@ class VerifyReport:
     warnings: list = field(default_factory=list)
 
 
-def _model_channel_coeffs(codes, channel, folded_output=False):
-    """(index -> ternary coefficient) for one channel of a model layer's
-    ternary codes."""
-    if folded_output:
-        channel = 1  # folded channel is the real-class column
-    row = codes[channel] if codes.ndim == 4 else codes[:, channel]
-    coeffs = {}
-    if row.ndim == 1:
-        for i in np.flatnonzero(row):
-            coeffs[int(i)] = int(row[i])
-    else:
-        for idx in np.argwhere(row != 0):
-            coeffs[tuple(int(v) for v in idx)] = int(row[tuple(idx)])
-    return coeffs
-
-
-def _exhaustive_channel(model, layer, codes, channel_idx, width):
-    """Compare one indicator channel against the model's batchnorm/bias
-    predicate over every assignment of its support bits; codes are the
-    model layer's ternary codes. Returns a counterexample dict or None;
-    raises ValueError when the support is wider than `width`."""
+def _exhaustive_channel(pred, spec, layer, codes, channel_idx, width):
+    """Compare one indicator channel against the model's exact predicate
+    pred (of layer spec) over every assignment of its support bits; codes
+    are the model layer's ternary codes. Returns a counterexample dict or
+    None; raises ValueError when the support is wider than `width`."""
     cp = layer.channels[channel_idx]
-    coeffs = _model_channel_coeffs(codes, channel_idx,
-                                   folded_output=layer.decision == "folded")
+    folded = layer.decision == "folded"
+    # index -> ternary coefficient; the folded channel is the real class's
+    p, n = _positions(codes[channel_idx] if codes.ndim == 4
+                      else codes[:, 1 if folded else channel_idx])
+    coeffs = {**dict.fromkeys(p, 1), **dict.fromkeys(n, -1)}
     support = sorted(set(coeffs) | set(cp.p) | set(cp.n))
-    # The model's second residual conv always carries the identity skip;
-    # include the skip bit whenever either side uses it so a dropped or
+    # Include the skip bit whenever either side uses it so a dropped or
     # spurious skip flag shows up as a mismatch.
-    model_skip = layer.name.endswith(".c2")
+    model_skip = spec.skip_from is not None
     prog_skip = layer.skip_from is not None
     has_skip = model_skip or prog_skip
     k = len(support) + (1 if has_skip else 0)
@@ -509,13 +470,17 @@ def _exhaustive_channel(model, layer, codes, channel_idx, width):
 
     assign = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.int64)
     s_prog = assign @ prog_coeff
-    s_model = assign @ model_coeff
+    # The folded channel sums the real-class column, and the antisymmetric
+    # pair's logit difference is twice that sum.
+    s_model = assign @ model_coeff * (2 if folded else 1)
 
     if cp.const is not None:
         prog_bits = np.full(len(assign), cp.const, dtype=np.uint8)
     else:
         prog_bits = ((s_prog > cp.theta) ^ cp.flip).astype(np.uint8)
-    model_bits = _model_predicate_bits(model, layer, channel_idx, s_model)
+    values, at = np.unique(s_model, return_inverse=True)
+    model_bits = np.array([pred(channel_idx, int(v)) for v in values],
+                          dtype=np.uint8)[at]
     bad = np.nonzero(prog_bits != model_bits)[0]
     if len(bad):
         i = int(bad[0])
@@ -526,55 +491,53 @@ def _exhaustive_channel(model, layer, codes, channel_idx, width):
     return None
 
 
-def _model_predicate_bits(model, layer, channel_idx, s_values):
-    """Exact model-side indicator for integer accumulator values."""
-    delta = model.delta_of(layer.name)
-    dlt = _frac(delta)
-    if layer.kind == "conv":
-        bn = _bn_of(model, layer.name)
-        gam = _frac(bn.gamma[channel_idx])
-        bet = _frac(bn.beta[channel_idx])
-        mu = _frac(bn.running_mean[channel_idx])
-        sig = _frac(nn.bn_sigma(bn.running_var[channel_idx], bn.eps))
-        return np.array([int(gam * (dlt * int(s) - mu) + bet * sig > 0)
-                         for s in s_values], dtype=np.uint8)
-    if layer.name == "out":
-        thr = model.cfg.decision_threshold
-        level = _frac(math.log(thr / (1.0 - thr)))
-        db = _frac(model.out_b[1]) - _frac(model.out_b[0])
-        return np.array([int(2 * dlt * int(s) + db >= level)
-                         for s in s_values], dtype=np.uint8)
-    bias = {"dense1": model.d1_b, "dense2": model.d2_b}[layer.name]
-    b = _frac(bias[channel_idx])
-    return np.array([int(dlt * int(s) + b > 0) for s in s_values],
-                    dtype=np.uint8)
+_STRUCTURE = ("name", "kind", "in_width", "kernel", "channels", "decision",
+              "skip")
 
 
-def _bn_of(model, layer_name):
-    if layer_name == "conv0":
-        return model.bn0
-    i = int(layer_name[3:layer_name.index(".")])
-    blk = model.blocks[i]
-    return blk.bn1 if layer_name.endswith("c1") else blk.bn2
+def structure_mismatch(prog, specs):
+    """Counterexample naming the first program layer that is not the layer
+    table's, or None. Compared: name, kind, input width, kernel, channel
+    count, a decision on the last layer only, and the source of any skip
+    the program takes. A dropped skip is left to the per-channel sweep,
+    which shows the skip bit in its counterexample."""
+    for i, (lp, spec) in enumerate(itertools.zip_longest(prog.layers, specs)):
+        if lp is None or spec is None:
+            return {"layer": (lp or spec).name, "program": lp and lp.name,
+                    "model": spec and spec.name}
+        got = (lp.name, lp.kind, lp.in_width, lp.kernel, len(lp.channels),
+               lp.decision is not None, lp.skip_from)
+        want = (spec.name, spec.kind, spec.in_width, spec.kernel,
+                1 if lp.decision == "folded" else spec.out_width,
+                i == len(specs) - 1, spec.skip_from)
+        if got[:-1] != want[:-1] or lp.skip_from not in (None, spec.skip_from):
+            return {"layer": lp.name, "program": dict(zip(_STRUCTURE, got)),
+                    "model": dict(zip(_STRUCTURE, want))}
+    return None
 
 
 def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
                        exhaustive_width=9, seed=0, batch=2048) -> VerifyReport:
-    """Randomized whole-network trials plus exhaustive per-channel sweeps.
+    """Layer structure, then randomized whole-network trials, then
+    exhaustive per-channel sweeps.
 
-    Random inputs are compared end to end (program labels and every
-    intermediate plane against the exact model evaluation). Channels whose
-    support spans at most exhaustive_width bits are additionally checked on
-    every assignment of those bits.
+    The program's layers must be the model's layer table. Random inputs are
+    compared end to end (program labels and every intermediate plane
+    against the exact model evaluation). Channels whose support spans at
+    most exhaustive_width bits are additionally checked on every assignment
+    of those bits.
     """
     warnings = []
+    specs = layer_specs(model.cfg)
+    mismatch = structure_mismatch(prog, specs)
+    if mismatch is not None:
+        return VerifyReport(passed=False, trials_run=0, exhaustive_channels=0,
+                            counterexample=mismatch)
     if trials == 0 and exhaustive_width == 0:
         warnings.append("no trials and no exhaustive width: vacuous pass")
         return VerifyReport(passed=True, trials_run=0, exhaustive_channels=0,
                             warnings=warnings)
 
-    # Folded output theta depends on the chosen decision rule; note when the
-    # program was built with a rule other than the model's threshold.
     rng = np.random.default_rng(seed)
     done = 0
     while done < trials:
@@ -605,14 +568,15 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
         done += nb
 
     checked = 0
-    for layer in prog.layers:
+    for layer, spec in zip(prog.layers, specs):
         if layer.decision == "compare":
             continue
-        codes = extract_ternary(model._weight_of(layer.name),
-                                model.delta_of(layer.name)).codes
+        codes = extract_ternary(model.weights[spec.name],
+                                model.delta_of(spec.name)).codes
+        pred = exact_predicate(model, spec)
         for ci in range(len(layer.channels)):
             try:
-                ce = _exhaustive_channel(model, layer, codes, ci,
+                ce = _exhaustive_channel(pred, spec, layer, codes, ci,
                                          exhaustive_width)
             except ValueError:
                 continue
@@ -856,7 +820,8 @@ def _need(kv, key):
 
 
 def _load_line(prog, layer, ln):
-    """Adds one LAYER or channel line to prog; returns the current layer."""
+    """Adds one LAYER or channel line to prog. Returns the current layer and,
+    for a LAYER line, the channel count its header declares."""
     kind, _, rest = ln.partition(" ")
     kv = _parse_kv(rest.split(" ")) if rest else {}
     if kind == "LAYER":
@@ -864,14 +829,16 @@ def _load_line(prog, layer, ln):
         if "kernel" in kv:
             kh, kw = kv["kernel"].split("x")
             kernel = (int(kh), int(kw))
+        decision = kv.get("decision")
         layer = LayerProgram(
             name=_need(kv, "name"), kind=_need(kv, "kind"),
             in_width=int(_need(kv, "in")), kernel=kernel, channels=[],
-            skip_from=kv.get("skip"), decision=kv.get("decision"),
-            compare_theta=int(kv["compare_theta"])
-            if "compare_theta" in kv else None)
+            skip_from=kv.get("skip"), decision=decision,
+            compare_theta=int(_need(kv, "compare_theta"))
+            if decision == "compare" else None)
         prog.layers.append(layer)
-    elif kind in ("IND", "ACC"):
+        return layer, int(_need(kv, "channels"))
+    if kind in ("IND", "ACC"):
         if layer is None:
             raise ValueError("channel line before any LAYER")
         if "const" in kv:
@@ -883,27 +850,30 @@ def _load_line(prog, layer, ln):
                 theta=int(kv.get("theta", 0)),
                 flip=bool(int(kv.get("flip", 0))))
         layer.channels.append(cp)
-    else:
-        raise ValueError(f"unknown line kind {kind!r}")
-    return layer
+        return layer, None
+    raise ValueError(f"unknown line kind {kind!r}")
 
 
 def load_program(path) -> BooleanProgram:
-    """Reads a .bprog file; a malformed line raises ValueError naming the
-    file and line."""
+    """Reads a .bprog file; a malformed line, a header count that does not
+    match the body, or a decision anywhere but on the last layer raises
+    ValueError naming the file and line."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or not lines[0].startswith("BPROG v1 "):
         raise ValueError(f"{path}: not a BPROG v1 file")
     try:
-        layout = _need(_parse_kv(lines[0].split()[2:]), "layout")
+        header = _parse_kv(lines[0].split()[2:])
+        layout = _need(header, "layout")
         dims = layout.split("x")
         if dims[:2] != ["4", "16"] or len(dims) != 3:
             raise ValueError(f"unsupported layout {layout}")
+        n_layers = int(_need(header, "layers"))
         prog = BooleanProgram(group_size=int(dims[2]), layers=[])
     except ValueError as e:
         raise ValueError(f"{path}:1: {e}") from None
     layer = None
+    heads = []  # (line number, declared channels) per LAYER line
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln or ln.startswith("#"):
             if ln.startswith("# warning: "):
@@ -912,9 +882,22 @@ def load_program(path) -> BooleanProgram:
         if ln == "EXPR":
             break
         try:
-            layer = _load_line(prog, layer, ln)
+            layer, declared = _load_line(prog, layer, ln)
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from None
+        if declared is not None:
+            heads.append((lineno, declared))
     if not prog.layers:
         raise ValueError(f"{path}: no layers")
+    if n_layers != len(prog.layers):
+        raise ValueError(f"{path}:1: header has layers={n_layers} but the "
+                         f"body has {len(prog.layers)} LAYER lines")
+    for (lineno, declared), lp in zip(heads, prog.layers):
+        if declared != len(lp.channels):
+            raise ValueError(f"{path}:{lineno}: {lp.name} has "
+                             f"channels={declared} but {len(lp.channels)} "
+                             f"channel lines")
+        if (lp.decision is not None) != (lp is prog.layers[-1]):
+            raise ValueError(f"{path}:{lineno}: {lp.name}: the last layer, "
+                             f"and only it, takes a decision=")
     return prog

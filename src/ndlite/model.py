@@ -71,43 +71,75 @@ class ModelConfig:
         return self.channels * 16 * self.group_size
 
 
-@dataclass
-class ResBlock:
-    w1: np.ndarray  # [C, C, 3, 3]
-    bn1: nn.BnState
-    w2: np.ndarray  # [C, C, 3, 3]
-    bn2: nn.BnState
+# Checkpoint suffix -> BnState field of each batchnorm tensor; Adam learns
+# the first two.
+_BN_TENSORS = (("gamma", "gamma"), ("beta", "beta"), ("mean", "running_mean"),
+               ("var", "running_var"))
+
+
+@dataclass(frozen=True)
+class LayerSpec:
+    """One ternary layer: a conv or dense channel set with one batchnorm or
+    bias, whose output is binarized (the last layer's is the decision)."""
+    name: str
+    kind: str  # "conv" | "dense"
+    kernel: tuple | None  # (kh, kw) for conv
+    in_width: int  # conv: input channels; dense: flattened input width
+    out_width: int
+    norm: str  # "bn" | "bias"
+    norm_key: str  # checkpoint prefix of the norm tensors
+    skip_from: str | None = None  # layer whose output joins the sums
+
+    @property
+    def weight_shape(self):
+        if self.kind == "conv":
+            return (self.out_width, self.in_width) + self.kernel
+        return (self.in_width, self.out_width)
+
+
+def layer_specs(cfg: ModelConfig):
+    """The model's layers in forward order; every other layer list (the
+    parameters, checkpoints, lowering and op counts) is built from it."""
+    c = cfg.channels
+    specs = [LayerSpec("conv0", "conv", (1, 1), 4, c, "bn", "bn0")]
+    for i in range(cfg.residual_blocks):
+        block_input = specs[-1].name
+        specs.append(LayerSpec(f"res{i}.c1", "conv", (3, 3), c, c, "bn",
+                               f"res{i}.bn1"))
+        specs.append(LayerSpec(f"res{i}.c2", "conv", (3, 3), c, c, "bn",
+                               f"res{i}.bn2", skip_from=block_input))
+    widths = (cfg.flatten_width,) + cfg.dense_sizes + (2,)
+    for name, n_in, n_out in zip(("dense1", "dense2", "out"), widths,
+                                 widths[1:]):
+        specs.append(LayerSpec(name, "dense", None, n_in, n_out, "bias", name))
+    return specs
+
+
+def _norm_tensors(spec, norm, learned=False):
+    """{parameter or checkpoint key: array} of one layer's norm; learned
+    leaves out the batchnorm running statistics."""
+    if spec.norm == "bias":
+        return {f"{spec.norm_key}.b": norm}
+    return {f"{spec.norm_key}.{suffix}": getattr(norm, attr)
+            for suffix, attr in _BN_TENSORS[:2 if learned else 4]}
 
 
 class Model:
-    def __init__(self, cfg: ModelConfig, conv0_w, bn0, blocks, d1_w, d1_b,
-                 d2_w, d2_b, out_w, out_b):
+    """Parameters by layer name: weights[name], norms[name] (a BnState or
+    a bias vector) and, in quantized stages, deltas[name]."""
+
+    def __init__(self, cfg: ModelConfig, weights, norms):
         self.cfg = cfg
         self.stage = "fp"
-        self.conv0_w = conv0_w
-        self.bn0 = bn0
-        self.blocks = blocks
-        self.d1_w, self.d1_b = d1_w, d1_b
-        self.d2_w, self.d2_b = d2_w, d2_b
-        self.out_w, self.out_b = out_w, out_b
+        self.weights = weights
+        self.norms = norms
         # name -> 0-d float64 array, learnable in quantized stages
         self.deltas = {}
 
     # ------------------------------------------------------------ plumbing
 
     def quant_layer_names(self):
-        names = ["conv0"]
-        for i in range(len(self.blocks)):
-            names += [f"res{i}.c1", f"res{i}.c2"]
-        return names + ["dense1", "dense2", "out"]
-
-    def _weight_of(self, name):
-        if name == "conv0":
-            return self.conv0_w
-        if name.startswith("res"):
-            i = int(name[3:name.index(".")])
-            return self.blocks[i].w1 if name.endswith("c1") else self.blocks[i].w2
-        return {"dense1": self.d1_w, "dense2": self.d2_w, "out": self.out_w}[name]
+        return [spec.name for spec in layer_specs(self.cfg)]
 
     def set_stage(self, stage):
         if stage not in STAGES:
@@ -116,7 +148,7 @@ class Model:
             for name in self.quant_layer_names():
                 if name not in self.deltas:
                     self.deltas[name] = np.array(
-                        init_step_size(self._weight_of(name)), dtype=np.float64)
+                        init_step_size(self.weights[name]), dtype=np.float64)
         self.stage = stage
 
     def delta_of(self, name):
@@ -124,25 +156,17 @@ class Model:
 
     def _effective(self, name):
         """(effective weight, raw weight, delta|None) for the current stage."""
-        w = self._weight_of(name)
+        w = self.weights[name]
         if self.stage == "fp":
             return w, w, None
         d = self.delta_of(name)
         return quantize_weights(w, d).astype(np.float32), w, d
 
     def param_dict(self):
-        p = {"conv0.w": self.conv0_w,
-             "bn0.gamma": self.bn0.gamma, "bn0.beta": self.bn0.beta}
-        for i, blk in enumerate(self.blocks):
-            p[f"res{i}.c1.w"] = blk.w1
-            p[f"res{i}.bn1.gamma"] = blk.bn1.gamma
-            p[f"res{i}.bn1.beta"] = blk.bn1.beta
-            p[f"res{i}.c2.w"] = blk.w2
-            p[f"res{i}.bn2.gamma"] = blk.bn2.gamma
-            p[f"res{i}.bn2.beta"] = blk.bn2.beta
-        p.update({"dense1.w": self.d1_w, "dense1.b": self.d1_b,
-                  "dense2.w": self.d2_w, "dense2.b": self.d2_b,
-                  "out.w": self.out_w, "out.b": self.out_b})
+        p = {}
+        for spec in layer_specs(self.cfg):
+            p[f"{spec.name}.w"] = self.weights[spec.name]
+            p.update(_norm_tensors(spec, self.norms[spec.name], learned=True))
         if self.stage != "fp":
             for name in self.quant_layer_names():
                 p[f"delta.{name}"] = self.deltas[name]
@@ -180,102 +204,75 @@ class Model:
     def forward(self, x, training):
         """Float-route forward. Returns (logits [N,2], cache)."""
         self._check_input(x)
-        qcache = {}
-
-        def eff(name):
-            w_eff, w, d = self._effective(name)
-            qcache[name] = (w, d)
-            return w_eff
-
-        y, c0_conv = nn.conv2d(x, eff("conv0"))
-        y, c0_bn = nn.batchnorm(y, self.bn0, training)
-        h, c0_act = self._act(y)
-
-        block_caches = []
-        for i, blk in enumerate(self.blocks):
-            h0 = h
-            y1, c1_conv = nn.conv2d(h0, eff(f"res{i}.c1"))
-            y1, c1_bn = nn.batchnorm(y1, blk.bn1, training)
-            a1, c1_act = self._act(y1)
-            y2, c2_conv = nn.conv2d(a1, eff(f"res{i}.c2"))
-            # In the full stage the skip joins pre-normalization at the same
-            # scale as the quantized weights, so the accumulated sum stays an
-            # integer multiple of delta. The scale is a constant in backward.
-            lam = self.delta_of(f"res{i}.c2") if self.stage == "full" else 1.0
-            pre2 = y2 + lam * h0
-            y2n, c2_bn = nn.batchnorm(pre2, blk.bn2, training)
-            h, c2_act = self._act(y2n)
-            block_caches.append((c1_conv, c1_bn, c1_act, c2_conv, c2_bn,
-                                 c2_act, lam))
-
-        n = x.shape[0]
-        flat_shape = h.shape
-        flat = h.reshape(n, -1)
-        z1, cd1 = nn.dense(flat, *self._dense_eff("dense1", qcache))
-        f1, ca1 = self._act(z1)
-        z2, cd2 = nn.dense(f1, *self._dense_eff("dense2", qcache))
-        f2, ca2 = self._act(z2)
-        logits, cout = nn.dense(f2, *self._dense_eff("out", qcache))
-        cache = (c0_conv, c0_bn, c0_act, block_caches, flat_shape,
-                 cd1, ca1, cd2, ca2, cout, qcache)
-        return logits, cache
-
-    def _dense_eff(self, name, qcache):
-        w_eff, w, d = self._effective(name)
-        qcache[name] = (w, d)
-        bias = {"dense1": self.d1_b, "dense2": self.d2_b, "out": self.out_b}[name]
-        return w_eff, bias
+        specs = layer_specs(self.cfg)
+        # Skip sources' outputs stay referenced until the pass returns, like
+        # the caches: releasing each as soon as it was read let glibc trim
+        # and re-fault the heap on every batch (g=1, 256-sample batches on a
+        # 2-core VM: 13k page faults per 8 batches, scores 40% slower).
+        skip_sources = {spec.skip_from for spec in specs}
+        outputs = {}
+        caches = []
+        h = x
+        for spec in specs:
+            w_eff, w, d = self._effective(spec.name)
+            norm = self.norms[spec.name]
+            in_shape = h.shape
+            if spec.kind == "conv":
+                y, c_lin = nn.conv2d(h, w_eff)
+            else:
+                y, c_lin = nn.dense(h.reshape(len(h), -1), w_eff, norm)
+            lam = 0.0
+            if spec.skip_from is not None:
+                # In the full stage the skip joins pre-normalization at the
+                # same scale as the quantized weights, so the accumulated sum
+                # stays an integer multiple of delta. The scale is a constant
+                # in backward.
+                lam = d if self.stage == "full" else 1.0
+                y = y + lam * outputs[spec.skip_from]
+            c_bn = c_act = None
+            if spec.norm == "bn":
+                y, c_bn = nn.batchnorm(y, norm, training)
+            if spec is not specs[-1]:
+                h, c_act = self._act(y)
+                if spec.name in skip_sources:
+                    outputs[spec.name] = h
+            caches.append((c_lin, c_bn, c_act, lam, in_shape, (w, d)))
+        return y, caches
 
     # ------------------------------------------------------------ backward
 
-    def _quant_grads(self, name, dw_eff, qcache, grads):
-        """Map the effective-weight gradient back to (w, delta) gradients."""
-        w, d = qcache[name]
-        grads[f"{name}.w"] = ste_weight_grad(dw_eff)
-        if d is not None:
-            grads[f"delta.{name}"] = np.array(step_size_grad(w, d, dw_eff),
-                                              dtype=np.float64)
-
     def backward(self, dlogits, cache):
-        (c0_conv, c0_bn, c0_act, block_caches, flat_shape,
-         cd1, ca1, cd2, ca2, cout, qcache) = cache
+        """Gradients by parameter name. A skip source's output gradient is
+        its consumer's gradient plus lam times the skip layer's pre-norm
+        gradient, added in that order."""
+        specs = layer_specs(self.cfg)
         grads = {}
-
-        df2, dw, db = nn.dense_grad(dlogits, cout)
-        self._quant_grads("out", dw, qcache, grads)
-        grads["out.b"] = db
-        dz2 = self._act_grad(df2, ca2)
-        df1, dw, db = nn.dense_grad(dz2, cd2)
-        self._quant_grads("dense2", dw, qcache, grads)
-        grads["dense2.b"] = db
-        dz1 = self._act_grad(df1, ca1)
-        dflat, dw, db = nn.dense_grad(dz1, cd1)
-        self._quant_grads("dense1", dw, qcache, grads)
-        grads["dense1.b"] = db
-
-        dh = dflat.reshape(flat_shape)
-        for i in range(len(self.blocks) - 1, -1, -1):
-            c1_conv, c1_bn, c1_act, c2_conv, c2_bn, c2_act, lam = block_caches[i]
-            dy2n = self._act_grad(dh, c2_act)
-            dpre2, dgamma, dbeta = nn.batchnorm_grad(dy2n, c2_bn)
-            grads[f"res{i}.bn2.gamma"] = dgamma
-            grads[f"res{i}.bn2.beta"] = dbeta
-            da1, dw, _ = nn.conv2d_grad(dpre2, c2_conv)
-            self._quant_grads(f"res{i}.c2", dw, qcache, grads)
-            dy1 = self._act_grad(da1, c1_act)
-            dy1, dgamma, dbeta = nn.batchnorm_grad(dy1, c1_bn)
-            grads[f"res{i}.bn1.gamma"] = dgamma
-            grads[f"res{i}.bn1.beta"] = dbeta
-            dh0, dw, _ = nn.conv2d_grad(dy1, c1_conv)
-            self._quant_grads(f"res{i}.c1", dw, qcache, grads)
-            dh = dh0 + lam * dpre2
-
-        dy = self._act_grad(dh, c0_act)
-        dy, dgamma, dbeta = nn.batchnorm_grad(dy, c0_bn)
-        grads["bn0.gamma"] = dgamma
-        grads["bn0.beta"] = dbeta
-        _, dw, _ = nn.conv2d_grad(dy, c0_conv)
-        self._quant_grads("conv0", dw, qcache, grads)
+        skip_grads = {}  # skip source name -> lam * its consumer's dpre
+        dh = None
+        for spec, (c_lin, c_bn, c_act, lam, in_shape, (w, d)) in zip(
+                reversed(specs), reversed(cache)):
+            if c_act is None:
+                dy = dlogits
+            else:
+                if spec.name in skip_grads:
+                    dh = dh + skip_grads.pop(spec.name)
+                dy = self._act_grad(dh, c_act)
+            if c_bn is not None:
+                dy, dgamma, dbeta = nn.batchnorm_grad(dy, c_bn)
+                grads[f"{spec.norm_key}.gamma"] = dgamma
+                grads[f"{spec.norm_key}.beta"] = dbeta
+            if spec.kind == "conv":
+                dh, dw, _ = nn.conv2d_grad(dy, c_lin)
+            else:
+                dh, dw, grads[f"{spec.norm_key}.b"] = nn.dense_grad(dy, c_lin)
+                dh = dh.reshape(in_shape)
+            # Map the effective-weight gradient back to (w, delta) gradients.
+            grads[f"{spec.name}.w"] = ste_weight_grad(dw)
+            if d is not None:
+                grads[f"delta.{spec.name}"] = np.array(
+                    step_size_grad(w, d, dw), dtype=np.float64)
+            if spec.skip_from is not None:
+                skip_grads[spec.skip_from] = lam * dy
         return grads
 
     # ----------------------------------------------------------- inference
@@ -296,24 +293,16 @@ class Model:
 def build_model(cfg: ModelConfig, seed=0) -> Model:
     """He-initialized model; deterministic under seed."""
     r = np.random.default_rng(seed)
-
-    def he(shape, fan_in):
-        return r.normal(0.0, math.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
-
-    c = cfg.channels
-    conv0_w = he((c, 4, 1, 1), 4)
-    blocks = []
-    for _ in range(cfg.residual_blocks):
-        blocks.append(ResBlock(
-            w1=he((c, c, 3, 3), c * 9), bn1=nn.BnState.create(c, dtype=np.float32),
-            w2=he((c, c, 3, 3), c * 9), bn2=nn.BnState.create(c, dtype=np.float32)))
-    d1, d2 = cfg.dense_sizes
-    flat = cfg.flatten_width
-    model = Model(cfg, conv0_w, nn.BnState.create(c, dtype=np.float32), blocks,
-                  d1_w=he((flat, d1), flat), d1_b=np.zeros(d1, np.float32),
-                  d2_w=he((d1, d2), d1), d2_b=np.zeros(d2, np.float32),
-                  out_w=he((d2, 2), d2), out_b=np.zeros(2, np.float32))
-    return model
+    weights, norms = {}, {}
+    for spec in layer_specs(cfg):
+        shape = spec.weight_shape
+        fan_in = math.prod(shape[1:]) if spec.kind == "conv" else shape[0]
+        weights[spec.name] = r.normal(0.0, math.sqrt(2.0 / fan_in),
+                                      size=shape).astype(np.float32)
+        norms[spec.name] = (nn.BnState.create(spec.out_width, dtype=np.float32)
+                            if spec.norm == "bn"
+                            else np.zeros(spec.out_width, np.float32))
+    return Model(cfg, weights, norms)
 
 
 # ----------------------------------------------------------- exact forward
@@ -362,32 +351,69 @@ def _switch_bits(s, pred, slope, offset):
     return ((s > t) ^ first).view(np.uint8)
 
 
-def _exact_bn_bits(s, bn: nn.BnState, delta):
-    """bit = [gamma*(delta*S - mu)/sigma + beta > 0], exactly, per channel."""
+class ExactPredicate:
+    """One layer's exact indicator: channel c fires iff
+    slope[c] * S + offset[c] > 0 (>= 0 when inclusive) in rational
+    arithmetic over its integer sum S. The float64 estimates of slope and
+    offset only order the probes of _switch_bits."""
+
+    def __init__(self, slope, offset, slope_est, offset_est, inclusive=False):
+        self.slope, self.offset = slope, offset
+        self.slope_est, self.offset_est = slope_est, offset_est
+        self.inclusive = inclusive
+
+    def __call__(self, c, s):
+        v = self.slope[c] * s + self.offset[c]
+        return v >= 0 if self.inclusive else v > 0
+
+    def bits(self, s):
+        """uint8 bits of integer sums s, channel axis last."""
+        return _switch_bits(s, self, self.slope_est, self.offset_est)
+
+
+def _bn_predicate(bn: nn.BnState, delta):
+    """[gamma*(delta*S - mu)/sigma + beta > 0], multiplied through by
+    sigma > 0."""
     dlt = _frac(delta)
-    gam = [_frac(v) for v in bn.gamma]
-    bet = [_frac(v) for v in bn.beta]
-    mu = [_frac(v) for v in bn.running_mean]
-    sig = [_frac(nn.bn_sigma(v, bn.eps)) for v in bn.running_var]
-
-    def pred(c, s):
-        return gam[c] * (dlt * s - mu[c]) + bet[c] * sig[c] > 0
-
+    slope, offset = [], []
+    for gam, bet, mu, var in zip(bn.gamma, bn.beta, bn.running_mean,
+                                 bn.running_var):
+        gam = _frac(gam)
+        slope.append(gam * dlt)
+        offset.append(_frac(bet) * _frac(nn.bn_sigma(var, bn.eps))
+                      - gam * _frac(mu))
     gamma = np.asarray(bn.gamma, np.float64)
     sigma = np.sqrt(np.asarray(bn.running_var, np.float64) + bn.eps)
-    return _switch_bits(s, pred, gamma * float(delta),
-                        bn.beta * sigma - gamma * bn.running_mean)
+    return ExactPredicate(slope, offset, gamma * float(delta),
+                          bn.beta * sigma - gamma * bn.running_mean)
 
 
-def _exact_bias_bits(s, bias, delta):
-    """bit = [delta*S + b > 0], exactly, per channel."""
+def _bias_predicate(bias, delta):
+    """[delta*S + b > 0]."""
     dlt = _frac(delta)
-    b = [_frac(v) for v in bias]
+    return ExactPredicate([dlt] * len(bias), [_frac(b) for b in bias],
+                          float(delta), np.asarray(bias, np.float64))
 
-    def pred(c, s):
-        return dlt * s + b[c] > 0
 
-    return _switch_bits(s, pred, float(delta), np.asarray(bias, np.float64))
+def _decision_predicate(bias, delta, threshold):
+    """[delta*D + b1 - b0 >= log(t/(1-t))] of the output sums' difference
+    D = S1 - S0, the log-odds pinned to its float64 value."""
+    dlt = _frac(delta)
+    db = _frac(bias[1]) - _frac(bias[0])
+    level = _frac(math.log(threshold / (1.0 - threshold)))
+    return ExactPredicate([dlt], [db - level], float(dlt),
+                          np.array([float(db) - float(level)]), inclusive=True)
+
+
+def exact_predicate(model: Model, spec: LayerSpec):
+    """The model's exact indicator of one layer, from its spec: the
+    batchnorm or bias form, or the decision rule for the last layer."""
+    norm, delta = model.norms[spec.name], model.delta_of(spec.name)
+    if spec == layer_specs(model.cfg)[-1]:
+        return _decision_predicate(norm, delta, model.cfg.decision_threshold)
+    if spec.norm == "bn":
+        return _bn_predicate(norm, delta)
+    return _bias_predicate(norm, delta)
 
 
 def exact_bit_forward(model: Model, bits, return_planes=False):
@@ -395,11 +421,11 @@ def exact_bit_forward(model: Model, bits, return_planes=False):
 
     Integer accumulator sums of the ternary codes are float32 GEMMs
     (nn.conv_sums), exact because every channel's fan-in plus its skip bit
-    is checked to stay below nn.F32_EXACT_LIMIT; every normalization / bias
-    indicator is decided in rational arithmetic; the final decision
-    compares the exact logit difference against log(t / (1-t)) pinned to
-    its float64 value. Returns (labels, scores) or (labels, scores, planes)
-    - scores are float and for reporting only.
+    is checked to stay below nn.F32_EXACT_LIMIT; every indicator is decided
+    by its exact_predicate; the final decision compares the exact logit
+    difference against log(t / (1-t)) pinned to its float64 value. Returns
+    (labels, scores) or (labels, scores, planes), one plane per layer plus
+    "out.sum_diff" - scores are float and for reporting only.
     """
     if model.stage != "full":
         raise ValueError("exact evaluation requires the fully quantized stage")
@@ -410,61 +436,41 @@ def exact_bit_forward(model: Model, bits, return_planes=False):
             raise ValueError("exact evaluation expects binary inputs")
         bits = bits.astype(np.uint8)
     n, hh, ww = bits.shape[0], 16, model.cfg.group_size
-
-    def codes(name, skip=0):
-        """float32 ternary codes; conv [O, C, kh, kw], dense [in, out]."""
-        c = extract_ternary(model._weight_of(name), model.delta_of(name)).codes
+    specs = layer_specs(model.cfg)
+    planes = {}  # channels-last until returned
+    h = bits.transpose(0, 2, 3, 1)
+    for spec in specs:
+        skip = planes[spec.skip_from] if spec.skip_from else None
+        # float32 ternary codes; conv [O, C, kh, kw], dense [in, out]
+        c = extract_ternary(model.weights[spec.name],
+                            model.delta_of(spec.name)).codes
         rows = c.reshape(len(c), -1) if c.ndim == 4 else c.T
-        nn.check_f32_exact(name, skip + int(np.count_nonzero(rows, axis=1).max()))
-        return c.astype(np.float32)
-
-    def conv(name, x, skip=None):
-        """Channels-last sums [N, 16, g, O]; skip bits join the sums."""
-        reach, kmat = nn.tap_matrix(codes(name, skip is not None), hh, ww)
-        s = nn.conv_sums(x, reach, kmat)
+        nn.check_f32_exact(spec.name, (skip is not None)
+                           + int(np.count_nonzero(rows, axis=1).max()))
+        c = c.astype(np.float32)
+        if spec.kind == "conv":
+            s = nn.conv_sums(h, *nn.tap_matrix(c, hh, ww))  # [N, 16, g, O]
+        else:
+            if h.ndim == 4:  # dense rows are in [C, 16, g] order
+                c = nn.channels_last_rows(c, h.shape[3], hh, ww)
+            s = h.reshape(n, -1).astype(np.float32) @ c
         if skip is not None:
             s += skip
-        return s
+        if spec is specs[-1]:
+            break
+        h = planes[spec.name] = exact_predicate(model, spec).bits(s)
 
-    planes = []  # channels-last until returned
-    h = _exact_bn_bits(conv("conv0", bits.transpose(0, 2, 3, 1)), model.bn0,
-                       model.delta_of("conv0"))
-    planes.append(("conv0", h))
-    for i, blk in enumerate(model.blocks):
-        h0 = h
-        a1 = _exact_bn_bits(conv(f"res{i}.c1", h0), blk.bn1,
-                            model.delta_of(f"res{i}.c1"))
-        planes.append((f"res{i}.c1", a1))
-        h = _exact_bn_bits(conv(f"res{i}.c2", a1, skip=h0), blk.bn2,
-                           model.delta_of(f"res{i}.c2"))
-        planes.append((f"res{i}.c2", h))
-
-    w1 = nn.channels_last_rows(codes("dense1"), model.cfg.channels, hh, ww)
-    f1 = _exact_bias_bits(h.reshape(n, -1).astype(np.float32) @ w1,
-                          model.d1_b, model.delta_of("dense1"))
-    planes.append(("dense1", f1))
-    f2 = _exact_bias_bits(f1.astype(np.float32) @ codes("dense2"),
-                          model.d2_b, model.delta_of("dense2"))
-    planes.append(("dense2", f2))
-    s_out = (f2.astype(np.float32) @ codes("out")).astype(np.int64)
-
-    d = s_out[:, 1] - s_out[:, 0]
-    dlt = _frac(model.delta_of("out"))
-    db = _frac(model.out_b[1]) - _frac(model.out_b[0])
-    thr = model.cfg.decision_threshold
-    level = _frac(math.log(thr / (1.0 - thr)))
-
-    def pred(_, s):
-        return dlt * s + db >= level
-
-    labels = _switch_bits(d[:, None], pred, float(dlt),
-                          np.array([float(db) - float(level)]))[:, 0]
-    margin = float(dlt) * d.astype(np.float64) + float(db)
+    s = s.astype(np.int64)
+    d = s[:, 1] - s[:, 0]
+    labels = exact_predicate(model, spec).bits(d[:, None])[:, 0]
+    out_b = model.norms[spec.name]
+    margin = (model.delta_of(spec.name) * d.astype(np.float64)
+              + float(_frac(out_b[1]) - _frac(out_b[0])))
     scores = 1.0 / (1.0 + np.exp(-margin))
     if return_planes:
         planes = [(name, p.transpose(0, 3, 1, 2) if p.ndim == 4 else p)
-                  for name, p in planes]
-        planes.append(("out.sum_diff", d))
+                  for name, p in planes.items()]
+        planes += [(spec.name, labels[:, None]), (spec.name + ".sum_diff", d)]
         return labels, scores, planes
     return labels, scores
 
@@ -611,62 +617,63 @@ def train(model: Model, train_set: Dataset, val_set: Dataset,
 # ------------------------------------------------------------- persistence
 
 def save_model(model: Model, path):
-    tensors = {"conv0.w": model.conv0_w}
-    _bn_tensors(tensors, "bn0", model.bn0)
-    for i, blk in enumerate(model.blocks):
-        tensors[f"res{i}.c1.w"] = blk.w1
-        _bn_tensors(tensors, f"res{i}.bn1", blk.bn1)
-        tensors[f"res{i}.c2.w"] = blk.w2
-        _bn_tensors(tensors, f"res{i}.bn2", blk.bn2)
-    tensors.update({"dense1.w": model.d1_w, "dense1.b": model.d1_b,
-                    "dense2.w": model.d2_w, "dense2.b": model.d2_b,
-                    "out.w": model.out_w, "out.b": model.out_b})
-    cfg = model.cfg
+    tensors = {}
+    for spec in layer_specs(model.cfg):
+        tensors[f"{spec.name}.w"] = model.weights[spec.name]
+        tensors.update(_norm_tensors(spec, model.norms[spec.name]))
     meta = {
         "kind": "distinguisher",
         "stage": model.stage,
         "deltas": {k: float(v) for k, v in model.deltas.items()},
-        "config": {
-            "group_size": cfg.group_size, "channels": cfg.channels,
-            "residual_blocks": cfg.residual_blocks,
-            "dense_sizes": list(cfg.dense_sizes),
-            "decision_threshold": cfg.decision_threshold,
-            "hidden_activation": cfg.hidden_activation,
-        },
+        "config": {**vars(model.cfg),
+                   "dense_sizes": list(model.cfg.dense_sizes)},
     }
     save_weights(path, tensors, meta)
 
 
-def _bn_tensors(tensors, prefix, bn):
-    tensors[f"{prefix}.gamma"] = bn.gamma
-    tensors[f"{prefix}.beta"] = bn.beta
-    tensors[f"{prefix}.mean"] = bn.running_mean
-    tensors[f"{prefix}.var"] = bn.running_var
-
-
-def _bn_from(tensors, prefix):
-    return nn.BnState(gamma=tensors[f"{prefix}.gamma"],
-                      beta=tensors[f"{prefix}.beta"],
-                      running_mean=tensors[f"{prefix}.mean"],
-                      running_var=tensors[f"{prefix}.var"])
-
-
 def load_model(path) -> Model:
+    """Reads a checkpoint; a missing or misshapen tensor or a missing meta
+    key raises ValueError naming the file and the key."""
     tensors, meta = load_weights(path)
-    if meta.get("kind") != "distinguisher":
+    for key, typ in (("kind", str), ("stage", str), ("deltas", dict),
+                     ("config", dict)):
+        if not isinstance(meta, dict) or not isinstance(meta.get(key), typ):
+            raise ValueError(f"{path}: checkpoint meta has no {key!r} "
+                             f"{typ.__name__}")
+    if meta["kind"] != "distinguisher":
         raise ValueError(f"{path}: not a distinguisher checkpoint")
-    c = dict(meta["config"])
-    c["dense_sizes"] = tuple(c["dense_sizes"])
-    cfg = ModelConfig(**c)
-    blocks = [ResBlock(w1=tensors[f"res{i}.c1.w"],
-                       bn1=_bn_from(tensors, f"res{i}.bn1"),
-                       w2=tensors[f"res{i}.c2.w"],
-                       bn2=_bn_from(tensors, f"res{i}.bn2"))
-              for i in range(cfg.residual_blocks)]
-    model = Model(cfg, tensors["conv0.w"], _bn_from(tensors, "bn0"), blocks,
-                  d1_w=tensors["dense1.w"], d1_b=tensors["dense1.b"],
-                  d2_w=tensors["dense2.w"], d2_b=tensors["dense2.b"],
-                  out_w=tensors["out.w"], out_b=tensors["out.b"])
+    if meta["stage"] not in STAGES:
+        raise ValueError(f"{path}: unknown stage {meta['stage']!r}")
+    try:
+        c = dict(meta["config"])
+        c["dense_sizes"] = tuple(c["dense_sizes"])
+        cfg = ModelConfig(**c)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad 'config': {e}") from None
+
+    def tensor(key, shape):
+        if key not in tensors:
+            raise ValueError(f"{path}: checkpoint has no tensor {key!r}")
+        if tensors[key].shape != shape:
+            raise ValueError(f"{path}: tensor {key!r} has shape "
+                             f"{list(tensors[key].shape)}, expected "
+                             f"{list(shape)}")
+        return tensors[key]
+
+    weights, norms = {}, {}
+    for spec in layer_specs(cfg):
+        weights[spec.name] = tensor(f"{spec.name}.w", spec.weight_shape)
+        width = (spec.out_width,)
+        if spec.norm == "bn":
+            norms[spec.name] = nn.BnState(**{
+                attr: tensor(f"{spec.norm_key}.{suffix}", width)
+                for suffix, attr in _BN_TENSORS})
+        else:
+            norms[spec.name] = tensor(f"{spec.norm_key}.b", width)
+        if meta["stage"] != "fp" and spec.name not in meta["deltas"]:
+            raise ValueError(f"{path}: checkpoint meta has no "
+                             f"'deltas.{spec.name}'")
+    model = Model(cfg, weights, norms)
     model.deltas = {k: np.array(v, dtype=np.float64)
                     for k, v in meta["deltas"].items()}
     model.stage = meta["stage"]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lowering import BooleanProgram
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, layer_specs
 
 
 @dataclass(frozen=True)
@@ -87,23 +87,6 @@ def count_lightweight_layer(channels, d, count_dead_indicators=False) -> OpCount
     return OpCounts(bools=bools * d, adds=adds * d, indicators=counted * d)
 
 
-def _dense_model_rows(cfg: ModelConfig):
-    d = 16 * cfg.group_size
-    c = cfg.channels
-    rows = [("conv0", count_dense_layer(LayerShape("conv", 4, c, (1, 1), d)))]
-    res = OpCounts()
-    for _ in range(cfg.residual_blocks):
-        res = res + count_dense_layer(LayerShape("conv", c, c, (3, 3), d))
-        res = res + count_dense_layer(LayerShape("conv", c, c, (3, 3), d))
-    rows.append(("residual", res))
-    d1, d2 = cfg.dense_sizes
-    head = (count_dense_layer(LayerShape("dense", cfg.flatten_width, d1))
-            + count_dense_layer(LayerShape("dense", d1, d2)))
-    rows.append(("head", head))
-    rows.append(("output", count_dense_layer(LayerShape("dense", d2, 2))))
-    return rows
-
-
 def _component_of(layer_name):
     if layer_name.startswith("res"):
         return "residual"
@@ -114,10 +97,30 @@ def _component_of(layer_name):
     return layer_name
 
 
-def _program_rows(prog: BooleanProgram, count_dead_indicators):
-    d_conv = 16 * prog.group_size
+def _by_component(counts):
+    """[(component, OpCounts)] summed from (layer name, OpCounts) pairs."""
     rows = {"conv0": OpCounts(), "residual": OpCounts(), "head": OpCounts(),
             "output": OpCounts()}
+    for name, cnt in counts:
+        comp = _component_of(name)
+        if comp not in rows:
+            raise ValueError(f"layer {name!r} belongs to no component")
+        rows[comp] = rows[comp] + cnt
+    return list(rows.items())
+
+
+def _dense_model_rows(cfg: ModelConfig):
+    d_conv = 16 * cfg.group_size
+    return _by_component(
+        (s.name, count_dense_layer(LayerShape(
+            s.kind, s.in_width, s.out_width, s.kernel,
+            d_conv if s.kind == "conv" else 1)))
+        for s in layer_specs(cfg))
+
+
+def _program_rows(prog: BooleanProgram, count_dead_indicators):
+    d_conv = 16 * prog.group_size
+    counts = []
     for layer in prog.layers:
         d = d_conv if layer.kind == "conv" else 1
         if layer.decision == "compare":
@@ -127,10 +130,8 @@ def _program_rows(prog: BooleanProgram, count_dead_indicators):
         else:
             cnt = count_lightweight_layer(layer.channels, d,
                                           count_dead_indicators)
-        comp = _component_of(layer.name)
-        rows[comp] = rows[comp] + cnt
-    return [(name, rows[name]) for name in
-            ("conv0", "residual", "head", "output")]
+        counts.append((layer.name, cnt))
+    return _by_component(counts)
 
 
 def count_model(obj, count_dead_indicators=False):

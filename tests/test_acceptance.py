@@ -78,14 +78,14 @@ def test_criterion_4_conv0_boolean_extraction():
                       dense_sizes=(8, 8))
     m = build_model(cfg, seed=0)
     m.set_stage("full")
-    identity_bn(m.bn0)
+    identity_bn(m.norms["conv0"])
     delta = 0.5
-    m.conv0_w[:] = 0.0
+    m.weights["conv0"][:] = 0.0
     pattern = {1: (-1, 0, 1, 0), 15: (1, 0, -1, 0),
                24: (0, 1, 0, -1), 25: (0, -1, 0, 1)}
     for ch, codes in pattern.items():
         for in_ch, code in enumerate(codes):
-            m.conv0_w[ch, in_ch, 0, 0] = code * delta
+            m.weights["conv0"][ch, in_ch, 0, 0] = code * delta
     m.deltas["conv0"][()] = delta
 
     prog = lower_model(m)

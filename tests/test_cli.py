@@ -2,18 +2,26 @@
 
 import dataclasses
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ndlite import dataset
-from ndlite.cli import main, sha256_file
+from ndlite.checkpoint import load_weights, save_weights
+from ndlite.cli import _implied_config, main, sha256_file
 from ndlite.dataset import load_dataset, save_dataset
-from ndlite.lowering import load_program, save_program
-from ndlite.model import load_model, save_model
+from ndlite.lowering import (load_program, lower_model, save_program,
+                             structure_mismatch)
+from ndlite.model import (exact_bit_forward, layer_specs, load_model,
+                          save_model)
 
-from test_lowering import _planted_conv0_model
-from test_model import randomized_quantized_model
+from test_lowering import _planted_conv0_model, antisymmetrize_output
+from test_model import randomized_quantized_model, small_cfg
 
 
 def run(argv):
@@ -352,12 +360,40 @@ def _truncate_channel_line(lines):
     return idx
 
 
+def _claim_96_layers(lines):
+    lines[0] = lines[0].replace(" layers=6", " layers=96")
+    return 0
+
+
+def _claim_extra_channel(lines):
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("LAYER "))
+    n = int(lines[idx].split(" channels=")[1].split(" ")[0])
+    lines[idx] = lines[idx].replace(f" channels={n}", f" channels={n + 1}")
+    return idx
+
+
+def _second_out_layer(lines):
+    """Repeat the compare-decision out layer after itself."""
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("LAYER name=out"))
+    end = lines.index("EXPR")
+    lines[end:end] = lines[idx:end]
+    lines[0] = lines[0].replace(" layers=6", " layers=7")
+    return idx
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("no-name", _drop_key("name", "LAYER "), "missing name="),
     ("no-kind", _drop_key("kind", "LAYER "), "missing kind="),
     ("no-in", _drop_key("in", "LAYER "), "missing in="),
     ("no-layout", _drop_key("layout", "BPROG "), "missing layout="),
+    ("no-layers", _drop_key("layers", "BPROG "), "missing layers="),
+    ("no-channels", _drop_key("channels", "LAYER "), "missing channels="),
     ("truncated", _truncate_channel_line, "malformed index list"),
+    ("layers-96", _claim_96_layers,
+     "header has layers=96 but the body has 6 LAYER lines"),
+    ("extra-channel", _claim_extra_channel, "conv0 has channels=4 but 3"),
+    ("second-out", _second_out_layer,
+     "out: the last layer, and only it, takes a decision="),
 ])
 def test_malformed_program_exits_2(work, quant_ckpt, lowered, tiny_data,
                                    capsys, name, edit, message):
@@ -377,3 +413,118 @@ def test_group_size_mismatch_exits_2(work, quant_ckpt):
     assert run(["gen-data", "--out", out, "--n-per-class", 16,
                 "--rounds", 3, "--group-size", 8]) == 0
     assert run(["eval", quant_ckpt, "--data", out]) == 2
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy of checkpoint src with edit(header dict) applied."""
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 4)
+    header = edit(json.loads(raw[8:8 + hlen]))
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob
+                    + raw[8 + hlen:])
+
+
+# (name, part edited, edit, message); "body" edits get and return
+# (tensors, meta), "header" edits the checkpoint's JSON header.
+_BAD_CHECKPOINTS = [
+    ("no-tensor", "body", lambda t, m: (_without(t, "res0.c1.w"), m),
+     "checkpoint has no tensor 'res0.c1.w'"),
+    ("no-norm", "body", lambda t, m: (_without(t, "res0.bn2.var"), m),
+     "checkpoint has no tensor 'res0.bn2.var'"),
+    ("dense1-3x8", "body",
+     lambda t, m: ({**t, "dense1.w": np.zeros((3, 8), np.float32)}, m),
+     "tensor 'dense1.w' has shape [3, 8], expected [48, 6]"),
+    ("no-delta", "body",
+     lambda t, m: (t, {**m, "deltas": _without(m["deltas"], "out")}),
+     "checkpoint meta has no 'deltas.out'"),
+] + [
+    (f"no-meta-{key}", "body", lambda t, m, key=key: (t, _without(m, key)),
+     f"checkpoint meta has no {key!r}")
+    for key in ("kind", "stage", "deltas", "config")
+] + [
+    (f"no-header-{key}", "header", lambda h, key=key: _without(h, key),
+     f"header has no {key!r}")
+    for key in ("version", "tensors", "payload_sha256", "meta")
+]
+
+
+@pytest.mark.parametrize("name, part, edit, message", _BAD_CHECKPOINTS,
+                         ids=[c[0] for c in _BAD_CHECKPOINTS])
+def test_malformed_checkpoint_exits_2(work, quant_ckpt, tiny_data, capsys,
+                                      name, part, edit, message):
+    path = work / f"{name}.ndwf"
+    if part == "header":
+        _rewrite_header(quant_ckpt, path, edit)
+    else:
+        save_weights(path, *edit(*load_weights(quant_ckpt)))
+    for argv in (["eval", path, "--data", tiny_data["val"]],
+                 ["count", path],
+                 ["verify", "--checkpoint", path, "--program", path]):
+        capsys.readouterr()
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
+        assert "Traceback" not in err
+
+
+def test_verify_renamed_layer_exits_3(work, quant_ckpt, lowered, capsys):
+    text = lowered.read_text(encoding="utf-8")
+    renamed = work / "dense9.bprog"
+    renamed.write_text(text.replace("LAYER name=dense2 ", "LAYER name=dense9 "),
+                       encoding="utf-8")
+    capsys.readouterr()
+    assert run(["verify", "--checkpoint", quant_ckpt, "--program", renamed,
+                "--trials", 10]) == 3
+    err = capsys.readouterr().err
+    assert "layer=dense9" in err and "Traceback" not in err
+
+
+def test_verify_two_block_program_on_one_block_model_exits_3(
+        work, quant_ckpt, capsys):
+    two = randomized_quantized_model(1, cfg=small_cfg(residual_blocks=2))
+    path = work / "two_blocks.bprog"
+    save_program(lower_model(two), path)
+    capsys.readouterr()
+    assert run(["verify", "--checkpoint", quant_ckpt, "--program", path,
+                "--trials", 0]) == 3
+    err = capsys.readouterr().err
+    assert "layer=res1.c1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("group_size", [1, 2])
+def test_layer_table_is_the_only_wiring(tmp_path, blocks, group_size):
+    m = randomized_quantized_model(
+        4, cfg=small_cfg(residual_blocks=blocks, group_size=group_size))
+    antisymmetrize_output(m)
+    names = [s.name for s in layer_specs(m.cfg)]
+    prog = lower_model(m)
+    assert [lp.name for lp in prog.layers] == names
+    assert structure_mismatch(prog, layer_specs(m.cfg)) is None
+    bits = np.zeros((2, 4, 16, group_size), dtype=np.uint8)
+    _, _, planes = exact_bit_forward(m, bits, return_planes=True)
+    assert [n for n, _ in planes if n != "out.sum_diff"] == names
+    path = tmp_path / "m.ndwf"
+    save_model(m, path)
+    tensors, _ = load_weights(path)
+    assert [k[:-len(".w")] for k in tensors if k.endswith(".w")] == names
+    assert [s.name for s in layer_specs(_implied_config(prog))] == names
+
+
+def test_runtime_imports_numpy_only(quant_ckpt):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, ndlite, ndlite.cli\n"
+            "rc = ndlite.cli.main(['count', sys.argv[1]])\n"
+            "print(rc, sorted(m for m in ('scipy', 'hypothesis', 'pytest')\n"
+            "                 if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(quant_ckpt)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"

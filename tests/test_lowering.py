@@ -65,7 +65,7 @@ def ternary_from_codes(codes, delta):
 
 
 def antisymmetrize_output(m):
-    m.out_w[:, 1] = -m.out_w[:, 0]
+    m.weights["out"][:, 1] = -m.weights["out"][:, 0]
 
 
 # ------------------------------------------------------------------ folding
@@ -178,7 +178,7 @@ def test_zero_codes_never_appear_in_index_sets():
     for _ in range(100):
         name = layer_names[r.integers(len(layer_names))]
         layer = prog.layer(name)
-        t = extract_ternary(m._weight_of(name), m.delta_of(name))
+        t = extract_ternary(m.weights[name], m.delta_of(name))
         ci = int(r.integers(len(layer.channels)))
         cp = layer.channels[ci]
         if t.codes.ndim == 4:
@@ -348,16 +348,16 @@ def _planted_skip_model():
     """Planted conv0 channel 0 (C_l & ~C_r) and an identity res0.c2 whose
     output is a1 | h0, so the skip bit shows in its plane."""
     m = _planted_conv0_model()
-    identity_bn(m.blocks[0].bn2)
-    m.blocks[0].w2[:] = 0.0
+    identity_bn(m.norms["res0.c2"])
+    m.weights["res0.c2"][:] = 0.0
     for c in range(m.cfg.channels):
-        m.blocks[0].w2[c, c, 1, 1] = 10.0
+        m.weights["res0.c2"][c, c, 1, 1] = 10.0
     return m
 
 
 def test_dead_channel_in_skip_layer_passes_skip_bit():
     m = _planted_skip_model()
-    m.blocks[0].w2[0] = 0.0  # no codes: channel 0's sum is the skip bit alone
+    m.weights["res0.c2"][0] = 0.0  # no codes: channel 0's sum is the skip bit alone
     prog = lower_model(m)
     cp = prog.layer("res0.c2").channels[0]
     assert cp.const is None and cp.fan_in == 0
@@ -441,7 +441,7 @@ def test_lower_model_requires_full_stage():
 
 def test_zero_theta_mode_equals_folded_on_identity_model():
     m = build_model(small_cfg(), seed=9)
-    for bn in [m.bn0, m.blocks[0].bn1, m.blocks[0].bn2]:
+    for bn in [m.norms["conv0"], m.norms["res0.c1"], m.norms["res0.c2"]]:
         identity_bn(bn)
     antisymmetrize_output(m)
     m.set_stage("full")
@@ -473,10 +473,10 @@ def test_verify_vacuous_pass_warns():
 
 def _planted_conv0_model():
     m = randomized_quantized_model(3)
-    identity_bn(m.bn0)
-    m.conv0_w[:] = 0.0
-    m.conv0_w[0, 0, 0, 0] = 10.0
-    m.conv0_w[0, 1, 0, 0] = -10.0
+    identity_bn(m.norms["conv0"])
+    m.weights["conv0"][:] = 0.0
+    m.weights["conv0"][0, 0, 0, 0] = 10.0
+    m.weights["conv0"][0, 1, 0, 0] = -10.0
     return m
 
 
@@ -503,10 +503,10 @@ def test_verify_catches_theta_shift():
 
 def test_verify_catches_dropped_skip():
     m = randomized_quantized_model(5)
-    identity_bn(m.blocks[0].bn2)
-    m.blocks[0].w2[:] = 0.0
+    identity_bn(m.norms["res0.c2"])
+    m.weights["res0.c2"][:] = 0.0
     for c in range(m.cfg.channels):
-        m.blocks[0].w2[c, c, 1, 1] = 10.0
+        m.weights["res0.c2"][c, c, 1, 1] = 10.0
     prog = lower_model(m)
     prog.layer("res0.c2").skip_from = None
     rep = verify_equivalence(prog, m, trials=0, exhaustive_width=9)
@@ -521,9 +521,9 @@ def test_verify_random_trials_catch_wide_channel_mutation():
     # keep the feeding plane varying, theta 0 keeps the sum near the
     # boundary, and the removed index is picked from bits that fire.
     m = randomized_quantized_model(7)
-    for bn in [m.bn0, m.blocks[0].bn1, m.blocks[0].bn2]:
+    for bn in [m.norms["conv0"], m.norms["res0.c1"], m.norms["res0.c2"]]:
         identity_bn(bn)
-    m.d1_b[:] = 0.0
+    m.norms["dense1"][:] = 0.0
     m.deltas["dense1"][()] = 0.05  # small step keeps most codes nonzero
     prog = lower_model(m)
     bits = np.random.default_rng(99).integers(0, 2, size=(300, 4, 16, 1),

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from ndlite import lowering, nn
 from ndlite import model as model_module
 from ndlite.dataset import gen_dataset
-from ndlite.model import (Model, ModelConfig, TrainHyper, _exact_bias_bits,
-                          _exact_bn_bits, _switch_bits, build_model,
+from ndlite.model import (Model, ModelConfig, TrainHyper, _bias_predicate,
+                          _bn_predicate, _switch_bits, build_model,
                           classify, evaluate, exact_bit_forward, load_model,
                           save_model, train)
 from ndlite.quant import QuantSchedule, extract_ternary
@@ -38,27 +38,27 @@ def small_cfg(**kw):
 
 def test_build_default_shapes():
     m = build_model(ModelConfig(), seed=0)
-    assert m.conv0_w.shape == (32, 4, 1, 1)          # 128 weights
-    assert m.blocks[0].w1.shape == (32, 32, 3, 3)    # 9216 weights
-    assert m.blocks[0].w2.shape == (32, 32, 3, 3)
-    assert m.d1_w.shape == (4096, 64)
-    assert m.d2_w.shape == (64, 64)
-    assert m.out_w.shape == (64, 2)
-    assert m.conv0_w.dtype == np.float32
+    assert m.weights["conv0"].shape == (32, 4, 1, 1)          # 128 weights
+    assert m.weights["res0.c1"].shape == (32, 32, 3, 3)    # 9216 weights
+    assert m.weights["res0.c2"].shape == (32, 32, 3, 3)
+    assert m.weights["dense1"].shape == (4096, 64)
+    assert m.weights["dense2"].shape == (64, 64)
+    assert m.weights["out"].shape == (64, 2)
+    assert m.weights["conv0"].dtype == np.float32
 
 
 def test_build_g1_flatten_width():
     m = build_model(ModelConfig(group_size=1), seed=0)
-    assert m.d1_w.shape[0] == 512
+    assert m.weights["dense1"].shape[0] == 512
 
 
 def test_build_deterministic():
     a = build_model(ModelConfig(), seed=7)
     b = build_model(ModelConfig(), seed=7)
     c = build_model(ModelConfig(), seed=8)
-    assert np.array_equal(a.conv0_w, b.conv0_w)
-    assert np.array_equal(a.d1_w, b.d1_w)
-    assert not np.array_equal(a.conv0_w, c.conv0_w)
+    assert np.array_equal(a.weights["conv0"], b.weights["conv0"])
+    assert np.array_equal(a.weights["dense1"], b.weights["dense1"])
+    assert not np.array_equal(a.weights["conv0"], c.weights["conv0"])
 
 
 def test_config_validation():
@@ -88,22 +88,18 @@ def test_residual_block_is_identity_when_zeroed():
     # pieces: the skip path then reproduces the block input bit for bit.
     cfg2 = small_cfg(residual_blocks=2)
     m2 = build_model(cfg2, seed=3)
-    blk = m2.blocks[1]
-    blk.w1[:] = 0.0
-    blk.w2[:] = 0.0
-    for bn in (blk.bn1, blk.bn2):
+    m2.weights["res1.c1"][:] = 0.0
+    m2.weights["res1.c2"][:] = 0.0
+    for bn in (m2.norms["res1.c1"], m2.norms["res1.c2"]):
         bn.gamma[:] = 1.0
         bn.beta[:] = 0.0
         bn.running_mean[:] = 0.0
         bn.running_var[:] = 1.0 - bn.eps  # sqrt(var + eps) == 1 exactly
 
     m1 = build_model(small_cfg(residual_blocks=1), seed=3)
-    m1.conv0_w = m2.conv0_w
-    m1.bn0 = m2.bn0
-    m1.blocks = [m2.blocks[0]]
-    m1.d1_w, m1.d1_b = m2.d1_w, m2.d1_b
-    m1.d2_w, m1.d2_b = m2.d2_w, m2.d2_b
-    m1.out_w, m1.out_b = m2.out_w, m2.out_b
+    for name in ("conv0", "res0.c1", "res0.c2", "dense1", "dense2", "out"):
+        m1.weights[name] = m2.weights[name]
+        m1.norms[name] = m2.norms[name]
 
     x = np.random.default_rng(4).integers(0, 2, size=(5, 4, 16, 1))
     x = x.astype(np.float32)
@@ -121,7 +117,7 @@ def test_set_stage_initializes_deltas():
     names = m.quant_layer_names()
     assert set(m.deltas) == set(names)
     for name in names:
-        w = m._weight_of(name)
+        w = m.weights[name]
         assert float(m.deltas[name]) == pytest.approx(
             2.0 * float(np.mean(np.abs(w))))
     with pytest.raises(ValueError):
@@ -140,16 +136,16 @@ def test_project_deltas_clamps():
 
 def test_symmetric_output_scores_half_and_threshold_inclusive():
     m = build_model(small_cfg(), seed=0)
-    m.out_w[:] = 0.0
-    m.out_b[:] = 0.0
+    m.weights["out"][:] = 0.0
+    m.norms["out"][:] = 0.0
     bits = np.random.default_rng(1).integers(0, 2, size=(4, 16, 1)).astype(np.uint8)
     label, score = classify(m, bits)
     assert score == 0.5
     assert label == 0  # 0.5 < 0.505
 
     m_inc = build_model(small_cfg(decision_threshold=0.5), seed=0)
-    m_inc.out_w[:] = 0.0
-    m_inc.out_b[:] = 0.0
+    m_inc.weights["out"][:] = 0.0
+    m_inc.norms["out"][:] = 0.0
     label, score = classify(m_inc, bits)
     assert score == 0.5 and label == 1  # boundary inclusive
 
@@ -157,8 +153,8 @@ def test_symmetric_output_scores_half_and_threshold_inclusive():
 def test_evaluate_all_half_scorer_and_errors():
     ds = gen_dataset(n_per_class=16, rounds=3, group_size=1, seed=0)
     m = build_model(small_cfg(), seed=0)
-    m.out_w[:] = 0.0
-    m.out_b[:] = 0.0
+    m.weights["out"][:] = 0.0
+    m.norms["out"][:] = 0.0
     acc, confusion = evaluate(m, ds)
     assert acc == 0.5  # everything classified random; the set is balanced
     assert confusion == {"tp": 0, "tn": 16, "fp": 0, "fn": 16}
@@ -178,11 +174,11 @@ def test_evaluate_all_half_scorer_and_errors():
 def test_train_zero_epochs_returns_unchanged():
     ds = gen_dataset(n_per_class=32, rounds=3, group_size=1, seed=0)
     m = build_model(small_cfg(), seed=0)
-    before = m.conv0_w.copy()
+    before = m.weights["conv0"].copy()
     out, report = train(m, ds, ds, TrainHyper(epochs=0))
     assert out is m
     assert report.entries == []
-    assert np.array_equal(m.conv0_w, before)
+    assert np.array_equal(m.weights["conv0"], before)
 
 
 def test_train_runs_and_reports():
@@ -253,7 +249,7 @@ def ref_exact_forward(m: Model, bits):
     g = m.cfg.group_size
 
     def codes_of(name):
-        w = np.asarray(m._weight_of(name), dtype=np.float64)
+        w = np.asarray(m.weights[name], dtype=np.float64)
         d = m.delta_of(name)
         v = w / d
         return np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5), -1, 1).astype(int)
@@ -283,19 +279,19 @@ def ref_exact_forward(m: Model, bits):
     x = bits.astype(int)
     s = conv(x, codes_of("conv0"))
     d0 = m.delta_of("conv0")
-    h = np.array([[[bn_bit(m.bn0, c, int(s[c, i, j]), d0)
+    h = np.array([[[bn_bit(m.norms["conv0"], c, int(s[c, i, j]), d0)
                     for j in range(g)] for i in range(16)]
                   for c in range(s.shape[0])])
-    for bi, blk in enumerate(m.blocks):
+    for bi in range(m.cfg.residual_blocks):
         h0 = h
         s1 = conv(h0, codes_of(f"res{bi}.c1"))
         d1 = m.delta_of(f"res{bi}.c1")
-        a1 = np.array([[[bn_bit(blk.bn1, c, int(s1[c, i, j]), d1)
+        a1 = np.array([[[bn_bit(m.norms[f"res{bi}.c1"], c, int(s1[c, i, j]), d1)
                          for j in range(g)] for i in range(16)]
                        for c in range(s1.shape[0])])
         s2 = conv(a1, codes_of(f"res{bi}.c2")) + h0
         d2 = m.delta_of(f"res{bi}.c2")
-        h = np.array([[[bn_bit(blk.bn2, c, int(s2[c, i, j]), d2)
+        h = np.array([[[bn_bit(m.norms[f"res{bi}.c2"], c, int(s2[c, i, j]), d2)
                         for j in range(g)] for i in range(16)]
                       for c in range(s2.shape[0])])
 
@@ -308,13 +304,16 @@ def ref_exact_forward(m: Model, bits):
             outs.append(1 if F(delta) * acc + F(float(bias[c])) > 0 else 0)
         return np.array(outs, dtype=int)
 
-    f1 = dense_bits(flat, codes_of("dense1"), m.d1_b, m.delta_of("dense1"))
-    f2 = dense_bits(f1, codes_of("dense2"), m.d2_b, m.delta_of("dense2"))
+    f1 = dense_bits(flat, codes_of("dense1"), m.norms["dense1"],
+                    m.delta_of("dense1"))
+    f2 = dense_bits(f1, codes_of("dense2"), m.norms["dense2"],
+                    m.delta_of("dense2"))
     oc = codes_of("out")
     s0 = int(np.dot(f2, oc[:, 0]))
     s1 = int(np.dot(f2, oc[:, 1]))
     do = m.delta_of("out")
-    diff = F(do) * (s1 - s0) + F(float(m.out_b[1])) - F(float(m.out_b[0]))
+    out_b = m.norms["out"]
+    diff = F(do) * (s1 - s0) + F(float(out_b[1])) - F(float(out_b[0]))
     t = m.cfg.decision_threshold
     return 1 if diff >= F(math.log(t / (1.0 - t))) else 0
 
@@ -322,13 +321,15 @@ def ref_exact_forward(m: Model, bits):
 def randomized_quantized_model(seed, cfg=None):
     r = np.random.default_rng(seed)
     m = build_model(cfg or small_cfg(), seed=seed)
-    for bn in [m.bn0] + [s for b in m.blocks for s in (b.bn1, b.bn2)]:
+    for bn in [m.norms["conv0"]] + [m.norms[f"res{i}.c{k}"]
+                                    for i in range(m.cfg.residual_blocks)
+                                    for k in (1, 2)]:
         bn.gamma[:] = r.normal(size=bn.gamma.shape).astype(np.float32)
         bn.beta[:] = r.normal(scale=0.5, size=bn.beta.shape).astype(np.float32)
         bn.running_mean[:] = r.normal(size=bn.running_mean.shape).astype(np.float32)
         bn.running_var[:] = (0.05 + np.abs(r.normal(size=bn.running_var.shape))
                              ).astype(np.float32)
-    for b in (m.d1_b, m.d2_b, m.out_b):
+    for b in (m.norms["dense1"], m.norms["dense2"], m.norms["out"]):
         b[:] = r.normal(scale=0.3, size=b.shape).astype(np.float32)
     m.set_stage("full")
     for name in m.deltas:
@@ -409,13 +410,13 @@ def test_switch_point_bits_equal_lut_oracle(case):
         return (F(bn.gamma[c]) * (dlt * x - F(bn.running_mean[c]))
                 + F(bn.beta[c]) * sig[c] > 0)
 
-    assert np.array_equal(_exact_bn_bits(s, bn, delta),
+    assert np.array_equal(_bn_predicate(bn, delta).bits(s),
                           channel_lut_bits(s, bn_pred))
 
     def bias_pred(c, x):
         return dlt * x + F(bias[c]) > 0
 
-    assert np.array_equal(_exact_bias_bits(s, bias, delta),
+    assert np.array_equal(_bias_predicate(bias, delta).bits(s),
                           channel_lut_bits(s, bias_pred))
 
 
@@ -467,7 +468,7 @@ def test_exact_forward_asserts_float32_exact_bound(monkeypatch):
     bits = np.zeros((3, 4, 16, 1), dtype=np.uint8)
     widest = 0
     for name in m.quant_layer_names():
-        codes = extract_ternary(m._weight_of(name), m.delta_of(name)).codes
+        codes = extract_ternary(m.weights[name], m.delta_of(name)).codes
         rows = codes.reshape(len(codes), -1) if codes.ndim == 4 else codes.T
         widest = max(widest, int(np.count_nonzero(rows, axis=1).max())
                      + name.endswith(".c2"))

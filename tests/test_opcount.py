@@ -143,7 +143,7 @@ def test_lowered_program_counts_match_codes():
     total, rows = count_model(prog)
     assert total.mults == 0
     d = 16 * m.cfg.group_size
-    conv0_nnz = int((extract_ternary(m.conv0_w, m.delta_of("conv0")).codes
+    conv0_nnz = int((extract_ternary(m.weights["conv0"], m.delta_of("conv0")).codes
                      != 0).sum())
     # constant channels shed their gathers, so counted bools never exceed
     # the raw nonzero count
