@@ -218,6 +218,18 @@ def _schedule(r, stage):
     return QuantSchedule(warmup, weights, acts)
 
 
+def _progress(n_samples):
+    """model.train's on_epoch callback: one progress line per epoch on
+    stderr."""
+    def show(e):
+        print(f"epoch {e['epoch']}: stage={e['stage']} loss={e['loss']:.4f} "
+              f"train_acc={e['train_acc']:.4f} val_acc={e['val_acc']:.4f} "
+              f"{e['seconds']:.2f}s "
+              f"{n_samples / max(e['seconds'], 1e-9):.0f} samples/s",
+              file=sys.stderr)
+    return show
+
+
 def cmd_train(args):
     r = Resolver(args)
     data_path = r.get("data", required=True)
@@ -248,7 +260,8 @@ def cmd_train(args):
         model = build_model(cfg, seed=run_seed)
         hyper_i = TrainHyper(**{**hyper.__dict__, "seed": run_seed})
         model, train_report = train(model, train_set, val_set,
-                                    hyper=hyper_i, quant=quant)
+                                    hyper=hyper_i, quant=quant,
+                                    on_epoch=_progress(len(train_set)))
         path = out_path if repeats == 1 else out_path.with_name(
             f"{out_path.stem}.r{i}{out_path.suffix}")
         save_model(model, path)
@@ -291,7 +304,8 @@ def cmd_quantize(args):
         report.add_input(data_path)
         report.add_input(val_path)
         hyper = TrainHyper(**{**_hyper(r, seed).__dict__, "epochs": epochs})
-        model, train_report = train(model, train_set, val_set, hyper=hyper)
+        model, train_report = train(model, train_set, val_set, hyper=hyper,
+                                    on_epoch=_progress(len(train_set)))
         results["fine_tune_epochs"] = epochs
         results["best_epoch"] = train_report.best_epoch
         acc, _ = evaluate(model, val_set)
@@ -314,6 +328,11 @@ def _print_counterexample(ce):
                   file=sys.stderr)
         else:
             print(f"  {key}={value}", file=sys.stderr)
+
+
+def _coverage(rep):
+    return (f"{rep.trials_run} random trials, proven "
+            f"{rep.exhaustive_channels}/{rep.total_channels} channels")
 
 
 def _sparsity_lines(prog):
@@ -358,16 +377,13 @@ def cmd_lower(args):
                              exhaustive_width=width, seed=seed)
     report.finish(verify_passed=rep.passed, trials_run=rep.trials_run,
                   exhaustive_channels=rep.exhaustive_channels,
-                  warnings=prog.warnings + rep.warnings,
+                  total_channels=rep.total_channels, warnings=prog.warnings,
                   expressions=[f"{ln} ch={ci}: {f}" for ln, ci, f in exprs])
-    for warning in rep.warnings:
-        print(f"warning: {warning}")
     if not rep.passed:
         print("equivalence verification FAILED", file=sys.stderr)
         _print_counterexample(rep.counterexample)
         return EXIT_EQUIVALENCE
-    print(f"verified: {rep.trials_run} random trials, "
-          f"{rep.exhaustive_channels} exhaustive channels")
+    print(f"verified: {_coverage(rep)}")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -500,15 +516,12 @@ def cmd_verify(args):
                              exhaustive_width=width, seed=seed)
     report.finish(passed=rep.passed, trials_run=rep.trials_run,
                   exhaustive_channels=rep.exhaustive_channels,
-                  warnings=rep.warnings)
-    for warning in rep.warnings:
-        print(f"warning: {warning}")
+                  total_channels=rep.total_channels)
     if not rep.passed:
         print("equivalence verification FAILED", file=sys.stderr)
         _print_counterexample(rep.counterexample)
         return EXIT_EQUIVALENCE
-    print(f"equivalent: {rep.trials_run} random trials, "
-          f"{rep.exhaustive_channels} exhaustive channels")
+    print(f"equivalent: {_coverage(rep)}")
     return EXIT_OK
 
 

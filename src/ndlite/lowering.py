@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .model import (Model, _frac, exact_bit_forward, exact_predicate,
-                    layer_specs)
+from .model import (Model, _frac, exact_bit_forward, exact_layers,
+                    exact_predicate, layer_specs)
 from .quant import extract_ternary
 
 INPUT_CHANNEL_NAMES = ("C_l", "C_r", "C_l'", "C_r'")
@@ -433,9 +433,10 @@ def run_program(prog: BooleanProgram, bits, return_planes=False):
 class VerifyReport:
     passed: bool
     trials_run: int
+    # channels proven equal to the model's over their whole reachable range
     exhaustive_channels: int
+    total_channels: int  # indicator channels; a compare decision is not one
     counterexample: dict | None = None
-    warnings: list = field(default_factory=list)
 
 
 def _exhaustive_channel(pred, spec, layer, codes, channel_idx, width):
@@ -516,27 +517,97 @@ def structure_mismatch(prog, specs):
     return None
 
 
+def _prove(prog, model):
+    """(channels proven, counterexample | None): each program indicator
+    against the model's over the whole range [lo, hi] its integer sum can
+    reach, in O(1) per channel from the switch points of exact_layers.
+
+    Structure first: each layer's skip bit, and a non-constant channel's
+    P/N sets on the live taps, must be the model's; a folded output also
+    needs antisymmetric model columns, so that the model decides at
+    D = S1 - S0 = 2S of the program's sum S, and 2S > t iff S > floor(t/2).
+    Then two indicators S > t, each xor'd with a side or constant, agree on
+    every integer of [lo, hi] iff, with t clamped into [lo - 1, hi], they
+    agree at lo and at hi and, where they change over it, switch at the
+    same point. Channels are proven in order up to the first mismatch."""
+    proven = 0
+    for layer, cl, el in zip(prog.layers, _compiled_layers(prog),
+                             exact_layers(model)):
+        kmat, lo, hi, t = el.kmat, el.lo, el.hi, el.t.astype(np.int64)
+        compare = layer.decision == "compare"
+        if layer.decision == "folded":
+            if not np.array_equal(kmat[:, 0], -kmat[:, 1]):
+                return proven, {"layer": layer.name, "channel": 0,
+                                "reason": "the model's output columns are "
+                                          "not negations of each other"}
+            kmat, lo, hi, t = kmat[:, 1:], lo // 2, hi // 2, t // 2
+        if layer.skip_from != el.spec.skip_from:
+            return proven, {"layer": layer.name, "channel": 0,
+                            "support": ["skip"], "program": layer.skip_from,
+                            "model": el.spec.skip_from}
+        const = np.array([cp.const is not None and not compare
+                          for cp in layer.channels])
+        wrong = np.flatnonzero((cl.kmat != kmat).any(axis=0) & ~const)
+        if len(wrong):
+            c = int(wrong[0])
+            cp = layer.channels[c]
+            codes = extract_ternary(model.weights[layer.name],
+                                    model.delta_of(layer.name)).codes
+            p, n = _positions(codes[c] if codes.ndim == 4 else
+                              codes[:, c + (layer.decision == "folded")])
+            return proven + c, {
+                "layer": layer.name, "channel": c,
+                "support": sorted((set(p) ^ set(cp.p)) | (set(n) ^ set(cp.n)))}
+        if compare:
+            sides = [(layer.compare_theta, False)]
+        else:
+            sides = [(cp.theta, cp.flip) if cp.const is None
+                     else (lo_c - 1, not cp.const)
+                     for cp, lo_c in zip(layer.channels, lo.tolist())]
+        theta = np.array([min(max(th, lo_c - 1), hi_c) for (th, _), lo_c, hi_c
+                          in zip(sides, lo.tolist(), hi.tolist())])
+        flip = np.array([f for _, f in sides], dtype=bool)
+        got_lo, got_hi = (lo > theta) ^ flip, (hi > theta) ^ flip
+        want_lo, want_hi = (lo > t) ^ el.first, (hi > t) ^ el.first
+        bad = np.flatnonzero((got_lo != want_lo) | (got_hi != want_hi)
+                             | ((got_lo != got_hi) & (theta != t)))
+        if len(bad):
+            c = int(bad[0])
+            # a sum where they differ: an end, or just past the lower switch
+            s = min(theta[c], t[c]) + 1
+            if got_lo[c] != want_lo[c]:
+                s = lo[c]
+            elif got_hi[c] != want_hi[c]:
+                s = hi[c]
+            return proven + c, {
+                "layer": layer.name, "channel": c, "sum": int(s),
+                "program_bit": int((s > theta[c]) ^ flip[c]),
+                "model_bit": int((s > t[c]) ^ el.first[c])}
+        if not compare:
+            proven += len(layer.channels)
+    return proven, None
+
+
 def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
                        exhaustive_width=9, seed=0, batch=2048) -> VerifyReport:
-    """Layer structure, then randomized whole-network trials, then
-    exhaustive per-channel sweeps.
+    """Layer structure, then randomized whole-network trials, then a
+    complete per-channel proof, then exhaustive per-channel sweeps.
 
     The program's layers must be the model's layer table. Random inputs are
     compared end to end (program labels and every intermediate plane
-    against the exact model evaluation). Channels whose support spans at
-    most exhaustive_width bits are additionally checked on every assignment
-    of those bits.
+    against the exact model evaluation). Every channel is then proven
+    against the model's switch points over its whole reachable sum range
+    (_prove). Channels whose support spans at most exhaustive_width bits
+    are also checked on every assignment of those bits against the
+    rational predicate itself.
     """
-    warnings = []
     specs = layer_specs(model.cfg)
+    total = sum(len(lp.channels) for lp in prog.layers
+                if lp.decision != "compare")
     mismatch = structure_mismatch(prog, specs)
     if mismatch is not None:
         return VerifyReport(passed=False, trials_run=0, exhaustive_channels=0,
-                            counterexample=mismatch)
-    if trials == 0 and exhaustive_width == 0:
-        warnings.append("no trials and no exhaustive width: vacuous pass")
-        return VerifyReport(passed=True, trials_run=0, exhaustive_channels=0,
-                            warnings=warnings)
+                            total_channels=total, counterexample=mismatch)
 
     rng = np.random.default_rng(seed)
     done = 0
@@ -560,15 +631,17 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
             mism = _first_plane_mismatch(prog_planes, model_planes, i)
             return VerifyReport(
                 passed=False, trials_run=done + nb, exhaustive_channels=0,
+                total_channels=total,
                 counterexample={"input": bits[i], "trial": done + i,
                                 "first_divergence": mism,
                                 "program_label": int(prog_labels[i]),
-                                "model_label": int(model_labels[i])},
-                warnings=warnings)
+                                "model_label": int(model_labels[i])})
         done += nb
 
-    checked = 0
+    proven, ce = _prove(prog, model)
     for layer, spec in zip(prog.layers, specs):
+        if ce is not None:
+            break
         if layer.decision == "compare":
             continue
         codes = extract_ternary(model.weights[spec.name],
@@ -580,13 +653,11 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
                                          exhaustive_width)
             except ValueError:
                 continue
-            checked += 1
             if ce is not None:
-                return VerifyReport(passed=False, trials_run=done,
-                                    exhaustive_channels=checked,
-                                    counterexample=ce, warnings=warnings)
-    return VerifyReport(passed=True, trials_run=done,
-                        exhaustive_channels=checked, warnings=warnings)
+                break
+    return VerifyReport(passed=ce is None, trials_run=done,
+                        exhaustive_channels=proven, total_channels=total,
+                        counterexample=ce)
 
 
 def _first_plane_mismatch(prog_planes, model_planes, i):
@@ -819,6 +890,12 @@ def _need(kv, key):
     return kv[key]
 
 
+def _bit(text, key):
+    if text not in ("0", "1"):
+        raise ValueError(f"{key}={text} is not 0 or 1")
+    return int(text)
+
+
 def _load_line(prog, layer, ln):
     """Adds one LAYER or channel line to prog. Returns the current layer and,
     for a LAYER line, the channel count its header declares."""
@@ -829,11 +906,16 @@ def _load_line(prog, layer, ln):
         if "kernel" in kv:
             kh, kw = kv["kernel"].split("x")
             kernel = (int(kh), int(kw))
-        decision = kv.get("decision")
+        decision, skip = kv.get("decision"), kv.get("skip")
+        layer_kind = _need(kv, "kind")
+        if layer_kind not in ("conv", "dense"):
+            raise ValueError(f"kind={layer_kind} is not conv or dense")
+        if skip is not None and skip not in [lp.name for lp in prog.layers]:
+            raise ValueError(f"skip={skip} names no earlier layer")
         layer = LayerProgram(
-            name=_need(kv, "name"), kind=_need(kv, "kind"),
+            name=_need(kv, "name"), kind=layer_kind,
             in_width=int(_need(kv, "in")), kernel=kernel, channels=[],
-            skip_from=kv.get("skip"), decision=decision,
+            skip_from=skip, decision=decision,
             compare_theta=int(_need(kv, "compare_theta"))
             if decision == "compare" else None)
         prog.layers.append(layer)
@@ -842,13 +924,13 @@ def _load_line(prog, layer, ln):
         if layer is None:
             raise ValueError("channel line before any LAYER")
         if "const" in kv:
-            cp = ChannelProgram(p=(), n=(), const=int(kv["const"]))
+            cp = ChannelProgram(p=(), n=(), const=_bit(kv["const"], "const"))
         else:
             cp = ChannelProgram(
                 p=_parse_indices(_need(kv, "P")),
                 n=_parse_indices(_need(kv, "N")),
                 theta=int(kv.get("theta", 0)),
-                flip=bool(int(kv.get("flip", 0))))
+                flip=bool(_bit(kv.get("flip", "0"), "flip")))
         layer.channels.append(cp)
         return layer, None
     raise ValueError(f"unknown line kind {kind!r}")

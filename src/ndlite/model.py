@@ -14,13 +14,12 @@ conv's step size, so the whole network computes integer accumulator sums of
 input bits. In the "full" stage the model's reference semantics is exact
 rational arithmetic over those integer sums (exact_bit_forward); evaluate()
 and classify() route through it, which is what lowered programs are
-verified against. exact_bit_forward sums the ternary codes in float32 GEMMs
-(nn.conv_sums), exact because it asserts that every channel's fan-in plus
-its skip bit stays below nn.F32_EXACT_LIMIT. Each indicator's rational
-predicate is affine in the integer sum, so it is decided from the point
-where it switches over the batch's observed range, found by evaluating
-that predicate at a few integers; nothing is taken from the lowering's
-folded thresholds.
+verified against. Its sums are float32 GEMMs (nn.conv_sums), exact because
+it asserts that every channel's fan-in plus its skip bit stays below
+nn.F32_EXACT_LIMIT. Each indicator's rational predicate is affine in the
+integer sum, so one integer switch point per channel, found in Fraction
+arithmetic and cached per model content (exact_layers), makes it one
+compare. Nothing is taken from the lowering's folded thresholds.
 """
 
 from __future__ import annotations
@@ -135,6 +134,8 @@ class Model:
         self.norms = norms
         # name -> 0-d float64 array, learnable in quantized stages
         self.deltas = {}
+        # exact_layers' (content snapshot, ExactLayers); not a parameter
+        self._exact = None
 
     # ------------------------------------------------------------ plumbing
 
@@ -311,109 +312,138 @@ def _frac(x):
     return Fraction(float(x))
 
 
-def _switch_bits(s, pred, slope, offset):
-    """Bits of an affine rational predicate per channel; channel axis last.
-
-    s holds integer sums. pred(c, S) is affine in the integer S, so it holds
-    on a half-line of the integers, everywhere or nowhere, and switches at
-    most once over a channel's observed range [lo, hi]. It is evaluated at
-    lo and hi and, where those differ, at the few integers that pin the
-    switch point t, with pred(t) == pred(lo) != pred(t + 1). The float64
-    estimate slope * S + offset of the predicate's left side only picks the
-    first integers tried.
-    """
-    flat = s.reshape(-1, s.shape[-1])
-    lo = flat.min(axis=0).astype(np.int64)
-    hi = flat.max(axis=0).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = -np.asarray(offset, np.float64) / np.asarray(slope, np.float64)
-    guess = np.floor(np.clip(np.where(np.isnan(root), lo, root), lo, hi))
-    t = np.empty(len(lo), dtype=s.dtype)
-    first = np.empty(len(lo), dtype=bool)
-    for c in range(len(lo)):
-        a, b = int(lo[c]), int(hi[c])
-        first[c] = below = pred(c, a)
-        if pred(c, b) == below:
-            t[c] = b  # constant over the observed range
-            continue
-        # pred(a) == below != pred(b). Rounding aside, the estimate is
-        # within one of t, so these probes usually end the search.
-        g = int(guess[c])
-        probes = [g, g + 1, g - 1, g + 2]
-        while b - a > 1:
-            m = probes.pop(0) if probes else (a + b) // 2
-            if a < m < b:
-                if pred(c, m) == below:
-                    a = m
-                else:
-                    b = m
-        t[c] = a
-    return ((s > t) ^ first).view(np.uint8)
-
-
+@dataclass
 class ExactPredicate:
     """One layer's exact indicator: channel c fires iff
     slope[c] * S + offset[c] > 0 (>= 0 when inclusive) in rational
-    arithmetic over its integer sum S. The float64 estimates of slope and
-    offset only order the probes of _switch_bits."""
-
-    def __init__(self, slope, offset, slope_est, offset_est, inclusive=False):
-        self.slope, self.offset = slope, offset
-        self.slope_est, self.offset_est = slope_est, offset_est
-        self.inclusive = inclusive
+    arithmetic over its integer sum S."""
+    slope: list
+    offset: list
+    inclusive: bool = False
 
     def __call__(self, c, s):
         v = self.slope[c] * s + self.offset[c]
         return v >= 0 if self.inclusive else v > 0
 
-    def bits(self, s):
-        """uint8 bits of integer sums s, channel axis last."""
-        return _switch_bits(s, self, self.slope_est, self.offset_est)
+    def switch_points(self, lo, hi):
+        """(t, first), int64 and bool per channel: at every integer S in
+        [lo[c], hi[c]], channel c fires iff (S > t[c]) ^ first[c].
+
+        With r = -offset/slope the predicate holds for S > r (slope > 0)
+        or S < r (slope < 0), and also at S == r when inclusive; a zero
+        slope makes it constant. t is clamped into [lo - 1, hi], which
+        changes no bit on that range."""
+        t = np.empty(len(self.slope), np.int64)
+        first = np.empty(len(self.slope), bool)
+        bounds = zip(np.asarray(lo).tolist(), np.asarray(hi).tolist())
+        for c, (lo_c, hi_c) in enumerate(bounds):
+            a = self.slope[c]
+            if a == 0:  # every S in the range exceeds lo - 1
+                at, first[c] = lo_c - 1, not self(c, 0)
+            else:
+                r = -self.offset[c] / a
+                first[c] = a < 0
+                # a > 0: S > floor(r), inclusive S > ceil(r) - 1;
+                # a < 0: not S > ceil(r) - 1, inclusive not S > floor(r)
+                at = (math.floor(r) if (a > 0) != self.inclusive
+                      else math.ceil(r) - 1)
+            t[c] = min(max(at, lo_c - 1), hi_c)
+        return t, first
 
 
 def _bn_predicate(bn: nn.BnState, delta):
     """[gamma*(delta*S - mu)/sigma + beta > 0], multiplied through by
     sigma > 0."""
-    dlt = _frac(delta)
-    slope, offset = [], []
-    for gam, bet, mu, var in zip(bn.gamma, bn.beta, bn.running_mean,
-                                 bn.running_var):
-        gam = _frac(gam)
-        slope.append(gam * dlt)
-        offset.append(_frac(bet) * _frac(nn.bn_sigma(var, bn.eps))
-                      - gam * _frac(mu))
-    gamma = np.asarray(bn.gamma, np.float64)
-    sigma = np.sqrt(np.asarray(bn.running_var, np.float64) + bn.eps)
-    return ExactPredicate(slope, offset, gamma * float(delta),
-                          bn.beta * sigma - gamma * bn.running_mean)
+    gam = [_frac(g) for g in bn.gamma]
+    return ExactPredicate([g * _frac(delta) for g in gam], [
+        _frac(b) * _frac(nn.bn_sigma(v, bn.eps)) - g * _frac(m)
+        for g, b, m, v in zip(gam, bn.beta, bn.running_mean, bn.running_var)])
 
 
 def _bias_predicate(bias, delta):
     """[delta*S + b > 0]."""
-    dlt = _frac(delta)
-    return ExactPredicate([dlt] * len(bias), [_frac(b) for b in bias],
-                          float(delta), np.asarray(bias, np.float64))
-
-
-def _decision_predicate(bias, delta, threshold):
-    """[delta*D + b1 - b0 >= log(t/(1-t))] of the output sums' difference
-    D = S1 - S0, the log-odds pinned to its float64 value."""
-    dlt = _frac(delta)
-    db = _frac(bias[1]) - _frac(bias[0])
-    level = _frac(math.log(threshold / (1.0 - threshold)))
-    return ExactPredicate([dlt], [db - level], float(dlt),
-                          np.array([float(db) - float(level)]), inclusive=True)
+    return ExactPredicate([_frac(delta)] * len(bias), [_frac(b) for b in bias])
 
 
 def exact_predicate(model: Model, spec: LayerSpec):
     """The model's exact indicator of one layer, from its spec: the
-    batchnorm or bias form, or the decision rule for the last layer."""
+    batchnorm or bias form, or for the last layer the decision rule
+    [delta*D + b1 - b0 >= log(t/(1-t))] on the output sums' difference
+    D = S1 - S0, the log-odds pinned to its float64 value."""
     norm, delta = model.norms[spec.name], model.delta_of(spec.name)
     if spec == layer_specs(model.cfg)[-1]:
-        return _decision_predicate(norm, delta, model.cfg.decision_threshold)
+        thr = model.cfg.decision_threshold
+        level = _frac(math.log(thr / (1.0 - thr)))
+        return ExactPredicate([_frac(delta)], [
+            _frac(norm[1]) - _frac(norm[0]) - level], inclusive=True)
     if spec.norm == "bn":
         return _bn_predicate(norm, delta)
     return _bias_predicate(norm, delta)
+
+
+@dataclass
+class ExactLayer:
+    """One layer of the exact route. Channel c's integer sum S (the last
+    layer's is S1 - S0) never leaves [lo[c], hi[c]], and there the channel
+    fires iff (S > t[c]) ^ first[c]."""
+    spec: LayerSpec
+    reach: tuple | None  # conv: half-extents of the live taps (nn.tap_matrix)
+    kmat: np.ndarray  # float32 GEMM matrix of the ternary codes, as routed
+    fan_in: int  # widest channel's nonzero codes, plus the skip bit
+    lo: np.ndarray  # int64
+    hi: np.ndarray  # int64
+    t: np.ndarray  # float32, in [lo - 1, hi]
+    first: np.ndarray  # bool
+    margin: tuple | None = None  # last layer: (delta, b1 - b0) of its logits
+
+
+def exact_layers(model: Model):
+    """The model's ExactLayers, built once per model content: they are
+    rebuilt whenever the config or any weight, delta or norm value has
+    changed since (Adam and hand edits work in place)."""
+    if model.stage != "full":
+        raise ValueError("exact evaluation requires the fully quantized stage")
+    specs = layer_specs(model.cfg)
+    arrays = []
+    for spec in specs:
+        norm = model.norms[spec.name]
+        arrays += [model.weights[spec.name], model.deltas[spec.name],
+                   getattr(norm, "eps", 0.0),
+                   *_norm_tensors(spec, norm).values()]
+    snap = (tuple(vars(model.cfg).items()), tuple(
+        (a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)))
+    if model._exact is not None and model._exact[0] == snap:
+        return model._exact[1]
+    hh, ww = 16, model.cfg.group_size
+    layers = []
+    for prev, spec in zip([None] + specs, specs):
+        delta = model.delta_of(spec.name)
+        # ternary codes; conv [O, C, kh, kw], dense [in, out]
+        codes = extract_ternary(model.weights[spec.name], delta).codes
+        rows = codes.reshape(len(codes), -1) if codes.ndim == 4 else codes.T
+        skip = spec.skip_from is not None
+        fan_in = skip + int(np.count_nonzero(rows, axis=1).max())
+        kmat, reach = codes.astype(np.float32), None
+        if spec.kind == "conv":
+            reach, kmat = nn.tap_matrix(kmat, hh, ww)
+        elif prev.kind == "conv":  # dense rows are in [C, 16, g] order
+            kmat = nn.channels_last_rows(kmat, prev.out_width, hh, ww)
+        margin = None
+        if spec is specs[-1]:
+            diff = (kmat[:, 1] - kmat[:, 0]).astype(np.int64)  # of S1 - S0
+            lo, hi = diff[diff < 0].sum(keepdims=True), diff[diff > 0].sum(
+                keepdims=True)
+            b = model.norms[spec.name]
+            margin = (delta, float(_frac(b[1]) - _frac(b[0])))
+        else:
+            lo = -np.count_nonzero(kmat < 0, axis=0).astype(np.int64)
+            hi = np.count_nonzero(kmat > 0, axis=0).astype(np.int64) + skip
+        t, first = exact_predicate(model, spec).switch_points(lo, hi)
+        layers.append(ExactLayer(spec, reach, np.ascontiguousarray(kmat),
+                                 fan_in, lo, hi, t.astype(np.float32), first,
+                                 margin))
+    model._exact = (snap, layers)
+    return layers
 
 
 def exact_bit_forward(model: Model, bits, return_planes=False):
@@ -421,52 +451,42 @@ def exact_bit_forward(model: Model, bits, return_planes=False):
 
     Integer accumulator sums of the ternary codes are float32 GEMMs
     (nn.conv_sums), exact because every channel's fan-in plus its skip bit
-    is checked to stay below nn.F32_EXACT_LIMIT; every indicator is decided
-    by its exact_predicate; the final decision compares the exact logit
-    difference against log(t / (1-t)) pinned to its float64 value. Returns
-    (labels, scores) or (labels, scores, planes), one plane per layer plus
-    "out.sum_diff" - scores are float and for reporting only.
+    is checked to stay below nn.F32_EXACT_LIMIT; every indicator, the final
+    decision on the output sums' difference too, is one compare with its
+    switch point from exact_layers. Returns (labels, scores) or (labels,
+    scores, planes), one plane per layer plus "out.sum_diff" - scores are
+    float and for reporting only.
     """
-    if model.stage != "full":
-        raise ValueError("exact evaluation requires the fully quantized stage")
+    layers = exact_layers(model)
     bits = np.asarray(bits)
     model._check_input(bits)
     if bits.dtype != np.uint8:
         if not np.isin(bits, (0, 1)).all():
             raise ValueError("exact evaluation expects binary inputs")
         bits = bits.astype(np.uint8)
-    n, hh, ww = bits.shape[0], 16, model.cfg.group_size
-    specs = layer_specs(model.cfg)
+    n = bits.shape[0]
     planes = {}  # channels-last until returned
     h = bits.transpose(0, 2, 3, 1)
-    for spec in specs:
-        skip = planes[spec.skip_from] if spec.skip_from else None
-        # float32 ternary codes; conv [O, C, kh, kw], dense [in, out]
-        c = extract_ternary(model.weights[spec.name],
-                            model.delta_of(spec.name)).codes
-        rows = c.reshape(len(c), -1) if c.ndim == 4 else c.T
-        nn.check_f32_exact(spec.name, (skip is not None)
-                           + int(np.count_nonzero(rows, axis=1).max()))
-        c = c.astype(np.float32)
-        if spec.kind == "conv":
-            s = nn.conv_sums(h, *nn.tap_matrix(c, hh, ww))  # [N, 16, g, O]
+    for el in layers:
+        spec = el.spec
+        nn.check_f32_exact(spec.name, el.fan_in)
+        if el.reach is not None:
+            s = nn.conv_sums(h, el.reach, el.kmat)  # [N, 16, g, O]
         else:
-            if h.ndim == 4:  # dense rows are in [C, 16, g] order
-                c = nn.channels_last_rows(c, h.shape[3], hh, ww)
-            s = h.reshape(n, -1).astype(np.float32) @ c
-        if skip is not None:
-            s += skip
-        if spec is specs[-1]:
+            s = h.reshape(n, -1).astype(np.float32) @ el.kmat
+        if spec.skip_from is not None:
+            s += planes[spec.skip_from]
+        if el is layers[-1]:
             break
-        h = planes[spec.name] = exact_predicate(model, spec).bits(s)
+        fired = s > el.t
+        fired ^= el.first
+        h = planes[spec.name] = fired.view(np.uint8)
 
     s = s.astype(np.int64)
     d = s[:, 1] - s[:, 0]
-    labels = exact_predicate(model, spec).bits(d[:, None])[:, 0]
-    out_b = model.norms[spec.name]
-    margin = (model.delta_of(spec.name) * d.astype(np.float64)
-              + float(_frac(out_b[1]) - _frac(out_b[0])))
-    scores = 1.0 / (1.0 + np.exp(-margin))
+    labels = ((d > el.t[0]) ^ el.first[0]).view(np.uint8)
+    delta, db = el.margin
+    scores = 1.0 / (1.0 + np.exp(-(delta * d.astype(np.float64) + db)))
     if return_planes:
         planes = [(name, p.transpose(0, 3, 1, 2) if p.ndim == 4 else p)
                   for name, p in planes.items()]
@@ -543,10 +563,12 @@ class TrainReport:
 
 
 def train(model: Model, train_set: Dataset, val_set: Dataset,
-          hyper: TrainHyper = None, quant: QuantSchedule = None):
+          hyper: TrainHyper = None, quant: QuantSchedule = None,
+          on_epoch=None):
     """Returns (best model, report). With a schedule, stages run
     fp -> weights -> full and the best checkpoint is chosen within the
-    final stage (earlier stages compute a different function)."""
+    final stage (earlier stages compute a different function). on_epoch,
+    if given, is called with each epoch's report entry."""
     hyper = hyper or TrainHyper()
     if hyper.batch_size < 2:
         raise ValueError("batch_size must be >= 2 for batchnorm statistics")
@@ -598,6 +620,8 @@ def train(model: Model, train_set: Dataset, val_set: Dataset,
             "val_acc": val_acc,
             "seconds": time.monotonic() - t0,
         })
+        if on_epoch is not None:
+            on_epoch(report.entries[-1])
         if model.stage == final_stage:
             if val_acc > best_acc:
                 best_acc, best_state, best_epoch = val_acc, model.clone(), epoch

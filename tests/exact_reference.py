@@ -1,9 +1,10 @@
 """Per-integer lookup-table oracle for the exact model's indicators, used
 only in tests.
 
-The library decides each channel's rational predicate from its switch point
-over the observed sum range; this oracle evaluates the predicate at every
-integer of that range instead, which needs no assumption about its shape.
+The library decides each channel's rational predicate from one integer
+switch point over the channel's reachable sum range; this oracle evaluates
+the predicate at every integer of a range instead, which needs no
+assumption about its shape.
 """
 
 import numpy as np

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -150,6 +151,27 @@ def test_train_quant_stage_full(work, tiny_data):
     assert load_model(out).stage == "full"
 
 
+def test_train_and_quantize_print_one_line_per_epoch(work, tiny_data,
+                                                    fp_ckpt, capsys):
+    capsys.readouterr()
+    assert run(["train", "--data", tiny_data["train"],
+                "--val-data", tiny_data["val"], "--out", work / "log.ndwf",
+                "--quant-stage", "weights", "--warmup-epochs", 1,
+                "--weight-quant-epochs", 2, "--batch-size", 50,
+                "--channels", 4, "--dense-sizes", "8,8", "--seed", 0]) == 0
+    assert run(["quantize", "--checkpoint", fp_ckpt, "--out",
+                work / "log.q.ndwf", "--stage", "full",
+                "--data", tiny_data["train"], "--val-data", tiny_data["val"],
+                "--epochs", 1, "--batch-size", 50]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln.split(" loss=")[0] for ln in lines] == [
+        "epoch 0: stage=fp", "epoch 1: stage=weights",
+        "epoch 2: stage=weights", "epoch 0: stage=full"]
+    pattern = (r"epoch \d: stage=\w+ loss=\d\.\d{4} train_acc=\d\.\d{4} "
+               r"val_acc=\d\.\d{4} \d+\.\d\ds \d+ samples/s")
+    assert all(re.fullmatch(pattern, ln) for ln in lines), lines
+
+
 def test_quantize_stage_transition(work, fp_ckpt):
     out = work / "quantized.ndwf"
     assert run(["quantize", "--checkpoint", fp_ckpt, "--out", out,
@@ -278,6 +300,88 @@ def test_verify_mutated_program_exits_3(work, capsys):
     assert "counterexample" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def proof_case(work):
+    """(checkpoint, program) of a model with a folded output, a constant
+    conv0 channel, a residual skip and dense1 channels of fan-in > 9."""
+    model = randomized_quantized_model(2)
+    antisymmetrize_output(model)
+    model.norms["conv0"].gamma[1] = 0.0
+    model.deltas["dense1"][()] = 0.05
+    ckpt = work / "proof.ndwf"
+    save_model(model, ckpt)
+    prog = lower_model(model)
+    path = work / "proof.bprog"
+    save_program(prog, path)
+    return ckpt, path
+
+
+def _wide_dense1_channel(prog):
+    """A dense1 channel of fan-in > 9 whose theta lies in [-|N|, |P| - 1],
+    so that theta - 1 and theta + 1 both change its function."""
+    return next(cp for cp in prog.layer("dense1").channels
+                if cp.fan_in > 9 and -len(cp.n) <= cp.theta < len(cp.p))
+
+
+def _theta_up(prog):
+    _wide_dense1_channel(prog).theta += 1
+
+
+def _theta_down(prog):
+    _wide_dense1_channel(prog).theta -= 1
+
+
+def _flip_flip(prog):
+    cp = prog.layer("res0.c1").channels[0]
+    cp.flip = not cp.flip
+
+
+def _wrong_const(prog):
+    cp = prog.layer("conv0").channels[1]
+    cp.const = 1 - cp.const
+
+
+def _move_p_to_n(prog):
+    # a 3x3 tap off the centre column reads only padding at g=1
+    cp = next(cp for cp in prog.layer("dense1").channels if cp.p)
+    cp.p, cp.n = cp.p[1:], cp.n + cp.p[:1]
+
+
+def _drop_skip_from(prog):
+    prog.layer("res0.c2").skip_from = None
+
+
+@pytest.mark.parametrize("mutate", [_theta_up, _theta_down, _flip_flip,
+                                    _wrong_const, _move_p_to_n,
+                                    _drop_skip_from, None])
+def test_verify_proof_catches_mutation_without_trials(work, proof_case,
+                                                      capsys, mutate):
+    """With no random trials and no enumeration, the per-channel proof
+    alone rejects each mutation; None breaks the model's output pair's
+    antisymmetry under the folded program instead."""
+    ckpt, path = proof_case
+    assert run(["verify", "--checkpoint", ckpt, "--program", path,
+                "--trials", 0, "--width", 0]) == 0
+    prog = load_program(path)
+    if mutate is None:
+        model = load_model(ckpt)
+        model.weights["out"][:, 0] = model.weights["out"][:, 1]
+        ckpt = work / "proof.asym.ndwf"
+        save_model(model, ckpt)
+    else:
+        mutate(prog)
+    mutated = work / "proof.mutated.bprog"
+    save_program(prog, mutated)
+    capsys.readouterr()
+    rpt = work / "proof.verify.json"
+    assert run(["verify", "--checkpoint", ckpt, "--program", mutated,
+                "--trials", 0, "--width", 0, "--report", rpt]) == 3
+    err = capsys.readouterr().err
+    assert "counterexample" in err and "Traceback" not in err
+    res = read_report(rpt)["results"]
+    assert res["exhaustive_channels"] < res["total_channels"]
+
+
 # -------------------------------------------------------------------- count
 
 def test_count_checkpoint_dense_only(fp_ckpt, capsys):
@@ -381,7 +485,28 @@ def _second_out_layer(lines):
     return idx
 
 
+def _set_value(key, value, prefix):
+    """Edit: key=value on the first line starting with prefix."""
+    def edit(lines):
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[idx] = " ".join(f"{key}={value}" if p.startswith(f"{key}=")
+                              else p for p in lines[idx].split(" "))
+        return idx
+    return edit
+
+
+def _const_7(lines):
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("IND "))
+    lines[idx] = lines[idx].split(" theta=")[0] + " const=7"
+    return idx
+
+
 @pytest.mark.parametrize("name, edit, message", [
+    ("bad-kind", _set_value("kind", "foo", "LAYER "),
+     "kind=foo is not conv or dense"),
+    ("bad-const", _const_7, "const=7 is not 0 or 1"),
+    ("bad-skip", _set_value("skip", "dense1", "LAYER name=res0.c2 "),
+     "skip=dense1 names no earlier layer"),
     ("no-name", _drop_key("name", "LAYER "), "missing name="),
     ("no-kind", _drop_key("kind", "LAYER "), "missing kind="),
     ("no-in", _drop_key("in", "LAYER "), "missing in="),

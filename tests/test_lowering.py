@@ -463,12 +463,19 @@ def test_verify_equivalence_passes():
     assert rep.exhaustive_channels > 0
 
 
-def test_verify_vacuous_pass_warns():
-    m = randomized_quantized_model(14)
+@pytest.mark.parametrize("fold", [False, True])
+def test_verify_without_trials_proves_every_channel(fold):
+    m = randomized_quantized_model(14, cfg=small_cfg(group_size=2))
+    m.norms["res0.c1"].gamma[1] = 0.0  # a constant channel
+    if fold:
+        antisymmetrize_output(m)
     prog = lower_model(m)
+    assert prog.layer("res0.c1").channels[1].const is not None
+    assert (prog.layers[-1].decision == "folded") == fold
     rep = verify_equivalence(prog, m, trials=0, exhaustive_width=0)
-    assert rep.passed
-    assert any("vacuous" in w for w in rep.warnings)
+    assert rep.passed and rep.trials_run == 0
+    assert rep.exhaustive_channels == rep.total_channels == sum(
+        len(lp.channels) for lp in prog.layers if lp.decision != "compare")
 
 
 def _planted_conv0_model():

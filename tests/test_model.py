@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from ndlite import lowering, nn
 from ndlite import model as model_module
 from ndlite.dataset import gen_dataset
-from ndlite.model import (Model, ModelConfig, TrainHyper, _bias_predicate,
-                          _bn_predicate, _switch_bits, build_model,
-                          classify, evaluate, exact_bit_forward, load_model,
-                          save_model, train)
+from ndlite.model import (ExactPredicate, Model, ModelConfig, TrainHyper,
+                          _bias_predicate, _bn_predicate, build_model,
+                          classify, evaluate, exact_bit_forward,
+                          load_model, save_model, train)
 from ndlite.quant import QuantSchedule, extract_ternary
 
 from exact_reference import channel_lut_bits
@@ -399,6 +399,13 @@ def _indicator_case(draw):
     return delta, bn, np.array(bias), np.array(cols, dtype=np.float32).T
 
 
+def _observed_range_bits(pred, s):
+    """Bits of integer sums s [N, C] from pred's switch points over each
+    channel's observed range."""
+    t, first = pred.switch_points(s.min(axis=0), s.max(axis=0))
+    return ((s > t) ^ first).view(np.uint8)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_indicator_case())
 def test_switch_point_bits_equal_lut_oracle(case):
@@ -410,37 +417,55 @@ def test_switch_point_bits_equal_lut_oracle(case):
         return (F(bn.gamma[c]) * (dlt * x - F(bn.running_mean[c]))
                 + F(bn.beta[c]) * sig[c] > 0)
 
-    assert np.array_equal(_bn_predicate(bn, delta).bits(s),
+    assert np.array_equal(_observed_range_bits(_bn_predicate(bn, delta), s),
                           channel_lut_bits(s, bn_pred))
 
     def bias_pred(c, x):
         return dlt * x + F(bias[c]) > 0
 
-    assert np.array_equal(_bias_predicate(bias, delta).bits(s),
-                          channel_lut_bits(s, bias_pred))
+    assert np.array_equal(
+        _observed_range_bits(_bias_predicate(bias, delta), s),
+        channel_lut_bits(s, bias_pred))
 
 
-@settings(max_examples=200, deadline=None)
-@given(step=st.sampled_from((0.25, 0.5, 1.0, 3.0)),
-       root=st.integers(-40, 40), data=st.data(),
-       slope=st.floats(allow_nan=True), offset=st.floats(allow_nan=True))
-def test_switch_point_bits_hold_for_any_estimate(step, root, data, slope,
-                                                 offset):
-    """Inclusive predicates whose switch sits on an integer, searched from
-    an arbitrary (even non-finite) float estimate, still give the oracle's
-    bits: the estimate only orders the probes."""
-    n = data.draw(st.integers(1, 12))
-    s = np.array([data.draw(_sum_column(n, data.draw(
-        st.integers(root - 45, root + 5)))) for _ in range(2)],
-        dtype=np.float32).T
-    signs = (1, -1)
+@st.composite
+def _affine_channel(draw):
+    """(slope, offset) as Fractions: a zero slope, a switch exactly on an
+    integer in or near the range, a switch far outside it, or any offset."""
+    slope = F(draw(st.one_of(st.just(0.0), _floats, st.floats(1e-300, 1e-6),
+                             st.floats(-1e-6, -1e-300))))
+    kind = draw(st.sampled_from(("on", "far", "any")))
+    if kind == "on":
+        return slope, -slope * draw(st.integers(-60, 60))
+    if kind == "far":
+        return slope, -slope * draw(st.sampled_from((-1, 1))) * 10 ** draw(
+            st.integers(3, 400))
+    return slope, F(draw(_floats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(channels=st.lists(_affine_channel(), min_size=1, max_size=4),
+       inclusive=st.booleans(), data=st.data())
+def test_switch_points_hold_over_the_reachable_range(channels, inclusive,
+                                                     data):
+    """Each channel's switch point gives the oracle's bit at every integer
+    of its reachable range [lo, hi] with lo <= 0 <= hi, and lies in
+    [lo - 1, hi]."""
+    slope, offset = [a for a, _ in channels], [b for _, b in channels]
+    lo = np.array([-data.draw(st.integers(0, 40)) for _ in channels])
+    hi = np.array([data.draw(st.integers(0, 40)) for _ in channels])
+    t, first = ExactPredicate(slope, offset, inclusive).switch_points(lo, hi)
+    assert ((lo - 1 <= t) & (t <= hi)).all()
+    # column c runs over every integer of [lo[c], hi[c]], padded with lo[c]
+    width = int((hi - lo).max()) + 1
+    s = np.minimum(lo + np.arange(width)[:, None], hi)
 
     def pred(c, x):
-        return signs[c] * F(step) * (x - root) >= 0
+        v = slope[c] * x + offset[c]
+        return v >= 0 if inclusive else v > 0
 
-    got = _switch_bits(s, pred, np.array([slope, -slope]),
-                       np.array([offset, offset]))
-    assert np.array_equal(got, channel_lut_bits(s, pred))
+    assert np.array_equal(((s > t) ^ first).view(np.uint8),
+                          channel_lut_bits(s, pred))
 
 
 def test_exact_forward_needs_no_lowering_fold(monkeypatch):
@@ -461,6 +486,68 @@ def test_exact_forward_needs_no_lowering_fold(monkeypatch):
     assert np.array_equal(scores, want_scores)
     for (name, plane), (_, want) in zip(planes, want_planes):
         assert np.array_equal(plane, want), name
+
+
+def _adam_step(m):
+    x = np.random.default_rng(8).integers(0, 2, size=(64, 4, 16, 1))
+    logits, cache = m.forward(x.astype(np.float32), training=True)
+    _, dlogits = nn.softmax_xent(logits, np.arange(64) % 2)
+    nn.Adam(lr=0.1).step(m.param_dict(), m.backward(dlogits, cache))
+
+
+def _scale_gamma(m):
+    m.norms["conv0"].gamma *= -1.0
+
+
+def _scale_delta(m):
+    m.deltas["dense1"][()] *= 0.3
+
+
+def _negate_weight(m):
+    m.weights["res0.c1"][0] *= -1.0
+
+
+@pytest.mark.parametrize("edit", [_scale_gamma, _scale_delta, _negate_weight,
+                                  _adam_step])
+def test_exact_forward_follows_in_place_edits(tmp_path, monkeypatch, edit):
+    """The cached switch points and GEMM matrices are rebuilt after an
+    in-place edit, and give what a freshly loaded model gives; no rebuild
+    reaches the lowering's folds."""
+    for name in ("fold_batchnorm", "fold_bias", "fold_output_pair",
+                 "_compare_theta"):
+        monkeypatch.setattr(lowering, name, None)
+    m = randomized_quantized_model(17)
+    bits = np.random.default_rng(6).integers(0, 2, size=(200, 4, 16, 1),
+                                             dtype=np.uint8)
+    _, _, before = exact_bit_forward(m, bits, return_planes=True)
+    edit(m)
+    labels, scores, planes = exact_bit_forward(m, bits, return_planes=True)
+    save_model(m, tmp_path / "m.ndwf")
+    want_labels, want_scores, want = exact_bit_forward(
+        load_model(tmp_path / "m.ndwf"), bits, return_planes=True)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(scores, want_scores)
+    for (name, plane), (_, w) in zip(planes, want):
+        assert np.array_equal(plane, w), name
+    assert any(not np.array_equal(p, b) for (_, p), (_, b) in zip(planes,
+                                                                   before))
+
+
+def test_exact_forward_on_unchanged_model_builds_no_fraction(monkeypatch):
+    m = randomized_quantized_model(12)
+    bits = np.random.default_rng(3).integers(0, 2, size=(50, 4, 16, 1),
+                                             dtype=np.uint8)
+    want = exact_bit_forward(m, bits)
+
+    def refuse(x):
+        raise AssertionError("built a Fraction")
+
+    monkeypatch.setattr(model_module, "_frac", refuse)
+    got = exact_bit_forward(m, bits)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    m.norms["dense2"][0] += 1.0
+    with pytest.raises(AssertionError, match="Fraction"):
+        exact_bit_forward(m, bits)
 
 
 def test_exact_forward_asserts_float32_exact_bound(monkeypatch):
