@@ -8,7 +8,7 @@ of both forms.
 """
 
 from .speck import encrypt, key_schedule
-from .dataset import Dataset, Sample, gen_dataset, load_dataset, save_dataset
+from .dataset import Dataset, gen_dataset, load_dataset, save_dataset
 from .model import Model, ModelConfig, TrainHyper, build_model, classify, evaluate, train
 from .quant import QuantSchedule, extract_ternary, quantize_weights
 from .lowering import (BooleanProgram, load_program, lower_model, run_program,
@@ -21,7 +21,6 @@ __all__ = [
     "encrypt",
     "key_schedule",
     "Dataset",
-    "Sample",
     "gen_dataset",
     "load_dataset",
     "save_dataset",

@@ -16,7 +16,9 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +122,7 @@ class Report:
             self.payload["config_text"] = resolver.config_text
 
     def start(self):
+        self._t0 = time.perf_counter()
         self._write()
 
     def add_input(self, path):
@@ -129,7 +132,13 @@ class Report:
         self.payload["outputs"][str(path)] = sha256_file(path)
 
     def finish(self, **results):
+        """Adds results, the seconds since start() and the process's peak
+        resident memory."""
         self.payload["results"].update(results)
+        self.payload["seconds"] = time.perf_counter() - self._t0
+        # ru_maxrss is in KiB on Linux
+        self.payload["peak_rss_mb"] = resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024
         self._write()
 
     def _write(self):

@@ -12,7 +12,7 @@ counters 4p (key), 4p+1 (plaintext), 4p+2 (random partner).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,6 @@ _HEADER = struct.Struct("<4sIIIIQHH")
 
 
 @dataclass
-class Sample:
-    bits: np.ndarray  # uint8 [4, 16, g], values in {0, 1}
-    label: int  # REAL or RANDOM
-
-
-@dataclass
 class Dataset:
     bits: np.ndarray  # uint8 [n_samples, 4, 16, g]
     labels: np.ndarray  # uint8 [n_samples]
@@ -42,49 +36,13 @@ class Dataset:
     group_size: int
     seed: int
     delta: tuple = DEFAULT_DELTA
-    # Test-mode provenance (not persisted): per-pair keys and plaintexts.
-    keys: np.ndarray | None = field(default=None, repr=False)
-    pt0: np.ndarray | None = field(default=None, repr=False)
-    pt1: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.labels)
 
-    def samples(self):
-        for i in range(len(self)):
-            yield Sample(bits=self.bits[i], label=int(self.labels[i]))
-
     def float_inputs(self):
         """(X float32 [n,4,16,g], y uint8 [n]) view for training."""
         return self.bits.astype(np.float32), self.labels
-
-
-def _split_u64(v):
-    return (v >> 16) & 0xFFFF, v & 0xFFFF
-
-
-def make_pair(label, key, rng: ndrng.CounterRng, rounds, delta=DEFAULT_DELTA):
-    """One labeled ciphertext pair under `key`; plaintexts come from `rng`."""
-    ks = speck.key_schedule(key, rounds)
-    p0 = _split_u64(rng.next_u64())
-    if label == REAL:
-        p1 = (p0[0] ^ delta[0], p0[1] ^ delta[1])
-    else:
-        p1 = _split_u64(rng.next_u64())
-    return speck.encrypt(p0, ks), speck.encrypt(p1, ks)
-
-
-def encode_input(pairs):
-    """Stack ciphertext pairs into a [4, 16, g] bit tensor, MSB-first."""
-    g = len(pairs)
-    if g < 1:
-        raise ValueError("need at least one pair")
-    words = np.zeros((4, g), dtype=np.uint32)
-    for d, (c0, c1) in enumerate(pairs):
-        words[:, d] = (c0[0], c0[1], c1[0], c1[1])
-    shifts = np.arange(15, -1, -1, dtype=np.uint32)
-    # [4, g] words -> [4, 16, g] bits
-    return ((words[:, None, :] >> shifts[None, :, None]) & 1).astype(np.uint8)
 
 
 def _pair_words_to_bits(c0l, c0r, c1l, c1r):
@@ -93,8 +51,7 @@ def _pair_words_to_bits(c0l, c0r, c1l, c1r):
     return ((words[:, :, None] >> shifts[None, None, :]) & 1).astype(np.uint8)
 
 
-def gen_dataset(n_per_class, rounds, delta=DEFAULT_DELTA, group_size=8, seed=0,
-                record_inputs=False):
+def gen_dataset(n_per_class, rounds, delta=DEFAULT_DELTA, group_size=8, seed=0):
     """Generate a balanced dataset of n_per_class pairs per class.
 
     Samples alternate real/random in storage order. Deterministic in
@@ -135,13 +92,9 @@ def gen_dataset(n_per_class, rounds, delta=DEFAULT_DELTA, group_size=8, seed=0,
     bits = _pair_words_to_bits(c0l, c0r, c1l, c1r)  # [n_pairs, 4, 16]
     bits = bits.reshape(n_samples, group_size, 4, 16).transpose(0, 2, 3, 1)
 
-    ds = Dataset(bits=np.ascontiguousarray(bits), labels=labels, rounds=rounds,
-                 group_size=group_size, seed=seed, delta=tuple(delta))
-    if record_inputs:
-        ds.keys = np.stack(kw, axis=1).reshape(n_samples, group_size, 4).astype(np.uint16)
-        ds.pt0 = np.stack([p0l, p0r], axis=1).reshape(n_samples, group_size, 2).astype(np.uint16)
-        ds.pt1 = np.stack([p1l, p1r], axis=1).reshape(n_samples, group_size, 2).astype(np.uint16)
-    return ds
+    return Dataset(bits=np.ascontiguousarray(bits), labels=labels,
+                   rounds=rounds, group_size=group_size, seed=seed,
+                   delta=tuple(delta))
 
 
 def save_dataset(ds: Dataset, path):

@@ -328,49 +328,69 @@ def _indicator_vectors(layer, skip):
     return np.array(theta, dtype=np.float32), np.array(flip, dtype=bool)
 
 
+class _WiringError(ValueError):
+    """A layer whose indices or shapes do not fit its input; index is its
+    position in the program."""
+
+    def __init__(self, index, message):
+        super().__init__(message)
+        self.index = index
+
+
 def _compile(prog):
-    """_CompiledLayer list; checks the layer wiring on the way. Feature maps
-    run channels-last, [N, 16, g, C], so each conv is one GEMM."""
+    """_CompiledLayer list; checks the layer wiring on the way and raises
+    _WiringError at the first layer that does not fit. Feature maps run
+    channels-last, [N, 16, g, C], so each conv is one GEMM."""
     shape = (16, prog.group_size, len(INPUT_CHANNEL_NAMES))
     shapes = {}  # layer name -> output shape, for skip sources
     out = []
-    for layer in prog.layers:
-        n_ch = len(layer.channels)
-        k = _codes(layer)
-        reach = None
-        if layer.kind == "conv":
-            if len(shape) != 3 or shape[2] != layer.in_width:
-                raise ValueError(f"{layer.name}: expected {layer.in_width} "
-                                 f"input channels, got shape {shape}")
-            hh, ww, _ = shape
-            reach, kmat = nn.tap_matrix(k, hh, ww)
-            shape = (hh, ww, n_ch)
-        else:
-            if math.prod(shape) != layer.in_width:
-                raise ValueError(f"{layer.name}: expected input width "
-                                 f"{layer.in_width}, got {math.prod(shape)}")
-            kmat = k.T
-            if len(shape) == 3:
-                # Dense indices are in the [C, 16, g] flattening order.
-                hh, ww, c = shape
-                kmat = nn.channels_last_rows(kmat, c, hh, ww)
-            shape = (n_ch,)
-        skip = 0
-        if layer.skip_from is not None:
-            if shapes.get(layer.skip_from) != shape:
-                raise ValueError(f"{layer.name}: skip source "
-                                 f"{layer.skip_from!r} has no output of shape "
-                                 f"{shape}")
-            skip = 1
-        theta, flip = _indicator_vectors(layer, skip)
-        out.append(_CompiledLayer(
-            name=layer.name, kmat=np.ascontiguousarray(kmat), reach=reach,
-            theta=theta, flip=flip, skip_from=layer.skip_from,
-            decision=layer.decision, compare_theta=layer.compare_theta))
+    for i, layer in enumerate(prog.layers):
+        try:
+            cl, shape = _compile_layer(layer, shape, shapes)
+        except ValueError as e:
+            raise _WiringError(i, str(e)) from None
+        out.append(cl)
         if layer.decision == "compare":
             break
         shapes[layer.name] = shape
     return out
+
+
+def _compile_layer(layer, shape, shapes):
+    """(_CompiledLayer, output shape) of one layer on an input of shape,
+    shapes holding the output shape of each earlier layer."""
+    n_ch = len(layer.channels)
+    k = _codes(layer)
+    reach = None
+    if layer.kind == "conv":
+        if len(shape) != 3 or shape[2] != layer.in_width:
+            raise ValueError(f"{layer.name}: expected {layer.in_width} "
+                             f"input channels, got shape {shape}")
+        hh, ww, _ = shape
+        reach, kmat = nn.tap_matrix(k, hh, ww)
+        shape = (hh, ww, n_ch)
+    else:
+        if math.prod(shape) != layer.in_width:
+            raise ValueError(f"{layer.name}: expected input width "
+                             f"{layer.in_width}, got {math.prod(shape)}")
+        kmat = k.T
+        if len(shape) == 3:
+            # Dense indices are in the [C, 16, g] flattening order.
+            hh, ww, c = shape
+            kmat = nn.channels_last_rows(kmat, c, hh, ww)
+        shape = (n_ch,)
+    skip = 0
+    if layer.skip_from is not None:
+        if shapes.get(layer.skip_from) != shape:
+            raise ValueError(f"{layer.name}: skip source "
+                             f"{layer.skip_from!r} has no output of shape "
+                             f"{shape}")
+        skip = 1
+    theta, flip = _indicator_vectors(layer, skip)
+    return _CompiledLayer(
+        name=layer.name, kmat=np.ascontiguousarray(kmat), reach=reach,
+        theta=theta, flip=flip, skip_from=layer.skip_from,
+        decision=layer.decision, compare_theta=layer.compare_theta), shape
 
 
 def _compiled_layers(prog):
@@ -938,8 +958,11 @@ def _load_line(prog, layer, ln):
 
 def load_program(path) -> BooleanProgram:
     """Reads a .bprog file; a malformed line, a header count that does not
-    match the body, or a decision anywhere but on the last layer raises
-    ValueError naming the file and line."""
+    match the body, a decision anywhere but on the last layer, or a layer
+    that does not fit its input (an index outside it, a skip source of
+    another shape) raises ValueError naming the file and line. The
+    wiring is checked by compiling the program for run_program, which
+    then reuses it."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or not lines[0].startswith("BPROG v1 "):
@@ -982,4 +1005,8 @@ def load_program(path) -> BooleanProgram:
         if (lp.decision is not None) != (lp is prog.layers[-1]):
             raise ValueError(f"{path}:{lineno}: {lp.name}: the last layer, "
                              f"and only it, takes a decision=")
+    try:
+        _compiled_layers(prog)
+    except _WiringError as e:
+        raise ValueError(f"{path}:{heads[e.index][0]}: {e}") from None
     return prog

@@ -40,8 +40,10 @@ from .quant import (STAGES, binarize_activation, binarize_activation_grad,
 from .checkpoint import load_weights, save_weights
 
 _ACTIVATIONS = ("relu", "sigmoid")
-# Feature-map positions (samples x 16 x group size) per float forward in
-# Model.scores, with at least 64 samples; its buffers grow with positions.
+# Feature-map positions (samples x 16 x group size) per block of
+# Model.scores, with at least 64 samples. A block's feature maps grow with
+# its positions; its convs (nn.conv_sums) reuse one window buffer of about
+# nn.GEMM_ROWS positions.
 SCORE_ROWS = 8192
 
 
@@ -202,8 +204,32 @@ class Model:
             raise ValueError(f"input shape {x.shape[1:]} does not match model "
                              f"layout {want}")
 
+    def _layer_kernels(self, training):
+        """(kernel, raw weight, delta|None) per layer in forward order, the
+        kernel being the effective weight as the forward applies it: an
+        inference conv's (reach, kmat) from nn.tap_matrix, a dense layer
+        that reads a feature map with its rows in channels-last order."""
+        specs = layer_specs(self.cfg)
+        hh, ww = 16, self.cfg.group_size
+        out = []
+        for prev, spec in zip([None] + specs, specs):
+            k, w, d = self._effective(spec.name)
+            if spec.kind == "conv" and not training:
+                k = nn.tap_matrix(k, hh, ww)
+            elif spec.kind == "dense" and prev.kind == "conv":
+                k = nn.channels_last_rows(k, prev.out_width, hh, ww)
+            out.append((k, w, d))
+        return out
+
     def forward(self, x, training):
-        """Float-route forward. Returns (logits [N,2], cache)."""
+        """Float-route forward of x [N, 4, 16, g]. Returns (logits [N,2],
+        cache)."""
+        return self._forward(x, training, self._layer_kernels(training))
+
+    def _forward(self, x, training, kernels):
+        """forward, with kernels from _layer_kernels(training). Feature maps
+        run channels-last, [N, 16, g, C]. Training convs keep their window
+        rows for backward (nn.conv2d); inference convs run nn.conv_sums."""
         self._check_input(x)
         specs = layer_specs(self.cfg)
         # Skip sources' outputs stay referenced until the pass returns, like
@@ -213,15 +239,16 @@ class Model:
         skip_sources = {spec.skip_from for spec in specs}
         outputs = {}
         caches = []
-        h = x
-        for spec in specs:
-            w_eff, w, d = self._effective(spec.name)
+        h = x.transpose(0, 2, 3, 1)
+        for spec, (k, w, d) in zip(specs, kernels):
             norm = self.norms[spec.name]
             in_shape = h.shape
-            if spec.kind == "conv":
-                y, c_lin = nn.conv2d(h, w_eff)
+            if spec.kind == "dense":
+                y, c_lin = nn.dense(h.reshape(len(h), -1), k, norm)
+            elif training:
+                y, c_lin = nn.conv2d(h, k)
             else:
-                y, c_lin = nn.dense(h.reshape(len(h), -1), w_eff, norm)
+                y, c_lin = nn.conv_sums(h, *k), None
             lam = 0.0
             if spec.skip_from is not None:
                 # In the full stage the skip joins pre-normalization at the
@@ -229,7 +256,7 @@ class Model:
                 # stays an integer multiple of delta. The scale is a constant
                 # in backward.
                 lam = d if self.stage == "full" else 1.0
-                y = y + lam * outputs[spec.skip_from]
+                y += lam * outputs[spec.skip_from]
             c_bn = c_act = None
             if spec.norm == "bn":
                 y, c_bn = nn.batchnorm(y, norm, training)
@@ -267,6 +294,9 @@ class Model:
             else:
                 dh, dw, grads[f"{spec.norm_key}.b"] = nn.dense_grad(dy, c_lin)
                 dh = dh.reshape(in_shape)
+                if len(in_shape) == 4:  # its rows ran in channels-last order
+                    _, hh, ww, c = in_shape
+                    dw = nn.channels_first_rows(dw, c, hh, ww)
             # Map the effective-weight gradient back to (w, delta) gradients.
             grads[f"{spec.name}.w"] = ste_weight_grad(dw)
             if d is not None:
@@ -280,12 +310,15 @@ class Model:
 
     def scores(self, x):
         """Float-route softmax probability of the real class, [N]. The
-        forward runs on blocks of about SCORE_ROWS positions, so its buffers
-        do not grow with N."""
-        x = np.asarray(x, dtype=np.float32)
+        effective weights are built once per call, and the forward runs on
+        blocks of about SCORE_ROWS positions, so its buffers do not grow
+        with N."""
+        x = np.asarray(x)
+        kernels = self._layer_kernels(training=False)
         step = max(64, SCORE_ROWS // (16 * self.cfg.group_size))
         return np.concatenate([
-            nn.softmax(self.forward(x[i:i + step], training=False)[0])[:, 1]
+            nn.softmax(self._forward(x[i:i + step].astype(np.float32),
+                                     False, kernels)[0])[:, 1]
             for i in range(0, len(x), step)])
 
 
@@ -497,15 +530,14 @@ def exact_bit_forward(model: Model, bits, return_planes=False):
 
 # -------------------------------------------------------- classify/evaluate
 
-def classify(model: Model, sample):
-    """(label, score) for one sample; label is real iff score passes the
-    model's decision threshold (inclusive)."""
-    bits = sample.bits if hasattr(sample, "bits") else np.asarray(sample)
-    x = bits[None]
+def classify(model: Model, bits):
+    """(label, score) for one sample's bits [4, 16, g]; label is real iff
+    score passes the model's decision threshold (inclusive)."""
+    x = np.asarray(bits)[None]
     if model.stage == "full":
         labels, scores = exact_bit_forward(model, x)
         return int(labels[0]), float(scores[0])
-    score = float(model.scores(x.astype(np.float32))[0])
+    score = float(model.scores(x)[0])
     label = REAL if score >= model.cfg.decision_threshold else 1 - REAL
     return label, score
 
@@ -524,7 +556,7 @@ def evaluate(model: Model, dataset: Dataset, batch_size=4096):
         if model.stage == "full":
             pred[i:i + batch_size], _ = exact_bit_forward(model, xb)
         else:
-            sc = model.scores(xb.astype(np.float32))
+            sc = model.scores(xb)
             pred[i:i + batch_size] = sc >= model.cfg.decision_threshold
     return confusion(pred, dataset.labels)
 

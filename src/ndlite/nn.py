@@ -1,23 +1,25 @@
 """Minimal numpy neural-net kernels with explicit backward passes.
 
-Layout convention: feature maps are [N, C, H, W] (here H=16 bit positions,
-W=group depth), dense inputs are [N, F]. Forward functions return
+Layout convention: feature maps are channels-last, [N, H, W, C] (here H=16
+bit positions, W=group depth), so batchnorm reduces a contiguous [rows, C]
+view over axis 0; dense inputs are [N, F]. Forward functions return
 (output, cache); the matching *_grad function consumes the cache. Effective
 weights are passed in by the caller, so quantization-aware training can
 substitute fake-quantized tensors without the kernels knowing.
 
 One live-tap conv kernel serves training and every route. A 'same' conv
 is a GEMM of channels-last window rows [N*H*W, live_taps*C] with the kernel
-matrix of tap_matrix. The forward passes, conv2d and dense, run a small
-product in row blocks that each stay on one BLAS thread (matmul_rows);
-conv2d_grad and conv_sums run one GEMM per block of GEMM_ROWS rows. Live
-taps are the ones that can read data: at group depth 1 a 3x3 kernel keeps
-3 of its 9 taps, the others only ever reading the zero padding.
-conv2d/conv2d_grad run the float route and training on it (taps that only
-read padding get an exact zero weight gradient); conv_sums runs both exact
-routes, the model's rational reference and the lowered program, on 0/1
-inputs times +-1 codes in float32 GEMMs, exact integers under
-F32_EXACT_LIMIT.
+matrix of tap_matrix. Live taps are the ones that can read data: at group
+depth 1 a 3x3 kernel keeps 3 of its 9 taps, the others only ever reading
+the zero padding. Training runs conv2d/conv2d_grad, which keep each
+block's window rows for the backward pass (taps that only read padding get
+an exact zero weight gradient); conv2d and dense run a small product in
+row blocks that each stay on one BLAS thread (matmul_rows), conv2d_grad
+one GEMM per block of GEMM_ROWS rows. Every inference route, the float
+route, the model's exact reference and the lowered program, runs
+conv_sums: one float32 GEMM per block of GEMM_ROWS rows through window
+buffers reused across blocks. On 0/1 inputs times +-1 codes its sums are
+exact integers under F32_EXACT_LIMIT.
 """
 
 from __future__ import annotations
@@ -93,14 +95,14 @@ def _windows(xp, reach):
 
 
 def _im2col(x, kh, kw, ph, pw):
-    """Window rows [N*H*W, live_taps*C] of x [N, C, H, W], channels-last:
+    """Window rows [N*H*W, live_taps*C] of a channels-last map x [N, H, W, C]:
     row (n, i, j) holds, tap by tap, the C inputs that output position
     reads. Only the live taps are built (see _live_taps)."""
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     reach, _ = _live_taps(ph, pw, h, w)
     rh, rw = reach
     xp = np.zeros((n, h + 2 * rh, w + 2 * rw, c), dtype=x.dtype)
-    xp[:, rh:rh + h, rw:rw + w] = x.transpose(0, 2, 3, 1)
+    xp[:, rh:rh + h, rw:rw + w] = x
     return _windows(xp, reach).reshape(n * h * w, -1)
 
 
@@ -116,9 +118,10 @@ def tap_matrix(k, hh, ww):
 
 
 def conv2d(x, w, b=None):
-    """Stride-1 'same' convolution. x [N,C,H,W], w [O,C,kh,kw], b [O].
-    Window rows on the live taps times the kernel matrix (matmul_rows)."""
-    n, c, h, wd = x.shape
+    """Stride-1 'same' convolution of channels-last x [N,H,W,C] with
+    w [O,C,kh,kw] and b [O], to y [N,H,W,O]. Window rows on the live taps
+    times the kernel matrix (matmul_rows)."""
+    n, h, wd, c = x.shape
     out_ch, c_in, kh, kw = w.shape
     if c_in != c:
         raise ValueError(f"input has {c} channels, kernel expects {c_in}")
@@ -128,39 +131,37 @@ def conv2d(x, w, b=None):
     y = matmul_rows(cols, kmat)
     if b is not None:
         y = y + b
-    y = np.ascontiguousarray(y.reshape(n, h, wd, out_ch).transpose(0, 3, 1, 2))
-    return y, (cols, w, x.shape, b is not None)
+    return y.reshape(n, h, wd, out_ch), (cols, w, x.shape, b is not None)
 
 
 def conv2d_grad(dy, cache):
-    """Returns (dx, dw, db); db is None when the layer had no bias.
+    """Returns (dx, dw, db), dx and dy channels-last; db is None when the
+    layer had no bias.
 
     Per block of about GEMM_ROWS positions, dw accumulates cols^T . dY over
     the live taps, and dY . W^T goes back to dx through the live taps
     (col2im). Taps that only read padding get an exact zero in dw."""
     cols, w, x_shape, has_b = cache
-    n, c, h, wd = x_shape
+    n, h, wd, c = x_shape
     out_ch, _, kh, kw = w.shape
     (rh, rw), live = _live_taps(*_same_pad(kh, kw), h, wd)
     ku, kv = 2 * rh + 1, 2 * rw + 1
     _, kmat = tap_matrix(w, h, wd)
     rows = h * wd
     step = max(1, GEMM_ROWS // rows)  # samples per block
-    dy_cl = dy.transpose(0, 2, 3, 1)
     dxp = np.zeros((n, h + 2 * rh, wd + 2 * rw, c), np.result_type(dy, kmat))
     dw_live = np.zeros((ku * kv * c, out_ch), np.result_type(cols, dy))
     for lo in range(0, n, step):
-        dyb = dy_cl[lo:lo + step].reshape(-1, out_ch)
+        dyb = dy[lo:lo + step].reshape(-1, out_ch)
         dw_live += cols[lo * rows:(lo + step) * rows].T @ dyb
         dcols = (dyb @ kmat.T).reshape(-1, h, wd, ku, kv, c)
         for u in range(ku):
             for v in range(kv):
                 dxp[lo:lo + step, u:u + h, v:v + wd] += dcols[:, :, :, u, v]
-    dx = np.ascontiguousarray(dxp[:, rh:rh + h, rw:rw + wd].transpose(0, 3, 1, 2))
     dw = np.zeros(w.shape, dtype=dw_live.dtype)
     dw[live] = dw_live.reshape(ku, kv, c, out_ch).transpose(3, 2, 0, 1)
-    db = dy.sum(axis=(0, 2, 3)) if has_b else None
-    return dx, dw, db
+    db = dy.reshape(-1, out_ch).sum(axis=0) if has_b else None
+    return dxp[:, rh:rh + h, rw:rw + wd], dw, db
 
 
 # ---------------------------------------------------- exact integer sums
@@ -183,6 +184,12 @@ def channels_last_rows(w, c, hh, ww):
     """Rows of a dense weight [c*hh*ww, O], indexed in [C, H, W] flattening
     order, reordered for inputs flattened channels-last from [H, W, C]."""
     return w[np.arange(c * hh * ww).reshape(c, hh, ww).transpose(1, 2, 0).ravel()]
+
+
+def channels_first_rows(w, c, hh, ww):
+    """Inverse of channels_last_rows: rows in [H, W, C] order back to
+    [C, H, W] order."""
+    return w.reshape(hh, ww, c, -1).transpose(2, 0, 1, 3).reshape(c * hh * ww, -1)
 
 
 def conv_sums(x, reach, kmat):
@@ -212,7 +219,7 @@ def conv_sums(x, reach, kmat):
 
 @dataclass
 class BnState:
-    """Per-channel affine normalization state (channel axis 1)."""
+    """Per-channel affine normalization state (channel axis last)."""
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
@@ -237,45 +244,39 @@ def bn_sigma(var, eps):
     return math.sqrt(float(var) + float(eps))
 
 
-def _bn_axes(x):
-    if x.ndim == 4:
-        return (0, 2, 3), (1, x.shape[1], 1, 1)
-    if x.ndim == 2:
-        return (0,), (1, x.shape[1])
-    raise ValueError(f"batchnorm expects 2-D or 4-D input, got {x.ndim}-D")
-
-
 def batchnorm(x, bn: BnState, training):
-    """Normalize per channel; training mode updates running stats in place."""
-    axes, shape = _bn_axes(x)
+    """Normalize per channel over every leading axis of a channels-last
+    x [..., C]; training mode updates running stats in place."""
     if training:
         if x.shape[0] < 2:
             raise ValueError("batchnorm training requires batch size >= 2")
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        rows = x.reshape(-1, x.shape[-1])
+        mean = rows.mean(axis=0)
+        var = rows.var(axis=0)
         bn.running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
         bn.running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var
     else:
         mean = bn.running_mean
         var = bn.running_var
     inv_std = 1.0 / np.sqrt(var + bn.eps)
-    xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-    y = bn.gamma.reshape(shape) * xhat + bn.beta.reshape(shape)
-    return y, (xhat, inv_std, bn.gamma, axes, shape, training)
+    xhat = x - mean
+    xhat *= inv_std
+    y = bn.gamma * xhat
+    y += bn.beta
+    return y, (xhat, inv_std, bn.gamma, training)
 
 
 def batchnorm_grad(dy, cache):
     """Returns (dx, dgamma, dbeta)."""
-    xhat, inv_std, gamma, axes, shape, training = cache
-    dgamma = (dy * xhat).sum(axis=axes)
-    dbeta = dy.sum(axis=axes)
-    g = gamma.reshape(shape) * inv_std.reshape(shape)
+    xhat, inv_std, gamma, training = cache
+    rows = dy.reshape(-1, dy.shape[-1])
+    dgamma = (rows * xhat.reshape(rows.shape)).sum(axis=0)
+    dbeta = rows.sum(axis=0)
+    g = gamma * inv_std
     if not training:
         return dy * g, dgamma, dbeta
-    m = 1
-    for a in axes:
-        m *= dy.shape[a]
-    dx = g / m * (m * dy - dbeta.reshape(shape) - xhat * dgamma.reshape(shape))
+    m = len(rows)
+    dx = g / m * (m * dy - dbeta - xhat * dgamma)
     return dx, dgamma, dbeta
 
 

@@ -33,15 +33,3 @@ def draw_array(seed: int, counters: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
-
-class CounterRng:
-    """Sequential view of the counter stream starting at `counter`."""
-
-    def __init__(self, seed: int, counter: int = 0):
-        self.seed = seed
-        self.counter = counter
-
-    def next_u64(self) -> int:
-        v = draw(self.seed, self.counter)
-        self.counter += 1
-        return v

@@ -138,18 +138,23 @@ def test_criterion_5_lowering_exactness():
 
 # 6. every backward pass agrees with central finite differences
 
+def _cl(a):
+    """Channels-last view [N, H, W, C] of a feature map drawn as [N, C, H, W]."""
+    return a.transpose(0, 2, 3, 1)
+
+
 def _conv_case(r, k):
     x = r.normal(size=(2, int(r.integers(2, 4)), 5, 3))
     w = r.normal(size=(int(r.integers(2, 4)), x.shape[1], k, k))
     b = r.normal(size=w.shape[0])
-    _, cache = nn.conv2d(x, w, b)
+    _, cache = nn.conv2d(_cl(x), w, b)
     proj = r.normal(size=(x.shape[0], w.shape[0], x.shape[2], x.shape[3]))
 
     def loss():
-        return float((nn.conv2d(x, w, b)[0] * proj).sum())
+        return float((nn.conv2d(_cl(x), w, b)[0] * _cl(proj)).sum())
 
-    dx, dw, db = nn.conv2d_grad(proj, cache)
-    return [(dx, fd_grad(loss, x)), (dw, fd_grad(loss, w)),
+    dx, dw, db = nn.conv2d_grad(_cl(proj), cache)
+    return [(dx, _cl(fd_grad(loss, x))), (dw, fd_grad(loss, w)),
             (db, fd_grad(loss, b))]
 
 
@@ -171,18 +176,20 @@ def _dense_case(r):
 def _bn_case(r, four_d):
     c = int(r.integers(2, 5))
     shape = (4, c, 3, 2) if four_d else (6, c)
+    layout = _cl if four_d else (lambda a: a)
     x = r.normal(size=shape)
     bn = nn.BnState.create(c)
     bn.gamma = r.normal(size=c)
     bn.beta = r.normal(size=c)
-    _, cache = nn.batchnorm(x, bn, training=True)
+    _, cache = nn.batchnorm(layout(x), bn, training=True)
     proj = r.normal(size=shape)
 
     def loss():
-        return float((nn.batchnorm(x, bn, training=True)[0] * proj).sum())
+        return float((nn.batchnorm(layout(x), bn, training=True)[0]
+                      * layout(proj)).sum())
 
-    dx, dgamma, dbeta = nn.batchnorm_grad(proj, cache)
-    return [(dx, fd_grad(loss, x)), (dgamma, fd_grad(loss, bn.gamma)),
+    dx, dgamma, dbeta = nn.batchnorm_grad(layout(proj), cache)
+    return [(dx, layout(fd_grad(loss, x))), (dgamma, fd_grad(loss, bn.gamma)),
             (dbeta, fd_grad(loss, bn.beta))]
 
 

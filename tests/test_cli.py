@@ -227,6 +227,17 @@ def test_eval_program_matches_checkpoint(work, quant_ckpt, lowered,
     assert reports["model"]["confusion"] == reports["program"]["confusion"]
 
 
+def test_eval_report_carries_seconds_and_peak_rss(work, quant_ckpt,
+                                                  tiny_data):
+    rpt = work / "eval.timed.json"
+    assert run(["eval", quant_ckpt, "--data", tiny_data["val"],
+                "--report", rpt]) == 0
+    rep = read_report(rpt)
+    for key in ("seconds", "peak_rss_mb"):
+        assert isinstance(rep[key], float) and rep[key] > 0, key
+    assert set(rep["results"]) == {"accuracy", "confusion", "samples"}
+
+
 def test_eval_program_batches_odd_sized_set(work, quant_ckpt, lowered,
                                             tiny_data):
     ds = load_dataset(tiny_data["val"])
@@ -528,6 +539,49 @@ def test_malformed_program_exits_2(work, quant_ckpt, lowered, tiny_data,
                   "--trials", 10]):
         capsys.readouterr()
         assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{lineno}: {message}" in err
+        assert "Traceback" not in err
+
+
+def _first_p_entry(layer_prefix, entry):
+    """Edit: entry joins the P set of the first channel with a non-empty P
+    in the layer whose LAYER line starts with layer_prefix; returns that
+    LAYER line."""
+    def edit(lines):
+        head = next(i for i, ln in enumerate(lines)
+                    if ln.startswith(layer_prefix))
+        idx = next(i for i in range(head + 1, len(lines))
+                   if " P=[" in lines[i] and " P=[]" not in lines[i])
+        lines[idx] = lines[idx].replace(" P=[", f" P=[{entry},")
+        return head
+    return edit
+
+
+def _skip_into_dense1(lines):
+    idx = next(i for i, ln in enumerate(lines)
+               if ln.startswith("LAYER name=dense1 "))
+    lines[idx] += " skip=res0.c2"
+    return idx
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("conv-index-99", _first_p_entry("LAYER name=conv0 ", "(99,0,0)"),
+     "conv0: index outside the layer input"),
+    ("dense-index-99999", _first_p_entry("LAYER name=dense1 ", "99999"),
+     "dense1: index outside the layer input"),
+    ("skip-shape", _skip_into_dense1,
+     "dense1: skip source 'res0.c2' has no output of shape (6,)"),
+])
+def test_miswired_program_exits_2(work, quant_ckpt, lowered, tiny_data,
+                                  capsys, name, edit, message):
+    path, lineno = _broken_program(work, lowered, f"{name}.bprog", edit)
+    for argv in (["count", path],
+                 ["eval", path, "--data", tiny_data["val"]],
+                 ["verify", "--checkpoint", quant_ckpt, "--program", path,
+                  "--trials", 10]):
+        capsys.readouterr()
+        assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert f"{path}:{lineno}: {message}" in err
         assert "Traceback" not in err

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from ndlite import dataset, rng, speck
-from ndlite.dataset import (DEFAULT_DELTA, RANDOM, REAL, Dataset, encode_input,
-                            gen_dataset, load_dataset, make_pair, save_dataset)
+from ndlite.dataset import (DEFAULT_DELTA, RANDOM, REAL, Dataset, gen_dataset,
+                            load_dataset, save_dataset)
+
+from speck_reference import CounterRng, encode_input, make_pair, samples
 
 
 def bits_to_words(bits):
@@ -20,17 +22,17 @@ def bits_to_words(bits):
 # ---------------------------------------------------------------- pair level
 
 def test_real_pair_zero_rounds_differs_by_delta():
-    r = rng.CounterRng(3)
+    r = CounterRng(3)
     key = (1, 2, 3, 4)
     c0, c1 = make_pair(REAL, key, r, rounds=0)
     assert (c0[0] ^ c1[0], c0[1] ^ c1[1]) == DEFAULT_DELTA
 
 
 def test_random_pair_zero_rounds_is_fresh_draw():
-    r = rng.CounterRng(3)
+    r = CounterRng(3)
     c0, c1 = make_pair(RANDOM, (1, 2, 3, 4), r, rounds=0)
     # Both plaintexts come straight from the stream at rounds=0.
-    s = rng.CounterRng(3)
+    s = CounterRng(3)
     p = s.next_u64()
     q = s.next_u64()
     assert c0 == ((p >> 16) & 0xFFFF, p & 0xFFFF)
@@ -38,10 +40,10 @@ def test_random_pair_zero_rounds_is_fresh_draw():
 
 
 def test_real_pair_encrypts_both_sides():
-    r = rng.CounterRng(11)
+    r = CounterRng(11)
     key = (0x1918, 0x1110, 0x0908, 0x0100)
     c0, c1 = make_pair(REAL, key, r, rounds=5)
-    s = rng.CounterRng(11)
+    s = CounterRng(11)
     p = s.next_u64()
     p0 = ((p >> 16) & 0xFFFF, p & 0xFFFF)
     p1 = (p0[0] ^ DEFAULT_DELTA[0], p0[1] ^ DEFAULT_DELTA[1])
@@ -155,24 +157,31 @@ def test_gen_matches_scalar_path():
             p = s * g + d
             kv = rng.draw(seed, 4 * p)
             key = tuple((kv >> sh) & 0xFFFF for sh in (48, 32, 16, 0))
-            r = rng.CounterRng(seed, counter=4 * p + 1)
+            r = CounterRng(seed, counter=4 * p + 1)
             pairs.append(make_pair(label, key, r, rounds=6))
         assert np.array_equal(ds.bits[s], encode_input(pairs))
 
 
 def test_gen_label_soundness_from_recorded_inputs():
-    ds = gen_dataset(n_per_class=32, rounds=4, group_size=8, seed=2,
-                     record_inputs=True)
+    seed, g = 2, 8
+    ds = gen_dataset(n_per_class=32, rounds=4, group_size=g, seed=seed)
+    # pair p draws its key at counter 4p, its plaintexts at 4p+1 and 4p+2
+    base = np.arange(len(ds) * g, dtype=np.uint64) * np.uint64(4)
+    keys, p_u64, q_u64 = (rng.draw_array(seed, base + np.uint64(k))
+                          for k in range(3))
     for s in range(len(ds)):
         label = int(ds.labels[s])
         pairs = []
         for d in range(ds.group_size):
-            key = tuple(int(w) for w in ds.keys[s, d])
+            p = s * g + d
+            key = tuple(int(keys[p] >> np.uint64(sh)) & 0xFFFF
+                        for sh in (48, 32, 16, 0))
             ks = speck.key_schedule(key, ds.rounds)
-            p0 = (int(ds.pt0[s, d, 0]), int(ds.pt0[s, d, 1]))
-            p1 = (int(ds.pt1[s, d, 0]), int(ds.pt1[s, d, 1]))
+            p0 = (int(p_u64[p]) >> 16 & 0xFFFF, int(p_u64[p]) & 0xFFFF)
             if label == REAL:
-                assert (p0[0] ^ p1[0], p0[1] ^ p1[1]) == ds.delta
+                p1 = (p0[0] ^ ds.delta[0], p0[1] ^ ds.delta[1])
+            else:
+                p1 = (int(q_u64[p]) >> 16 & 0xFFFF, int(q_u64[p]) & 0xFFFF)
             pairs.append((speck.encrypt(p0, ks), speck.encrypt(p1, ks)))
         assert np.array_equal(ds.bits[s], encode_input(pairs))
 
@@ -197,10 +206,10 @@ def test_float_inputs_view():
 
 def test_samples_iterator():
     ds = gen_dataset(n_per_class=8, rounds=2, group_size=4, seed=0)
-    samples = list(ds.samples())
-    assert len(samples) == len(ds)
-    assert samples[0].label == REAL and samples[1].label == RANDOM
-    assert np.array_equal(samples[3].bits, ds.bits[3])
+    got = list(samples(ds))
+    assert len(got) == len(ds)
+    assert got[0].label == REAL and got[1].label == RANDOM
+    assert np.array_equal(got[3].bits, ds.bits[3])
 
 
 # ---------------------------------------------------------------- file format

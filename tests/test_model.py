@@ -606,6 +606,38 @@ def test_scores_in_blocks_match_one_forward(monkeypatch):
     assert np.allclose(got, nn.softmax(logits)[:, 1], rtol=1e-5, atol=1e-6)
 
 
+@pytest.mark.parametrize("stage", ["fp", "weights", "full"])
+@pytest.mark.parametrize("group_size", [1, 2])
+def test_blocked_scores_equal_one_block_scores(monkeypatch, stage,
+                                               group_size):
+    m = randomized_quantized_model(5, cfg=small_cfg(group_size=group_size))
+    m.set_stage(stage)
+    x = np.random.default_rng(5).integers(0, 2, size=(150, 4, 16, group_size),
+                                          dtype=np.uint8)
+    monkeypatch.setattr(model_module, "SCORE_ROWS", 1 << 30)
+    whole = m.scores(x)
+    monkeypatch.setattr(model_module, "SCORE_ROWS", 16)  # 64-sample blocks
+    assert np.array_equal(m.scores(x), whole)
+
+
+def test_scores_memory_does_not_grow_with_blocks(monkeypatch):
+    tracemalloc = pytest.importorskip("tracemalloc")
+    m = build_model(small_cfg(), seed=2)
+    monkeypatch.setattr(model_module, "SCORE_ROWS", 16)  # 64-sample blocks
+    x = np.random.default_rng(2).integers(0, 2, size=(16 * 64, 4, 16, 1),
+                                          dtype=np.uint8)
+    m.scores(x[:64])
+    peaks = []
+    for n in (64, 16 * 64):
+        tracemalloc.start()
+        try:
+            m.scores(x[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_save_load_fp_stage(tmp_path):
     m = build_model(small_cfg(), seed=11)
     path = tmp_path / "fp.ndw"

@@ -28,6 +28,11 @@ def fd_grad(f, x, eps=1e-5):
     return g
 
 
+def cl(a):
+    """Channels-last view [N, H, W, C] of a feature map drawn as [N, C, H, W]."""
+    return a.transpose(0, 2, 3, 1)
+
+
 def naive_conv2d(x, w, b=None):
     """Direct six-loop 'same' stride-1 convolution; the oracle."""
     n, c, h, wd = x.shape
@@ -56,16 +61,16 @@ def test_conv_matches_naive_3x3():
     x = r.normal(size=(2, 3, 5, 4))
     w = r.normal(size=(4, 3, 3, 3))
     b = r.normal(size=4)
-    y, _ = nn.conv2d(x, w, b)
-    assert rel_err(y, naive_conv2d(x, w, b)) < 1e-12
+    y, _ = nn.conv2d(cl(x), w, b)
+    assert rel_err(y, cl(naive_conv2d(x, w, b))) < 1e-12
 
 
 def test_conv_matches_naive_1x1():
     r = np.random.default_rng(1)
     x = r.normal(size=(3, 4, 16, 1))
     w = r.normal(size=(5, 4, 1, 1))
-    y, _ = nn.conv2d(x, w)
-    assert rel_err(y, naive_conv2d(x, w)) < 1e-12
+    y, _ = nn.conv2d(cl(x), w)
+    assert rel_err(y, cl(naive_conv2d(x, w))) < 1e-12
 
 
 def test_conv_matches_naive_depth_one_3x3():
@@ -73,8 +78,8 @@ def test_conv_matches_naive_depth_one_3x3():
     r = np.random.default_rng(2)
     x = r.normal(size=(2, 6, 16, 1))
     w = r.normal(size=(6, 6, 3, 3))
-    y, _ = nn.conv2d(x, w)
-    assert rel_err(y, naive_conv2d(x, w)) < 1e-12
+    y, _ = nn.conv2d(cl(x), w)
+    assert rel_err(y, cl(naive_conv2d(x, w))) < 1e-12
 
 
 def test_conv_backward_finite_difference():
@@ -85,12 +90,12 @@ def test_conv_backward_finite_difference():
     proj = r.normal(size=(2, 4, 6, 5))
 
     def loss():
-        y, _ = nn.conv2d(x, w, b)
-        return float((y * proj).sum())
+        y, _ = nn.conv2d(cl(x), w, b)
+        return float((y * cl(proj)).sum())
 
-    y, cache = nn.conv2d(x, w, b)
-    dx, dw, db = nn.conv2d_grad(proj, cache)
-    assert rel_err(dx, fd_grad(loss, x)) < 1e-6
+    y, cache = nn.conv2d(cl(x), w, b)
+    dx, dw, db = nn.conv2d_grad(cl(proj), cache)
+    assert rel_err(dx, cl(fd_grad(loss, x))) < 1e-6
     assert rel_err(dw, fd_grad(loss, w)) < 1e-6
     assert rel_err(db, fd_grad(loss, b)) < 1e-6
 
@@ -99,14 +104,14 @@ def test_conv_backward_no_bias():
     r = np.random.default_rng(4)
     x = r.normal(size=(2, 2, 4, 3))
     w = r.normal(size=(3, 2, 1, 1))
-    y, cache = nn.conv2d(x, w)
-    proj = r.normal(size=y.shape)
-    dx, dw, db = nn.conv2d_grad(proj, cache)
+    y, cache = nn.conv2d(cl(x), w)
+    proj = r.normal(size=(2, 3, 4, 3))
+    dx, dw, db = nn.conv2d_grad(cl(proj), cache)
     assert db is None
 
     def loss():
-        y2, _ = nn.conv2d(x, w)
-        return float((y2 * proj).sum())
+        y2, _ = nn.conv2d(cl(x), w)
+        return float((y2 * cl(proj)).sum())
 
     assert rel_err(dw, fd_grad(loss, w)) < 1e-6
 
@@ -120,13 +125,13 @@ def test_conv_backward_depth_one_prunes_padding_taps():
     proj = r.normal(size=(2, 4, 6, 1))
 
     def loss():
-        y, _ = nn.conv2d(x, w)
-        return float((y * proj).sum())
+        y, _ = nn.conv2d(cl(x), w)
+        return float((y * cl(proj)).sum())
 
-    _, cache = nn.conv2d(x, w)
+    _, cache = nn.conv2d(cl(x), w)
     assert cache[0].shape == (2 * 6 * 1, 3 * 3)  # 3 live taps of 9
-    dx, dw, _ = nn.conv2d_grad(proj, cache)
-    assert rel_err(dx, fd_grad(loss, x)) < 1e-6
+    dx, dw, _ = nn.conv2d_grad(cl(proj), cache)
+    assert rel_err(dx, cl(fd_grad(loss, x))) < 1e-6
     assert rel_err(dw, fd_grad(loss, w)) < 1e-6
     assert np.all(dw[:, :, :, [0, 2]] == 0.0)
     assert np.all(dw[:, :, :, 1] != 0.0)
@@ -138,15 +143,15 @@ def test_conv_gemm_blocks_agree(monkeypatch):
     w = r.normal(size=(4, 3, 3, 3))
     b = r.normal(size=4)
     proj = r.normal(size=(7, 4, 5, 4))
-    y, cache = nn.conv2d(x, w, b)
-    whole = (y,) + nn.conv2d_grad(proj, cache)
+    y, cache = nn.conv2d(cl(x), w, b)
+    whole = (y,) + nn.conv2d_grad(cl(proj), cache)
     monkeypatch.setattr(nn, "GEMM_ROWS", 2 * 5 * 4)  # blocks of 2 samples
-    y, cache = nn.conv2d(x, w, b)
-    blocked = (y,) + nn.conv2d_grad(proj, cache)
+    y, cache = nn.conv2d(cl(x), w, b)
+    blocked = (y,) + nn.conv2d_grad(cl(proj), cache)
     for a, c in zip(whole, blocked):
         assert a.shape == c.shape
         assert rel_err(a, c) < 1e-12
-    assert rel_err(blocked[0], naive_conv2d(x, w, b)) < 1e-12
+    assert rel_err(blocked[0], cl(naive_conv2d(x, w, b))) < 1e-12
 
 
 @pytest.mark.parametrize("m", [0, 5, 24, 29])
@@ -173,14 +178,14 @@ def test_conv_keeps_dtype(dtype, shape):
     r = np.random.default_rng(8)
     x = r.normal(size=shape).astype(dtype)
     w = r.normal(size=(4, 3, 3, 3)).astype(dtype)
-    y, cache = nn.conv2d(x, w)
+    y, cache = nn.conv2d(cl(x), w)
     dx, dw, _ = nn.conv2d_grad(r.normal(size=y.shape).astype(dtype), cache)
     assert y.dtype == dx.dtype == dw.dtype == dtype
-    assert dx.shape == x.shape and dw.shape == w.shape
+    assert dx.shape == cl(x).shape and dw.shape == w.shape
 
 
 def test_conv_validates_shapes():
-    x = np.zeros((1, 3, 4, 4))
+    x = cl(np.zeros((1, 3, 4, 4)))
     with pytest.raises(ValueError):
         nn.conv2d(x, np.zeros((2, 5, 3, 3)))
     with pytest.raises(ValueError):
@@ -193,9 +198,9 @@ def test_batchnorm_training_normalizes():
     r = np.random.default_rng(5)
     x = r.normal(loc=3.0, scale=2.0, size=(8, 4, 6, 5))
     bn = nn.BnState.create(4)
-    y, _ = nn.batchnorm(x, bn, training=True)
-    assert np.abs(y.mean(axis=(0, 2, 3))).max() < 1e-10
-    assert rel_err(y.var(axis=(0, 2, 3)), np.ones(4)) < 1e-4  # off by eps only
+    y, _ = nn.batchnorm(cl(x), bn, training=True)
+    assert np.abs(y.mean(axis=(0, 1, 2))).max() < 1e-10
+    assert rel_err(y.var(axis=(0, 1, 2)), np.ones(4)) < 1e-4  # off by eps only
 
 
 def test_batchnorm_running_stats_update():
@@ -203,7 +208,7 @@ def test_batchnorm_running_stats_update():
     x = r.normal(size=(16, 3, 4, 4))
     bn = nn.BnState.create(3, momentum=0.25)
     mean0, var0 = bn.running_mean.copy(), bn.running_var.copy()
-    nn.batchnorm(x, bn, training=True)
+    nn.batchnorm(cl(x), bn, training=True)
     bm = x.mean(axis=(0, 2, 3))
     bv = x.var(axis=(0, 2, 3))
     assert rel_err(bn.running_mean, 0.75 * mean0 + 0.25 * bm) < 1e-12
@@ -218,17 +223,17 @@ def test_batchnorm_inference_uses_running_stats():
     bn.running_mean = np.array([1.0, -2.0])
     bn.running_var = np.array([4.0, 0.25])
     x = r.normal(size=(1, 2, 3, 3))
-    y, _ = nn.batchnorm(x, bn, training=False)
+    y, _ = nn.batchnorm(cl(x), bn, training=False)
     expect = (bn.gamma[None, :, None, None]
               * (x - bn.running_mean[None, :, None, None])
               / np.sqrt(bn.running_var + bn.eps)[None, :, None, None]
               + bn.beta[None, :, None, None])
-    assert rel_err(y, expect) < 1e-12
+    assert rel_err(y, cl(expect)) < 1e-12
 
 
 def test_batchnorm_rejects_tiny_training_batch():
     bn = nn.BnState.create(2)
-    x = np.zeros((1, 2, 4, 4))
+    x = cl(np.zeros((1, 2, 4, 4)))
     with pytest.raises(ValueError):
         nn.batchnorm(x, bn, training=True)
     nn.batchnorm(x, bn, training=False)  # inference is fine
@@ -243,12 +248,12 @@ def test_batchnorm_backward_finite_difference_4d():
     proj = r.normal(size=x.shape)
 
     def loss():
-        y, _ = nn.batchnorm(x, bn, training=True)
-        return float((y * proj).sum())
+        y, _ = nn.batchnorm(cl(x), bn, training=True)
+        return float((y * cl(proj)).sum())
 
-    y, cache = nn.batchnorm(x, bn, training=True)
-    dx, dgamma, dbeta = nn.batchnorm_grad(proj, cache)
-    assert rel_err(dx, fd_grad(loss, x)) < 1e-5
+    y, cache = nn.batchnorm(cl(x), bn, training=True)
+    dx, dgamma, dbeta = nn.batchnorm_grad(cl(proj), cache)
+    assert rel_err(dx, cl(fd_grad(loss, x))) < 1e-5
     assert rel_err(dgamma, fd_grad(loss, bn.gamma)) < 1e-6
     assert rel_err(dbeta, fd_grad(loss, bn.beta)) < 1e-6
 
@@ -279,12 +284,12 @@ def test_batchnorm_backward_inference_mode():
     proj = r.normal(size=x.shape)
 
     def loss():
-        y, _ = nn.batchnorm(x, bn, training=False)
-        return float((y * proj).sum())
+        y, _ = nn.batchnorm(cl(x), bn, training=False)
+        return float((y * cl(proj)).sum())
 
-    y, cache = nn.batchnorm(x, bn, training=False)
-    dx, _, _ = nn.batchnorm_grad(proj, cache)
-    assert rel_err(dx, fd_grad(loss, x)) < 1e-6
+    y, cache = nn.batchnorm(cl(x), bn, training=False)
+    dx, _, _ = nn.batchnorm_grad(cl(proj), cache)
+    assert rel_err(dx, cl(fd_grad(loss, x))) < 1e-6
 
 
 # ------------------------------------------------------------------- dense

