@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,7 @@ class ChannelProgram:
     def __post_init__(self):
         if self.const is not None and (self.p or self.n):
             raise ValueError("constant channels carry no index sets")
-        if set(self.p) & set(self.n):
+        if self.n and not set(self.p).isdisjoint(self.n):
             raise ValueError("P and N must be disjoint")
 
     @property
@@ -295,19 +294,32 @@ def _snapshot(prog):
         for lp in prog.layers))
 
 
-def _codes(layer):
+def _index_lists(layer):
+    """The layer's P and N sets as _codes takes them: int [entries, 1 or 3]
+    (a conv entry is (in_ch, k1, k2)) and the entries per list, the lists
+    being P then N of each channel in order."""
+    sets = [s for cp in layer.channels for s in (cp.p, cp.n)]
+    sizes = [len(s) for s in sets]
+    dims = 3 if layer.kind == "conv" else 1
+    flat = itertools.chain.from_iterable(sets)
+    if dims > 1:
+        flat = itertools.chain.from_iterable(flat)
+    return (np.fromiter(flat, dtype=np.intp,
+                        count=sum(sizes) * dims).reshape(-1, dims), sizes)
+
+
+def _codes(layer, entries, sizes):
     """[channels, in_width, *kernel] float32 array of the P (+1) and N (-1)
-    index sets."""
+    index sets, given as _index_lists gives them."""
     k = np.zeros((len(layer.channels), layer.in_width) + tuple(layer.kernel or ()),
                  dtype=np.float32)
-    for sign, sets in ((1.0, [cp.p for cp in layer.channels]),
-                       (-1.0, [cp.n for cp in layer.channels])):
-        idx = np.array(list(itertools.chain.from_iterable(sets)),
-                       dtype=np.intp).reshape(-1, k.ndim - 1)
-        if ((idx < 0) | (idx >= k.shape[1:])).any():
-            raise ValueError(f"{layer.name}: index outside the layer input")
-        rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-        k[(rows,) + tuple(idx.T)] = sign
+    outside = len(entries) and (entries.min() < 0 or
+                                (entries.max(axis=0) >= k.shape[1:]).any())
+    if entries.shape[1] != k.ndim - 1 or outside:
+        raise ValueError(f"{layer.name}: index outside the layer input")
+    lists = np.arange(len(sizes))  # P lists are even (+1), N lists odd (-1)
+    k[(np.repeat(lists // 2, sizes),) + tuple(entries.T)] = np.repeat(
+        1.0 - 2.0 * (lists % 2), sizes)
     return k
 
 
@@ -337,16 +349,19 @@ class _WiringError(ValueError):
         self.index = index
 
 
-def _compile(prog):
+def _compile(prog, index_lists=None):
     """_CompiledLayer list; checks the layer wiring on the way and raises
     _WiringError at the first layer that does not fit. Feature maps run
-    channels-last, [N, 16, g, C], so each conv is one GEMM."""
+    channels-last, [N, 16, g, C], so each conv is one GEMM. index_lists
+    holds each layer's _index_lists, where they are at hand already."""
+    if index_lists is None:
+        index_lists = [_index_lists(layer) for layer in prog.layers]
     shape = (16, prog.group_size, len(INPUT_CHANNEL_NAMES))
     shapes = {}  # layer name -> output shape, for skip sources
     out = []
-    for i, layer in enumerate(prog.layers):
+    for i, (layer, lists) in enumerate(zip(prog.layers, index_lists)):
         try:
-            cl, shape = _compile_layer(layer, shape, shapes)
+            cl, shape = _compile_layer(layer, shape, shapes, lists)
         except ValueError as e:
             raise _WiringError(i, str(e)) from None
         out.append(cl)
@@ -356,11 +371,11 @@ def _compile(prog):
     return out
 
 
-def _compile_layer(layer, shape, shapes):
+def _compile_layer(layer, shape, shapes, index_lists):
     """(_CompiledLayer, output shape) of one layer on an input of shape,
     shapes holding the output shape of each earlier layer."""
     n_ch = len(layer.channels)
-    k = _codes(layer)
+    k = _codes(layer, *index_lists)
     reach = None
     if layer.kind == "conv":
         if len(shape) != 3 or shape[2] != layer.in_width:
@@ -420,7 +435,7 @@ def run_program(prog: BooleanProgram, bits, return_planes=False):
         if cl.reach is not None:
             s = nn.conv_sums(h, cl.reach, cl.kmat)
         else:
-            s = h.reshape(n, -1).astype(np.float32) @ cl.kmat
+            s = nn.matmul_rows(h.reshape(n, -1).astype(np.float32), cl.kmat)
         if cl.decision == "compare":
             si = s.astype(np.int32)
             d = si[:, 1] - si[:, 0]
@@ -877,21 +892,81 @@ def save_program(prog: BooleanProgram, path, max_literals=8):
         f.write("\n".join(lines) + "\n")
 
 
-_TUPLE_RE = re.compile(r"\((\d+),(\d+),(\d+)\)")
+# The grammar of one index-list entry: the non-digit characters that close
+# it, its last (',' or the list's end) left out, and whether a run of ASCII
+# digits comes before each of them: "12," (dense) and "(1,2,3)," (conv).
+_ENTRY_GRAMMAR = {"dense": (b"", (True,)),
+                  "conv": (b"(,,)", (False, True, True, True, False))}
+_LIST_END = ";"  # closes each list body in a layer's joined bodies
+_NOT_DIGITS = bytes.maketrans(b"(),;", b"    ")
 
 
-def _parse_indices(text):
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"malformed index list {text!r}")
-    body = text[1:-1]
-    if not body:
-        return ()
-    if body.startswith("("):
-        found = _TUPLE_RE.findall(body)
-        if ",".join(f"({a},{b},{c})" for a, b, c in found) != body:
-            raise ValueError(f"malformed index list {text!r}")
-        return tuple((int(a), int(b), int(c)) for a, b, c in found)
-    return tuple(int(v) for v in body.split(","))
+def _parse_index_lists(texts, kind):
+    """_index_lists of a layer's index-list texts, in one pass over their
+    joined bodies, or None if any is malformed. A list is [] or its entries
+    joined by ','; a dense entry is ASCII decimal digits, a conv entry
+    (c,k1,k2) three such numbers."""
+    pat, runs = _ENTRY_GRAMMAR[kind]
+    if not all(len(t) >= 2 and t[0] == "[" and t[-1] == "]" for t in texts):
+        return None
+    full = [i for i, t in enumerate(texts) if len(t) > 2]
+    raw = "".join(texts[i][1:-1] + _LIST_END for i in full).encode(
+        "ascii", "replace")  # a non-ASCII character becomes '?'
+    c = np.frombuffer(raw, dtype=np.uint8)
+    marks = np.flatnonzero((c - np.uint8(48)) >= 10)  # the non-digits
+    if len(marks) % len(runs):
+        return None
+    closers = c[marks].reshape(-1, len(runs))
+    ends = closers[:, -1] == ord(_LIST_END)
+    digits_before = np.empty(len(marks), dtype=bool)  # a run ends at mark
+    digits_before[:1] = marks[:1] > 0
+    np.greater(marks[1:] - marks[:-1], 1, out=digits_before[1:])
+    if not ((closers[:, :-1] == np.frombuffer(pat, np.uint8)).all()
+            and (ends | (closers[:, -1] == ord(","))).all()
+            and (digits_before.reshape(-1, len(runs)) == runs).all()
+            and np.count_nonzero(ends) == len(full)):
+        return None
+    sizes = np.zeros(len(texts), dtype=np.intp)
+    sizes[full] = np.diff(np.flatnonzero(ends), prepend=-1)
+    # Only digit runs and spaces are left, so the numbers parse exactly;
+    # one past the int64 range saturates, outside every layer input.
+    entries = np.fromstring(raw.translate(_NOT_DIGITS), dtype=np.int64,
+                            sep=" ")
+    return entries.reshape(len(closers), sum(runs)), sizes
+
+
+def _layer_channels(path, kind, pending):
+    """(ChannelPrograms, _index_lists) of one layer's channel lines,
+    pending being [(line number, (const, theta, flip, P text, N text))].
+    Their index lists are parsed together; only if that fails are they
+    parsed list by list, to name the line. A ValueError names the file and
+    the line of the first fault."""
+    parsed = _parse_index_lists([t for _, ch in pending for t in ch[3:]],
+                                kind)
+    if parsed is None:
+        for i, (lineno, ch) in enumerate(pending):
+            for text in ch[3:]:
+                if _parse_index_lists([text], kind) is None:
+                    # a P/N overlap on an earlier line comes first
+                    _layer_channels(path, kind, pending[:i])
+                    raise ValueError(f"{path}:{lineno}: malformed index "
+                                     f"list {text!r}")
+    entries, sizes = parsed
+    flat = (entries.ravel().tolist() if kind == "dense"
+            else list(zip(*entries.T.tolist())))
+    bounds = np.cumsum(sizes).tolist()
+    channels = []
+    lo = 0
+    for (lineno, (const, theta, flip, _, _)), mid, hi in zip(
+            pending, bounds[::2], bounds[1::2]):
+        try:
+            channels.append(ChannelProgram(
+                p=tuple(flat[lo:mid]), n=tuple(flat[mid:hi]),
+                theta=theta, flip=flip, const=const))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        lo = hi
+    return channels, parsed
 
 
 def _parse_kv(parts):
@@ -916,9 +991,28 @@ def _bit(text, key):
     return int(text)
 
 
+def _channel_line(kv, kind):
+    """(const, theta, flip, P text, N text) of a channel line; the index
+    lists are parsed with the rest of the layer (_layer_channels)."""
+    if "const" in kv:
+        return _bit(kv["const"], "const"), 0, False, "[]", "[]"
+    lists = []
+    try:
+        for key in ("P", "N"):
+            lists.append(_need(kv, key))
+        return (None, int(kv.get("theta", 0)),
+                bool(_bit(kv.get("flip", "0"), "flip")), *lists)
+    except ValueError:
+        for text in lists:  # a malformed list before the fault comes first
+            if _parse_index_lists([text], kind) is None:
+                raise ValueError(f"malformed index list {text!r}") from None
+        raise
+
+
 def _load_line(prog, layer, ln):
-    """Adds one LAYER or channel line to prog. Returns the current layer and,
-    for a LAYER line, the channel count its header declares."""
+    """Reads one LAYER or channel line; a LAYER line joins prog. Returns
+    the current layer and, for a LAYER line, the channel count its header
+    declares, or for a channel line its fields (_channel_line)."""
     kind, _, rest = ln.partition(" ")
     kv = _parse_kv(rest.split(" ")) if rest else {}
     if kind == "LAYER":
@@ -930,6 +1024,12 @@ def _load_line(prog, layer, ln):
         layer_kind = _need(kv, "kind")
         if layer_kind not in ("conv", "dense"):
             raise ValueError(f"kind={layer_kind} is not conv or dense")
+        if decision not in (None, "folded", "compare"):
+            raise ValueError(f"decision={decision} is not folded or compare")
+        if layer_kind == "conv" and kernel is None:
+            raise ValueError("missing kernel=")
+        if layer_kind == "dense" and kernel is not None:
+            raise ValueError("a dense layer takes no kernel=")
         if skip is not None and skip not in [lp.name for lp in prog.layers]:
             raise ValueError(f"skip={skip} names no earlier layer")
         layer = LayerProgram(
@@ -943,16 +1043,7 @@ def _load_line(prog, layer, ln):
     if kind in ("IND", "ACC"):
         if layer is None:
             raise ValueError("channel line before any LAYER")
-        if "const" in kv:
-            cp = ChannelProgram(p=(), n=(), const=_bit(kv["const"], "const"))
-        else:
-            cp = ChannelProgram(
-                p=_parse_indices(_need(kv, "P")),
-                n=_parse_indices(_need(kv, "N")),
-                theta=int(kv.get("theta", 0)),
-                flip=bool(_bit(kv.get("flip", "0"), "flip")))
-        layer.channels.append(cp)
-        return layer, None
+        return layer, _channel_line(kv, layer.kind)
     raise ValueError(f"unknown line kind {kind!r}")
 
 
@@ -979,6 +1070,15 @@ def load_program(path) -> BooleanProgram:
         raise ValueError(f"{path}:1: {e}") from None
     layer = None
     heads = []  # (line number, declared channels) per LAYER line
+    pending = []  # (line number, fields) of the current layer's channel lines
+    index_lists = []  # per finished layer, for _compile
+
+    def finish_layer():
+        channels, lists = _layer_channels(path, layer.kind, pending)
+        layer.channels.extend(channels)
+        index_lists.append(lists)
+        pending.clear()
+
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln or ln.startswith("#"):
             if ln.startswith("# warning: "):
@@ -986,12 +1086,20 @@ def load_program(path) -> BooleanProgram:
             continue
         if ln == "EXPR":
             break
+        if layer is not None and ln.partition(" ")[0] == "LAYER":
+            finish_layer()
         try:
-            layer, declared = _load_line(prog, layer, ln)
+            layer, got = _load_line(prog, layer, ln)
         except ValueError as e:
+            if pending:  # a fault on an earlier line comes first
+                _layer_channels(path, layer.kind, pending)
             raise ValueError(f"{path}:{lineno}: {e}") from None
-        if declared is not None:
-            heads.append((lineno, declared))
+        if isinstance(got, int):
+            heads.append((lineno, got))
+        else:
+            pending.append((lineno, got))
+    if layer is not None:
+        finish_layer()
     if not prog.layers:
         raise ValueError(f"{path}: no layers")
     if n_layers != len(prog.layers):
@@ -1006,7 +1114,7 @@ def load_program(path) -> BooleanProgram:
             raise ValueError(f"{path}:{lineno}: {lp.name}: the last layer, "
                              f"and only it, takes a decision=")
     try:
-        _compiled_layers(prog)
+        prog._compiled = (_snapshot(prog), _compile(prog, index_lists))
     except _WiringError as e:
         raise ValueError(f"{path}:{heads[e.index][0]}: {e}") from None
     return prog

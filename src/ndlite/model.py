@@ -184,12 +184,14 @@ class Model:
 
     # ------------------------------------------------------------- forward
 
-    def _act(self, x):
+    def _act(self, x, training):
+        """Hidden activation and its backward cache, None at inference but
+        for the sigmoid's (its output)."""
         if self.stage == "full":
-            return binarize_activation(x)
+            return binarize_activation(x, grad=training)
         if self.cfg.hidden_activation == "sigmoid":
             return nn.sigmoid(x)
-        return nn.relu(x)
+        return nn.relu(x, grad=training)
 
     def _act_grad(self, dy, cache):
         if self.stage == "full":
@@ -261,7 +263,7 @@ class Model:
             if spec.norm == "bn":
                 y, c_bn = nn.batchnorm(y, norm, training)
             if spec is not specs[-1]:
-                h, c_act = self._act(y)
+                h, c_act = self._act(y, training)
                 if spec.name in skip_sources:
                     outputs[spec.name] = h
             caches.append((c_lin, c_bn, c_act, lam, in_shape, (w, d)))
@@ -506,7 +508,7 @@ def exact_bit_forward(model: Model, bits, return_planes=False):
         if el.reach is not None:
             s = nn.conv_sums(h, el.reach, el.kmat)  # [N, 16, g, O]
         else:
-            s = h.reshape(n, -1).astype(np.float32) @ el.kmat
+            s = nn.matmul_rows(h.reshape(n, -1).astype(np.float32), el.kmat)
         if spec.skip_from is not None:
             s += planes[spec.skip_from]
         if el is layers[-1]:

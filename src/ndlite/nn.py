@@ -294,8 +294,8 @@ def dense_grad(dy, cache):
 
 # -------------------------------------------------------------- activations
 
-def relu(x):
-    return np.maximum(x, 0.0), (x > 0)
+def relu(x, grad=True):
+    return np.maximum(x, 0.0), (x > 0) if grad else None
 
 
 def relu_grad(dy, cache):

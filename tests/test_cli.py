@@ -1,6 +1,8 @@
 """End-to-end command-line tests: exit codes, determinism, reports."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -11,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ndlite import dataset
+from ndlite import dataset, lowering
 from ndlite.checkpoint import load_weights, save_weights
 from ndlite.cli import _implied_config, main, sha256_file
 from ndlite.dataset import load_dataset, save_dataset
@@ -21,7 +25,8 @@ from ndlite.lowering import (load_program, lower_model, save_program,
 from ndlite.model import (exact_bit_forward, layer_specs, load_model,
                           save_model)
 
-from test_lowering import _planted_conv0_model, antisymmetrize_output
+from test_lowering import (_planted_conv0_model, antisymmetrize_output,
+                           damaged, saved_programs_in)
 from test_model import randomized_quantized_model, small_cfg
 
 
@@ -518,6 +523,10 @@ def _const_7(lines):
     ("bad-const", _const_7, "const=7 is not 0 or 1"),
     ("bad-skip", _set_value("skip", "dense1", "LAYER name=res0.c2 "),
      "skip=dense1 names no earlier layer"),
+    ("bad-decision", _set_value("decision", "foo", "LAYER name=out "),
+     "decision=foo is not folded or compare"),
+    ("no-kernel", _drop_key("kernel", "LAYER name=res0.c1 "),
+     "missing kernel="),
     ("no-name", _drop_key("name", "LAYER "), "missing name="),
     ("no-kind", _drop_key("kind", "LAYER "), "missing kind="),
     ("no-in", _drop_key("in", "LAYER "), "missing in="),
@@ -542,6 +551,74 @@ def test_malformed_program_exits_2(work, quant_ckpt, lowered, tiny_data,
         err = capsys.readouterr().err
         assert f"{path}:{lineno}: {message}" in err
         assert "Traceback" not in err
+
+
+def _set_p_list(layer_prefix, text):
+    """Edit: P= of the first index channel line of the layer whose LAYER
+    line starts with layer_prefix becomes text; returns that channel line."""
+    def edit(lines):
+        head = next(i for i, ln in enumerate(lines)
+                    if ln.startswith(layer_prefix))
+        idx = next(i for i in range(head + 1, len(lines))
+                   if " P=[" in lines[i])
+        lines[idx] = re.sub(r" P=\S*", lambda _: f" P={text}", lines[idx])
+        return idx
+    return edit
+
+
+_MALFORMED_LISTS = ["[1,,2]", "[1,2,]", "[,1]", "[1_0]", "[+1]", "[１]",
+                    "[1.5]", "[0x1]", "[(1,2),(3,4,5)]", "[(1,2,3,4),(5,6)]",
+                    "[(1,2,3)(4,5,6)]", "[(1,2,3),]", "[4,(1,2,3)]", "[-1]",
+                    "[\t1]", "[(0,0,0);(1,0,0)]", "[(٠,0,0)]", "1", "[1"]
+
+
+@pytest.mark.parametrize("layer", ["conv0", "dense1"])
+@pytest.mark.parametrize("text", _MALFORMED_LISTS)
+def test_malformed_index_list_exits_2(work, lowered, tiny_data, capsys,
+                                      layer, text):
+    path, lineno = _broken_program(
+        work, lowered, f"list-{layer}-{_MALFORMED_LISTS.index(text)}.bprog",
+        _set_p_list(f"LAYER name={layer} ", text))
+    capsys.readouterr()
+    assert run(["eval", path, "--data", tiny_data["val"]]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{lineno}: malformed index list" in err
+    assert "Traceback" not in err
+
+
+def test_program_eval_compiles_once(work, lowered, tiny_data, monkeypatch):
+    """eval of a .bprog in several batches reuses the compile of the load."""
+    calls = []
+    compile_ = lowering._compile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compile_(*args, **kwargs)
+
+    monkeypatch.setattr(lowering, "_compile", counted)
+    assert len(load_dataset(tiny_data["val"])) > 64
+    assert run(["eval", lowered, "--data", tiny_data["val"],
+                "--batch-size", 64]) == 0
+    assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def saved_programs(work):
+    return saved_programs_in(work)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_damaged_program_exits_0_2_or_4(work, tiny_data, saved_programs, data):
+    path = work / "damaged.bprog"
+    path.write_bytes(data.draw(damaged(data.draw(st.sampled_from(
+        saved_programs)))))
+    for argv in (["eval", path, "--data", tiny_data["val"]], ["count", path]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) in (0, 2, 4), argv
+        assert "Traceback" not in err.getvalue()
 
 
 def _first_p_entry(layer_prefix, entry):
@@ -569,6 +646,8 @@ def _skip_into_dense1(lines):
     ("conv-index-99", _first_p_entry("LAYER name=conv0 ", "(99,0,0)"),
      "conv0: index outside the layer input"),
     ("dense-index-99999", _first_p_entry("LAYER name=dense1 ", "99999"),
+     "dense1: index outside the layer input"),
+    ("dense-index-30-digits", _first_p_entry("LAYER name=dense1 ", "9" * 30),
      "dense1: index outside the layer input"),
     ("skip-shape", _skip_into_dense1,
      "dense1: skip source 'res0.c2' has no output of shape (6,)"),

@@ -722,3 +722,80 @@ def test_load_rejects_malformed(tmp_path):
     bad.write_text("BPROG v1 layout=8x8x1 layers=0\n")
     with pytest.raises(ValueError):
         load_program(bad)
+
+
+@pytest.fixture(scope="module")
+def program_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("programs")
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16), folded=st.booleans(),
+       group_size=st.sampled_from([1, 2]))
+def test_program_roundtrip_property(program_dir, seed, folded, group_size):
+    m = randomized_quantized_model(seed, cfg=small_cfg(group_size=group_size))
+    if folded:
+        antisymmetrize_output(m)
+    prog = lower_model(m)
+    assert prog.layers[-1].decision == ("folded" if folded else "compare")
+    path, again = program_dir / "rt.bprog", program_dir / "rt2.bprog"
+    save_program(prog, path)
+    loaded = load_program(path)
+    assert loaded == prog
+    save_program(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=(64, 4, 16, group_size), dtype=np.uint8)
+    labels, planes = run_program(loaded, bits, return_planes=True)
+    want, want_planes = run_program(prog, bits, return_planes=True)
+    assert np.array_equal(labels, want)
+    for (name, plane), (want_name, want_plane) in zip(planes, want_planes):
+        assert name == want_name and np.array_equal(plane, want_plane)
+
+
+@st.composite
+def damaged(draw, raw):
+    """raw cut short, or with a few bytes changed; each changed byte is on
+    a line drawn first, so that the short header lines are hit about as
+    often as the long index lists."""
+    if draw(st.booleans()):
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    starts = [0] + [i + 1 for i, b in enumerate(raw) if b == ord("\n")]
+    out = bytearray(raw)
+    for _ in range(draw(st.integers(1, 3))):
+        line = draw(st.integers(0, len(starts) - 2))
+        pos = draw(st.integers(starts[line], starts[line + 1] - 1))
+        out[pos] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+def saved_programs_in(directory):
+    """The saved bytes of a folded and of a compare-decision program."""
+    raws = []
+    for seed, fold in ((3, True), (4, False)):
+        m = randomized_quantized_model(seed)
+        if fold:
+            antisymmetrize_output(m)
+        path = directory / f"saved{seed}.bprog"
+        save_program(lower_model(m), path)
+        raws.append(path.read_bytes())
+    return raws
+
+
+@pytest.fixture(scope="module")
+def saved_programs(program_dir):
+    return saved_programs_in(program_dir)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_program_loads_or_raises_value_error(program_dir,
+                                                     saved_programs, data):
+    path = program_dir / "damaged.bprog"
+    path.write_bytes(data.draw(damaged(data.draw(st.sampled_from(
+        saved_programs)))))
+    try:
+        prog = load_program(path)
+    except ValueError:
+        return
+    run_program(prog, np.zeros((2, 4, 16, prog.group_size), dtype=np.uint8))

@@ -620,6 +620,19 @@ def test_blocked_scores_equal_one_block_scores(monkeypatch, stage,
     assert np.array_equal(m.scores(x), whole)
 
 
+@pytest.mark.parametrize("stage", ["fp", "full"])
+def test_inference_forward_builds_no_activation_masks(stage):
+    """Only training keeps the relu and binarize backward masks."""
+    m = randomized_quantized_model(6)
+    m.set_stage(stage)
+    x = np.random.default_rng(6).integers(0, 2, size=(32, 4, 16, 1)
+                                          ).astype(np.float32)
+    _, caches = m.forward(x, training=False)
+    assert all(c_act is None for _, _, c_act, *_ in caches)
+    _, train_caches = m.forward(x, training=True)
+    assert all(c_act is not None for _, _, c_act, *_ in train_caches[:-1])
+
+
 def test_scores_memory_does_not_grow_with_blocks(monkeypatch):
     tracemalloc = pytest.importorskip("tracemalloc")
     m = build_model(small_cfg(), seed=2)
