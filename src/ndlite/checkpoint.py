@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -47,7 +48,10 @@ def load_weights(path):
     (hlen,) = struct.unpack_from("<I", raw, 4)
     if len(raw) < 8 + hlen:
         raise ValueError(f"{path}: truncated header")
-    header = json.loads(raw[8:8 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[8:8 + hlen].decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # RecursionError: deep nesting
+        raise ValueError(f"{path}: unreadable header: {e}") from None
     for key in ("version", "meta", "tensors", "payload_sha256"):
         if not isinstance(header, dict) or key not in header:
             raise ValueError(f"{path}: header has no {key!r}")
@@ -57,14 +61,19 @@ def load_weights(path):
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:
         raise ValueError(f"{path}: payload checksum mismatch")
+    if not isinstance(header["tensors"], list):
+        raise ValueError(f"{path}: header 'tensors' is not a list")
     tensors = {}
     off = 0
-    for entry in header["tensors"]:
-        if not isinstance(entry, dict) or not {"name", "shape"} <= entry.keys():
-            raise ValueError(f"{path}: tensor entry {entry!r} needs 'name' "
-                             f"and 'shape'")
+    for i, entry in enumerate(header["tensors"]):
+        # type(d) is int, as JSON true and false load as bools, which are ints
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise ValueError(f"{path}: tensor entry {i} needs a str 'name' "
+                             f"and a 'shape' list of non-negative ints")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         end = off + 4 * count
         if end > len(payload):
             raise ValueError(f"{path}: payload shorter than declared tensors")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,18 +309,30 @@ def _index_lists(layer):
                         count=sum(sizes) * dims).reshape(-1, dims), sizes)
 
 
-def _codes(layer, entries, sizes):
-    """[channels, in_width, *kernel] float32 array of the P (+1) and N (-1)
-    index sets, given as _index_lists gives them."""
-    k = np.zeros((len(layer.channels), layer.in_width) + tuple(layer.kernel or ()),
-                 dtype=np.float32)
+def _codes(layer, entries, sizes, reach=None):
+    """[channels, in_width, *taps] float32 array of the P (+1) and N (-1)
+    index sets, given as _index_lists gives them. A conv layer's taps are
+    the live block of half-extents reach (nn._live_taps) of its kernel;
+    entries on the other taps only read padding and are left out."""
+    dims = (layer.in_width,) + tuple(layer.kernel or ())
     outside = len(entries) and (entries.min() < 0 or
-                                (entries.max(axis=0) >= k.shape[1:]).any())
-    if entries.shape[1] != k.ndim - 1 or outside:
+                                (entries.max(axis=0) >= dims).any())
+    if entries.shape[1] != len(dims) or outside:
         raise ValueError(f"{layer.name}: index outside the layer input")
     lists = np.arange(len(sizes))  # P lists are even (+1), N lists odd (-1)
-    k[(np.repeat(lists // 2, sizes),) + tuple(entries.T)] = np.repeat(
-        1.0 - 2.0 * (lists % 2), sizes)
+    rows = np.repeat(lists // 2, sizes)
+    signs = np.repeat(1.0 - 2.0 * (lists % 2), sizes)
+    if reach is not None:
+        first = [k // 2 - r for k, r in zip(layer.kernel, reach)]
+        taps = entries[:, 1:]
+        live = ((taps >= first) & (taps <= [f + 2 * r for f, r in
+                                            zip(first, reach)])).all(axis=1)
+        entries, rows, signs = entries[live], rows[live], signs[live]
+        if len(entries):  # first exceeds int64 only if no entry is live
+            entries[:, 1:] -= first
+        dims = (layer.in_width,) + tuple(2 * r + 1 for r in reach)
+    k = np.zeros((len(layer.channels),) + dims, dtype=np.float32)
+    k[(rows,) + tuple(entries.T)] = signs
     return k
 
 
@@ -375,20 +388,20 @@ def _compile_layer(layer, shape, shapes, index_lists):
     """(_CompiledLayer, output shape) of one layer on an input of shape,
     shapes holding the output shape of each earlier layer."""
     n_ch = len(layer.channels)
-    k = _codes(layer, *index_lists)
     reach = None
     if layer.kind == "conv":
         if len(shape) != 3 or shape[2] != layer.in_width:
             raise ValueError(f"{layer.name}: expected {layer.in_width} "
                              f"input channels, got shape {shape}")
         hh, ww, _ = shape
-        reach, kmat = nn.tap_matrix(k, hh, ww)
+        reach, _ = nn._live_taps(*nn._same_pad(*layer.kernel), hh, ww)
+        _, kmat = nn.tap_matrix(_codes(layer, *index_lists, reach), hh, ww)
         shape = (hh, ww, n_ch)
     else:
         if math.prod(shape) != layer.in_width:
             raise ValueError(f"{layer.name}: expected input width "
                              f"{layer.in_width}, got {math.prod(shape)}")
-        kmat = k.T
+        kmat = _codes(layer, *index_lists).T
         if len(shape) == 3:
             # Dense indices are in the [C, 16, g] flattening order.
             hh, ww, c = shape
@@ -624,7 +637,7 @@ def _prove(prog, model):
 
 
 def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
-                       exhaustive_width=9, seed=0, batch=2048) -> VerifyReport:
+                       exhaustive_width=9, seed=0) -> VerifyReport:
     """Layer structure, then randomized whole-network trials, then a
     complete per-channel proof, then exhaustive per-channel sweeps.
 
@@ -647,7 +660,7 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
     rng = np.random.default_rng(seed)
     done = 0
     while done < trials:
-        nb = min(batch, trials - done)
+        nb = min(2048, trials - done)
         bits = rng.integers(0, 2, size=(nb, 4, 16, prog.group_size),
                             dtype=np.uint8)
         prog_labels, prog_planes = run_program(prog, bits, return_planes=True)
@@ -859,7 +872,7 @@ def _fmt_indices(entries):
     return "[" + ",".join(str(i) for i in entries) + "]"
 
 
-def save_program(prog: BooleanProgram, path, max_literals=8):
+def save_program(prog: BooleanProgram, path):
     lines = [f"BPROG v1 layout=4x16x{prog.group_size} layers={len(prog.layers)}"]
     for w in prog.warnings:
         lines.append(f"# warning: {w}")
@@ -886,87 +899,44 @@ def save_program(prog: BooleanProgram, path, max_literals=8):
                              f"flip={int(cp.flip)} P={_fmt_indices(cp.p)} "
                              f"N={_fmt_indices(cp.n)}")
     lines.append("EXPR")
-    for lname, ci, formula in program_expressions(prog, max_literals):
+    for lname, ci, formula in program_expressions(prog):
         lines.append(f"{lname} ch={ci}: {formula}")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
-# The grammar of one index-list entry: the non-digit characters that close
-# it, its last (',' or the list's end) left out, and whether a run of ASCII
-# digits comes before each of them: "12," (dense) and "(1,2,3)," (conv).
-_ENTRY_GRAMMAR = {"dense": (b"", (True,)),
-                  "conv": (b"(,,)", (False, True, True, True, False))}
-_LIST_END = ";"  # closes each list body in a layer's joined bodies
-_NOT_DIGITS = bytes.maketrans(b"(),;", b"    ")
+# One strict ASCII grammar per index list ([0-9], as \d takes other
+# digits too): a dense entry is a flat input index, a conv entry a triple.
+_LIST_GRAMMAR = {
+    "dense": (re.compile(r"\[(?:[0-9]+(?:,[0-9]+)*)?\]"), 1),
+    "conv": (re.compile(r"\[(?:\([0-9]+,[0-9]+,[0-9]+\)"
+                        r"(?:,\([0-9]+,[0-9]+,[0-9]+\))*)?\]"), 3),
+}
+_COUNT = re.compile(r"[0-9]+")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _parse_index_lists(texts, kind):
-    """_index_lists of a layer's index-list texts, in one pass over their
-    joined bodies, or None if any is malformed. A list is [] or its entries
-    joined by ','; a dense entry is ASCII decimal digits, a conv entry
-    (c,k1,k2) three such numbers."""
-    pat, runs = _ENTRY_GRAMMAR[kind]
-    if not all(len(t) >= 2 and t[0] == "[" and t[-1] == "]" for t in texts):
-        return None
-    full = [i for i, t in enumerate(texts) if len(t) > 2]
-    raw = "".join(texts[i][1:-1] + _LIST_END for i in full).encode(
-        "ascii", "replace")  # a non-ASCII character becomes '?'
-    c = np.frombuffer(raw, dtype=np.uint8)
-    marks = np.flatnonzero((c - np.uint8(48)) >= 10)  # the non-digits
-    if len(marks) % len(runs):
-        return None
-    closers = c[marks].reshape(-1, len(runs))
-    ends = closers[:, -1] == ord(_LIST_END)
-    digits_before = np.empty(len(marks), dtype=bool)  # a run ends at mark
-    digits_before[:1] = marks[:1] > 0
-    np.greater(marks[1:] - marks[:-1], 1, out=digits_before[1:])
-    if not ((closers[:, :-1] == np.frombuffer(pat, np.uint8)).all()
-            and (ends | (closers[:, -1] == ord(","))).all()
-            and (digits_before.reshape(-1, len(runs)) == runs).all()
-            and np.count_nonzero(ends) == len(full)):
-        return None
-    sizes = np.zeros(len(texts), dtype=np.intp)
-    sizes[full] = np.diff(np.flatnonzero(ends), prepend=-1)
-    # Only digit runs and spaces are left, so the numbers parse exactly;
-    # one past the int64 range saturates, outside every layer input.
-    entries = np.fromstring(raw.translate(_NOT_DIGITS), dtype=np.int64,
-                            sep=" ")
-    return entries.reshape(len(closers), sum(runs)), sizes
+def _number(text, key, signed=False):
+    """int of a field's ASCII decimal digits; only a signed field may
+    start with '-'."""
+    if (_INTEGER if signed else _COUNT).fullmatch(text) is None:
+        raise ValueError(f"{key}={text} is not "
+                         f"{'an integer' if signed else 'a count'} in ASCII "
+                         f"digits")
+    return int(text)
 
 
-def _layer_channels(path, kind, pending):
-    """(ChannelPrograms, _index_lists) of one layer's channel lines,
-    pending being [(line number, (const, theta, flip, P text, N text))].
-    Their index lists are parsed together; only if that fails are they
-    parsed list by list, to name the line. A ValueError names the file and
-    the line of the first fault."""
-    parsed = _parse_index_lists([t for _, ch in pending for t in ch[3:]],
-                                kind)
-    if parsed is None:
-        for i, (lineno, ch) in enumerate(pending):
-            for text in ch[3:]:
-                if _parse_index_lists([text], kind) is None:
-                    # a P/N overlap on an earlier line comes first
-                    _layer_channels(path, kind, pending[:i])
-                    raise ValueError(f"{path}:{lineno}: malformed index "
-                                     f"list {text!r}")
-    entries, sizes = parsed
-    flat = (entries.ravel().tolist() if kind == "dense"
-            else list(zip(*entries.T.tolist())))
-    bounds = np.cumsum(sizes).tolist()
-    channels = []
-    lo = 0
-    for (lineno, (const, theta, flip, _, _)), mid, hi in zip(
-            pending, bounds[::2], bounds[1::2]):
-        try:
-            channels.append(ChannelProgram(
-                p=tuple(flat[lo:mid]), n=tuple(flat[mid:hi]),
-                theta=theta, flip=flip, const=const))
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
-        lo = hi
-    return channels, parsed
+def _index_list(text, kind):
+    """int64 [entries, 1 or 3] of one index list (a conv entry is
+    (in_ch, k1, k2)); a number past the int64 range saturates, outside
+    every layer input."""
+    grammar, dims = _LIST_GRAMMAR[kind]
+    if grammar.fullmatch(text) is None:
+        raise ValueError(f"malformed index list {text!r}")
+    body = text[1:-1]
+    if dims == 3:
+        body = body.replace("(", "").replace(")", "")
+    return np.fromstring(body, dtype=np.int64, sep=",").reshape(-1, dims)
 
 
 def _parse_kv(parts):
@@ -991,115 +961,106 @@ def _bit(text, key):
     return int(text)
 
 
+def _header_line(ln):
+    """(empty BooleanProgram, declared layer count) of the BPROG line."""
+    header = _parse_kv(ln.split()[2:])
+    layout = _need(header, "layout")
+    dims = layout.split("x")
+    if dims[:2] != ["4", "16"] or len(dims) != 3:
+        raise ValueError(f"unsupported layout {layout}")
+    return (BooleanProgram(group_size=_number(dims[2], "layout group size"),
+                           layers=[]),
+            _number(_need(header, "layers"), "layers"))
+
+
 def _channel_line(kv, kind):
-    """(const, theta, flip, P text, N text) of a channel line; the index
-    lists are parsed with the rest of the layer (_layer_channels)."""
+    """(ChannelProgram, P entries, N entries) of a channel line, the
+    entries as _index_list gives them."""
     if "const" in kv:
-        return _bit(kv["const"], "const"), 0, False, "[]", "[]"
-    lists = []
-    try:
-        for key in ("P", "N"):
-            lists.append(_need(kv, key))
-        return (None, int(kv.get("theta", 0)),
-                bool(_bit(kv.get("flip", "0"), "flip")), *lists)
-    except ValueError:
-        for text in lists:  # a malformed list before the fault comes first
-            if _parse_index_lists([text], kind) is None:
-                raise ValueError(f"malformed index list {text!r}") from None
-        raise
+        none = _index_list("[]", kind)
+        return (ChannelProgram(p=(), n=(), const=_bit(kv["const"], "const")),
+                none, none)
+    p, n = (_index_list(_need(kv, key), kind) for key in ("P", "N"))
+    theta = _number(kv.get("theta", "0"), "theta", signed=True)
+    flip = bool(_bit(kv.get("flip", "0"), "flip"))
+    if kind == "dense":
+        sets = (tuple(p.ravel().tolist()), tuple(n.ravel().tolist()))
+    else:
+        sets = (tuple(zip(*e.T.tolist())) for e in (p, n))
+    return ChannelProgram(*sets, theta=theta, flip=flip), p, n
 
 
-def _load_line(prog, layer, ln):
-    """Reads one LAYER or channel line; a LAYER line joins prog. Returns
-    the current layer and, for a LAYER line, the channel count its header
-    declares, or for a channel line its fields (_channel_line)."""
-    kind, _, rest = ln.partition(" ")
-    kv = _parse_kv(rest.split(" ")) if rest else {}
-    if kind == "LAYER":
-        kernel = None
-        if "kernel" in kv:
-            kh, kw = kv["kernel"].split("x")
-            kernel = (int(kh), int(kw))
-        decision, skip = kv.get("decision"), kv.get("skip")
-        layer_kind = _need(kv, "kind")
-        if layer_kind not in ("conv", "dense"):
-            raise ValueError(f"kind={layer_kind} is not conv or dense")
-        if decision not in (None, "folded", "compare"):
-            raise ValueError(f"decision={decision} is not folded or compare")
-        if layer_kind == "conv" and kernel is None:
-            raise ValueError("missing kernel=")
-        if layer_kind == "dense" and kernel is not None:
-            raise ValueError("a dense layer takes no kernel=")
-        if skip is not None and skip not in [lp.name for lp in prog.layers]:
-            raise ValueError(f"skip={skip} names no earlier layer")
-        layer = LayerProgram(
-            name=_need(kv, "name"), kind=layer_kind,
-            in_width=int(_need(kv, "in")), kernel=kernel, channels=[],
-            skip_from=skip, decision=decision,
-            compare_theta=int(_need(kv, "compare_theta"))
-            if decision == "compare" else None)
-        prog.layers.append(layer)
-        return layer, int(_need(kv, "channels"))
-    if kind in ("IND", "ACC"):
-        if layer is None:
-            raise ValueError("channel line before any LAYER")
-        return layer, _channel_line(kv, layer.kind)
-    raise ValueError(f"unknown line kind {kind!r}")
+def _layer_line(prog, kv):
+    """LayerProgram of a LAYER line, and the channel count it declares."""
+    kernel = None
+    if "kernel" in kv:
+        kh, _, kw = kv["kernel"].partition("x")
+        kernel = (_number(kh, "kernel"), _number(kw, "kernel"))
+    decision, skip = kv.get("decision"), kv.get("skip")
+    layer_kind = _need(kv, "kind")
+    if layer_kind not in ("conv", "dense"):
+        raise ValueError(f"kind={layer_kind} is not conv or dense")
+    if decision not in (None, "folded", "compare"):
+        raise ValueError(f"decision={decision} is not folded or compare")
+    if layer_kind == "conv" and kernel is None:
+        raise ValueError("missing kernel=")
+    if layer_kind == "dense" and kernel is not None:
+        raise ValueError("a dense layer takes no kernel=")
+    if skip is not None and skip not in [lp.name for lp in prog.layers]:
+        raise ValueError(f"skip={skip} names no earlier layer")
+    layer = LayerProgram(
+        name=_need(kv, "name"), kind=layer_kind,
+        in_width=_number(_need(kv, "in"), "in"), kernel=kernel, channels=[],
+        skip_from=skip, decision=decision,
+        compare_theta=_number(_need(kv, "compare_theta"), "compare_theta",
+                              signed=True)
+        if decision == "compare" else None)
+    return layer, _number(_need(kv, "channels"), "channels")
 
 
 def load_program(path) -> BooleanProgram:
-    """Reads a .bprog file; a malformed line, a header count that does not
-    match the body, a decision anywhere but on the last layer, or a layer
-    that does not fit its input (an index outside it, a skip source of
-    another shape) raises ValueError naming the file and line. The
-    wiring is checked by compiling the program for run_program, which
-    then reuses it."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or not lines[0].startswith("BPROG v1 "):
+    """Reads a .bprog file one line at a time; a line that is not UTF-8 or
+    is malformed, a header count that does not match the body, a decision
+    anywhere but on the last layer, or a layer that does not fit its input
+    (an index outside it, a skip source of another shape) raises ValueError
+    naming the file and line. The wiring is checked by compiling the
+    program for run_program, which then reuses it."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()  # the newlines of text mode
+    if not lines or not lines[0].startswith(b"BPROG v1 "):
         raise ValueError(f"{path}: not a BPROG v1 file")
-    try:
-        header = _parse_kv(lines[0].split()[2:])
-        layout = _need(header, "layout")
-        dims = layout.split("x")
-        if dims[:2] != ["4", "16"] or len(dims) != 3:
-            raise ValueError(f"unsupported layout {layout}")
-        n_layers = int(_need(header, "layers"))
-        prog = BooleanProgram(group_size=int(dims[2]), layers=[])
-    except ValueError as e:
-        raise ValueError(f"{path}:1: {e}") from None
-    layer = None
     heads = []  # (line number, declared channels) per LAYER line
-    pending = []  # (line number, fields) of the current layer's channel lines
-    index_lists = []  # per finished layer, for _compile
-
-    def finish_layer():
-        channels, lists = _layer_channels(path, layer.kind, pending)
-        layer.channels.extend(channels)
-        index_lists.append(lists)
-        pending.clear()
-
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln or ln.startswith("#"):
-            if ln.startswith("# warning: "):
-                prog.warnings.append(ln[len("# warning: "):])
-            continue
-        if ln == "EXPR":
-            break
-        if layer is not None and ln.partition(" ")[0] == "LAYER":
-            finish_layer()
+    index_lists = []  # per layer, its P and N entries and their sizes
+    for lineno, raw in enumerate(lines, start=1):
         try:
-            layer, got = _load_line(prog, layer, ln)
+            ln = raw.decode("utf-8")
+            if lineno == 1:
+                prog, n_layers = _header_line(ln)
+                continue
+            if not ln or ln.startswith("#"):
+                if ln.startswith("# warning: "):
+                    prog.warnings.append(ln[len("# warning: "):])
+                continue
+            if ln == "EXPR":
+                break
+            kind, _, rest = ln.partition(" ")
+            kv = _parse_kv(rest.split(" ")) if rest else {}
+            if kind == "LAYER":
+                layer, declared = _layer_line(prog, kv)
+                prog.layers.append(layer)
+                heads.append((lineno, declared))
+                index_lists.append(([_index_list("[]", layer.kind)], []))
+            elif kind in ("IND", "ACC"):
+                if not prog.layers:
+                    raise ValueError("channel line before any LAYER")
+                cp, p, n = _channel_line(kv, prog.layers[-1].kind)
+                prog.layers[-1].channels.append(cp)
+                index_lists[-1][0].extend((p, n))
+                index_lists[-1][1].extend((len(p), len(n)))
+            else:
+                raise ValueError(f"unknown line kind {kind!r}")
         except ValueError as e:
-            if pending:  # a fault on an earlier line comes first
-                _layer_channels(path, layer.kind, pending)
             raise ValueError(f"{path}:{lineno}: {e}") from None
-        if isinstance(got, int):
-            heads.append((lineno, got))
-        else:
-            pending.append((lineno, got))
-    if layer is not None:
-        finish_layer()
     if not prog.layers:
         raise ValueError(f"{path}: no layers")
     if n_layers != len(prog.layers):
@@ -1114,7 +1075,9 @@ def load_program(path) -> BooleanProgram:
             raise ValueError(f"{path}:{lineno}: {lp.name}: the last layer, "
                              f"and only it, takes a decision=")
     try:
-        prog._compiled = (_snapshot(prog), _compile(prog, index_lists))
+        prog._compiled = (_snapshot(prog), _compile(prog, [
+            (np.concatenate(entries), sizes)
+            for entries, sizes in index_lists]))
     except _WiringError as e:
         raise ValueError(f"{path}:{heads[e.index][0]}: {e}") from None
     return prog

@@ -1,6 +1,6 @@
 """Learned-step-size ternary weight quantization and activation binarization.
 
-Weights quantize to {-delta, 0, +delta} (k=1, round-half-away-from-zero);
+Weights quantize to {-delta, 0, +delta} (round-half-away-from-zero);
 the step size delta is itself trained. Backward passes use straight-through
 estimates: the weight gradient passes through the quantizer unchanged, the
 delta gradient follows the standard learned-step-size case analysis, and
@@ -21,10 +21,8 @@ def round_half_away(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def quantize_weights(w, delta, k=1):
-    """clip(round(w/delta) * delta, -delta, +delta); only k=1 is supported."""
-    if k != 1:
-        raise ValueError(f"only 1-bit (ternary) quantization is supported, got k={k}")
+def quantize_weights(w, delta):
+    """clip(round(w/delta) * delta, -delta, +delta)."""
     if not delta > 0:
         raise ValueError(f"step size must be positive, got {delta}")
     return np.clip(round_half_away(w / delta) * delta, -delta, delta)
@@ -35,23 +33,17 @@ def ste_weight_grad(grad_wrt_quantized):
     return grad_wrt_quantized
 
 
-def default_grad_scale(n_weights):
-    return 1.0 / np.sqrt(n_weights)
-
-
-def step_size_grad(w, delta, grad_wrt_quantized, grad_scale=None):
-    """Scalar gradient for delta.
+def step_size_grad(w, delta, grad_wrt_quantized):
+    """Scalar gradient for delta, scaled by 1/sqrt(w.size).
 
     Per-element factor: round(v) - v for |v| <= 1 (v = w/delta), else the
     saturation sign; weights sitting exactly on a level contribute zero.
     """
     if not delta > 0:
         raise ValueError(f"step size must be positive, got {delta}")
-    if grad_scale is None:
-        grad_scale = default_grad_scale(w.size)
     v = w / delta
     factor = np.where(np.abs(v) <= 1.0, round_half_away(v) - v, np.sign(v))
-    return float((factor * grad_wrt_quantized).sum()) * grad_scale
+    return float((factor * grad_wrt_quantized).sum()) * (1.0 / np.sqrt(w.size))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Weight-file format tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -65,6 +66,17 @@ def test_rejects_corruption(tmp_path):
     short.write_bytes(bytes(raw[:6]))
     with pytest.raises(ValueError):
         load_weights(short)
+
+
+@pytest.mark.parametrize("blob", [b"[" * 100_000 + b"]" * 100_000,
+                                  b"{\xff}", b"{"],
+                         ids=["deep", "not-utf8", "not-json"])
+def test_rejects_unreadable_header(tmp_path, blob):
+    path = tmp_path / "h.ndw"
+    path.write_bytes(b"NDWF" + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: unreadable header")):
+        load_weights(path)
 
 
 def test_empty_tensor_dict(tmp_path):

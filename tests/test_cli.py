@@ -459,7 +459,9 @@ def _broken_program(work, lowered, name, edit):
     lines = lowered.read_text(encoding="utf-8").splitlines()
     idx = edit(lines)
     path = work / name
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # surrogateescape writes a "\udcff" as the byte 0xff
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8",
+                    errors="surrogateescape")
     return path, idx + 1
 
 
@@ -517,6 +519,25 @@ def _const_7(lines):
     return idx
 
 
+def _byte_ff(lines):
+    """Edit: a byte 0xff, which is not UTF-8, in dense1's first channel."""
+    idx = lines.index(next(ln for ln in lines
+                           if ln.startswith("LAYER name=dense1 "))) + 1
+    lines[idx] += " \udcff"
+    return idx
+
+
+def _overlap_then_malformed(lines):
+    """Edit: a P/N overlap on dense2's first channel line and a malformed
+    index list on the next; returns the overlap's line."""
+    idx = lines.index(next(ln for ln in lines
+                           if ln.startswith("LAYER name=dense2 "))) + 1
+    p = lines[idx].split(" P=[")[1].split("]")[0]
+    lines[idx] = re.sub(r" N=\S*", f" N=[{p}]", lines[idx])
+    lines[idx + 1] = re.sub(r" P=\S*", " P=[1_0]", lines[idx + 1])
+    return idx
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("bad-kind", _set_value("kind", "foo", "LAYER "),
      "kind=foo is not conv or dense"),
@@ -539,6 +560,22 @@ def _const_7(lines):
     ("extra-channel", _claim_extra_channel, "conv0 has channels=4 but 3"),
     ("second-out", _second_out_layer,
      "out: the last layer, and only it, takes a decision="),
+    ("theta-1_0", _set_value("theta", "1_0", "IND ch=0 theta="),
+     "theta=1_0 is not an integer in ASCII digits"),
+    ("theta-plus", _set_value("theta", "+1", "IND ch=0 theta="),
+     "theta=+1 is not an integer in ASCII digits"),
+    ("in-plus", _set_value("in", "+6", "LAYER name=dense2 "),
+     "in=+6 is not a count in ASCII digits"),
+    ("compare-theta-1_0",
+     _set_value("compare_theta", "1_0", "LAYER name=out "),
+     "compare_theta=1_0 is not an integer in ASCII digits"),
+    ("layers-1_0", _set_value("layers", "1_0", "BPROG "),
+     "layers=1_0 is not a count in ASCII digits"),
+    ("layers-plus", _set_value("layers", "+6", "BPROG "),
+     "layers=+6 is not a count in ASCII digits"),
+    ("byte-ff", _byte_ff, "'utf-8' codec can't decode byte 0xff"),
+    ("overlap-then-malformed", _overlap_then_malformed,
+     "P and N must be disjoint"),
 ])
 def test_malformed_program_exits_2(work, quant_ckpt, lowered, tiny_data,
                                    capsys, name, edit, message):
@@ -602,6 +639,14 @@ def test_program_eval_compiles_once(work, lowered, tiny_data, monkeypatch):
     assert len(calls) == 1
 
 
+def _exits_0_2_or_4(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) in (0, 2, 4), argv
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def saved_programs(work):
     return saved_programs_in(work)
@@ -614,11 +659,39 @@ def test_damaged_program_exits_0_2_or_4(work, tiny_data, saved_programs, data):
     path.write_bytes(data.draw(damaged(data.draw(st.sampled_from(
         saved_programs)))))
     for argv in (["eval", path, "--data", tiny_data["val"]], ["count", path]):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            assert run(argv) in (0, 2, 4), argv
-        assert "Traceback" not in err.getvalue()
+        _exits_0_2_or_4(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_exits_0_2_or_4(work, quant_ckpt,
+                                                    tiny_data, data):
+    raw = quant_ckpt.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 4)
+    path = work / "damaged.ndwf"
+    # parts: magic, header length, JSON header, payload
+    path.write_bytes(data.draw(damaged(raw, [0, 4, 8, 8 + hlen])))
+    try:
+        load_model(path)
+    except ValueError:
+        pass
+    _exits_0_2_or_4(["eval", path, "--data", tiny_data["val"]])
+    _exits_0_2_or_4(["count", path])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_dataset_loads_or_exits_0_2_or_4(work, quant_ckpt, lowered,
+                                                 tiny_data, data):
+    raw = tiny_data["val"].read_bytes()
+    path = work / "damaged.nds"
+    path.write_bytes(data.draw(damaged(raw, [0, dataset._HEADER.size])))
+    try:
+        load_dataset(path)
+    except ValueError:
+        pass
+    for model in (quant_ckpt, lowered):
+        _exits_0_2_or_4(["eval", model, "--data", path])
 
 
 def _first_p_entry(layer_prefix, entry):
@@ -651,6 +724,9 @@ def _skip_into_dense1(lines):
      "dense1: index outside the layer input"),
     ("skip-shape", _skip_into_dense1,
      "dense1: skip source 'res0.c2' has no output of shape (6,)"),
+    ("dense-in-11-digits",
+     _set_value("in", "99999999999", "LAYER name=dense1 "),
+     "dense1: expected input width 99999999999, got 48"),
 ])
 def test_miswired_program_exits_2(work, quant_ckpt, lowered, tiny_data,
                                   capsys, name, edit, message):
@@ -664,6 +740,26 @@ def test_miswired_program_exits_2(work, quant_ckpt, lowered, tiny_data,
         err = capsys.readouterr().err
         assert f"{path}:{lineno}: {message}" in err
         assert "Traceback" not in err
+
+
+def test_declared_kernel_allocates_live_taps_only(work, quant_ckpt, lowered,
+                                                  tiny_data, capsys):
+    """A conv layer's codes cover only the taps that can read its input: on
+    the 16 x 1 map, 31 x 1 of a declared 99999x99999 kernel. Every index of
+    the edited layer then reads padding only, so the program loads and
+    runs, and verify finds the kernel is not the model's."""
+    path, _ = _broken_program(
+        work, lowered, "kernel-99999.bprog",
+        _set_value("kernel", "99999x99999", "LAYER name=res0.c1 "))
+    kmat = lowering._compiled_layers(load_program(path))[1].kmat
+    assert kmat.shape == (31 * 3, 3) and not kmat.any()
+    for argv, code in ((["count", path], 0),
+                       (["eval", path, "--data", tiny_data["val"]], 0),
+                       (["verify", "--checkpoint", quant_ckpt, "--program",
+                         path, "--trials", 10], 3)):
+        capsys.readouterr()
+        assert run(argv) == code, argv
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_group_size_mismatch_exits_2(work, quant_ckpt):
@@ -708,6 +804,20 @@ _BAD_CHECKPOINTS = [
     (f"no-header-{key}", "header", lambda h, key=key: _without(h, key),
      f"header has no {key!r}")
     for key in ("version", "tensors", "payload_sha256", "meta")
+] + [
+    ("tensors-5", "header", lambda h: {**h, "tensors": 5},
+     "header 'tensors' is not a list"),
+] + [
+    (f"entry-{name}", "header",
+     lambda h, key=key, value=value: {**h, "tensors": [
+         {**h["tensors"][0], key: value}] + h["tensors"][1:]},
+     "tensor entry 0 needs a str 'name' and a 'shape' list of "
+     "non-negative ints")
+    for name, key, value in (("shape-ab", "shape", "ab"),
+                             ("shape-float", "shape", [32.5, 4, 1, 1]),
+                             ("shape-negative", "shape", [-3, -4, 1, 1]),
+                             ("shape-bool", "shape", [True, 4, 1, 1]),
+                             ("name-int", "name", 5))
 ]
 
 

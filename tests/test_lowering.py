@@ -753,17 +753,21 @@ def test_program_roundtrip_property(program_dir, seed, folded, group_size):
 
 
 @st.composite
-def damaged(draw, raw):
-    """raw cut short, or with a few bytes changed; each changed byte is on
-    a line drawn first, so that the short header lines are hit about as
-    often as the long index lists."""
+def damaged(draw, raw, starts=None):
+    """raw cut short, or with a few bytes changed; each changed byte is in
+    a part drawn first, a line or else the bytes from one of starts to the
+    next, so that short header parts are hit about as often as long
+    bodies."""
     if draw(st.booleans()):
         return raw[:draw(st.integers(0, len(raw) - 1))]
-    starts = [0] + [i + 1 for i, b in enumerate(raw) if b == ord("\n")]
+    if starts is None:
+        starts = [0] + [i + 1 for i, b in enumerate(raw[:-1])
+                        if b == ord("\n")]
+    ends = starts[1:] + [len(raw)]
     out = bytearray(raw)
     for _ in range(draw(st.integers(1, 3))):
-        line = draw(st.integers(0, len(starts) - 2))
-        pos = draw(st.integers(starts[line], starts[line + 1] - 1))
+        part = draw(st.integers(0, len(starts) - 1))
+        pos = draw(st.integers(starts[part], ends[part] - 1))
         out[pos] ^= draw(st.integers(1, 255))
     return bytes(out)
 

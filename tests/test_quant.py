@@ -40,8 +40,6 @@ def test_quantize_invariants_bulk():
 def test_quantize_validates():
     with pytest.raises(ValueError):
         quantize_weights(np.ones(3), 0.0)
-    with pytest.raises(ValueError):
-        quantize_weights(np.ones(3), 0.5, k=2)
 
 
 def test_ste_is_identity():
@@ -53,29 +51,28 @@ def test_step_size_grad_on_levels_is_zero():
     delta = 0.5
     w = np.array([-delta, 0.0, delta, delta, -delta])
     g = np.ones_like(w)
-    assert step_size_grad(w, delta, g, grad_scale=1.0) == 0.0
+    assert step_size_grad(w, delta, g) == 0.0
 
 
 def test_step_size_grad_saturation():
     delta = 0.5
     w = np.array([10 * delta])
     g = np.ones(1)
-    assert step_size_grad(w, delta, g, grad_scale=1.0) == 1.0
-    assert step_size_grad(-w, delta, g, grad_scale=1.0) == -1.0
+    assert step_size_grad(w, delta, g) == 1.0
+    assert step_size_grad(-w, delta, g) == -1.0
 
 
 def test_step_size_grad_in_range_value():
     # v = 0.3: contribution round(0.3) - 0.3 = -0.3, times incoming grad 2.
-    assert abs(step_size_grad(np.array([0.3]), 1.0, np.array([2.0]),
-                              grad_scale=1.0) + 0.6) < 1e-12
+    assert abs(step_size_grad(np.array([0.3]), 1.0, np.array([2.0]))
+               + 0.6) < 1e-12
 
 
 def test_step_size_grad_scale():
     w = np.array([5.0, -5.0, 5.0, 5.0])
     g = np.array([1.0, 1.0, 1.0, 1.0])
-    # default scale 1/sqrt(4): (1 - 1 + 1 + 1) * 0.5 = 1
+    # scale 1/sqrt(4): (1 - 1 + 1 + 1) * 0.5 = 1
     assert abs(step_size_grad(w, 1.0, g) - 1.0) < 1e-12
-    assert step_size_grad(w, 1.0, g, grad_scale=0.0) == 0.0
 
 
 def test_extract_ternary_codes():
@@ -152,8 +149,8 @@ def test_toy_descent_through_quantizer():
         q = quantize_weights(w, delta)
         dq = 2.0 * (q - target)
         w -= lr * ste_weight_grad(np.array([dq]))[0]
-        delta = max(delta - lr * step_size_grad(w, delta, np.array([dq]),
-                                                grad_scale=1.0), 1e-8)
+        delta = max(delta - lr * step_size_grad(w, delta, np.array([dq])),
+                    1e-8)
     assert loss() < first * 0.25
 
 
