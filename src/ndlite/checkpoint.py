@@ -73,6 +73,10 @@ def load_weights(path):
             raise ValueError(f"{path}: tensor entry {i} needs a str 'name' "
                              f"and a 'shape' list of non-negative ints")
         shape = tuple(entry["shape"])
+        # numpy sizes a zero-size shape by its other dimensions too
+        if math.prod(d for d in shape if d) > max(len(payload) // 4, 1):
+            raise ValueError(f"{path}: tensor entry {i} has shape "
+                             f"{list(shape)}, more than the payload holds")
         count = math.prod(shape)
         end = off + 4 * count
         if end > len(payload):

@@ -347,8 +347,8 @@ def _coverage(rep):
 def _sparsity_lines(prog):
     lines = []
     for layer in prog.layers:
-        live = sum(1 for cp in layer.channels if cp.fan_in > 0)
-        nnz = sum(cp.fan_in for cp in layer.channels)
+        live = np.count_nonzero(layer.fan_in)
+        nnz = layer.fan_in.sum()
         lines.append(f"{layer.name}: {live}/{len(layer.channels)} live "
                      f"channels, {nnz} nonzero weights")
     return lines

@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,39 +36,95 @@ INPUT_CHANNEL_NAMES = ("C_l", "C_r", "C_l'", "C_r'")
 
 # -------------------------------------------------------------------- types
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelProgram:
+    """A channel's P and N index sets as tuples; LayerProgram's view."""
     p: tuple  # conv: ((in_ch, k1, k2), ...); dense: (flat_index, ...)
     n: tuple
     theta: int = 0
     flip: bool = False
     const: int | None = None  # constant-output channel; p/n are empty
 
-    def __post_init__(self):
-        if self.const is not None and (self.p or self.n):
-            raise ValueError("constant channels carry no index sets")
-        if self.n and not set(self.p).isdisjoint(self.n):
-            raise ValueError("P and N must be disjoint")
-
     @property
     def fan_in(self):
         return len(self.p) + len(self.n)
 
-    @property
-    def live(self):
-        return self.const is None and self.fan_in > 0
+
+def _tuples(entries):
+    """An [entries, 1 | 3] index array as ChannelProgram holds it."""
+    return (tuple(entries[:, 0].tolist()) if entries.shape[1] == 1
+            else tuple(map(tuple, entries.tolist())))
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerProgram:
+    """One layer's channels as arrays. The index lists are P then N of each
+    channel: list j is entries[offsets[j]:offsets[j + 1]], in C order, and
+    a dense entry is a flat input index, a conv entry (in_ch, k1, k2)."""
     name: str
     kind: str  # "conv" | "dense"
     in_width: int  # conv: input channels; dense: flattened input width
     kernel: tuple | None  # (kh, kw) for conv
-    channels: list
+    entries: np.ndarray  # intp [entries, 1 | 3]
+    offsets: np.ndarray  # intp [2 * channels + 1]
+    theta: list  # Python ints, exact at any size; 0 on constant channels
+    flip: np.ndarray  # bool [channels]
+    const: np.ndarray  # int8 [channels]: a constant channel's bit, else -1
     skip_from: str | None = None  # layer whose output bits join the sums
     decision: str | None = None  # output layer: "folded" | "compare"
     compare_theta: int | None = None  # compare: label = I(S[1]-S[0] > this)
+
+    @classmethod
+    def from_channels(cls, name, kind, in_width, kernel, channels, **kw):
+        """A layer of ChannelPrograms, for programs built by hand; their P
+        and N may be any sequences of entries, [entries, 1 | 3] arrays too."""
+        dims = 3 if kind == "conv" else 1
+        lists = [np.asarray(s, dtype=np.intp).reshape(-1, dims)
+                 for cp in channels for s in (cp.p, cp.n)]
+        return cls(name, kind, in_width, kernel, np.concatenate(
+            [np.empty((0, dims), dtype=np.intp)] + lists),
+            np.cumsum([0] + [len(s) for s in lists], dtype=np.intp),
+            [cp.theta for cp in channels],
+            np.array([cp.flip for cp in channels], dtype=bool),
+            np.array([-1 if cp.const is None else cp.const
+                      for cp in channels], dtype=np.int8), **kw)
+
+    @property
+    def fan_in(self):
+        """Each channel's P plus N entries, an int array."""
+        return self.offsets[2::2] - self.offsets[:-1:2]
+
+    @property
+    def channels(self):
+        return _Channels(self)
+
+    def _key(self):
+        """Everything the layer holds, its arrays as bytes."""
+        return (self.name, self.kind, self.in_width, self.kernel,
+                self.skip_from, self.decision, self.compare_theta,
+                tuple(self.theta), tuple(
+                    (a.dtype.str, a.shape, a.tobytes()) for a in
+                    (self.entries, self.offsets, self.flip, self.const)))
+
+    def __eq__(self, other):
+        return isinstance(other, LayerProgram) and self._key() == other._key()
+
+
+@dataclass
+class _Channels(Sequence):
+    """A layer's channels, read only; each item is built when asked for."""
+    _layer: LayerProgram
+
+    def __len__(self):
+        return len(self._layer.flip)
+
+    def __getitem__(self, c):
+        lp, c = self._layer, range(len(self))[c]  # IndexError past an end
+        lo, mid, hi = lp.offsets[2 * c:2 * c + 3].tolist()
+        return ChannelProgram(
+            _tuples(lp.entries[lo:mid]), _tuples(lp.entries[mid:hi]),
+            lp.theta[c], bool(lp.flip[c]),
+            None if lp.const[c] < 0 else int(lp.const[c]))
 
 
 @dataclass
@@ -118,55 +176,57 @@ def fold_bias(bias, delta):
     return [("ind", math.floor(-_frac(b) / dlt), False) for b in bias]
 
 
-def _positions(codes_row):
-    """codes_row any-rank -> (P, N) index tuples in C order."""
-    if codes_row.ndim == 1:
-        p = tuple(int(i) for i in np.flatnonzero(codes_row == 1))
-        n = tuple(int(i) for i in np.flatnonzero(codes_row == -1))
-    else:
-        p = tuple(map(tuple, np.argwhere(codes_row == 1).tolist()))
-        n = tuple(map(tuple, np.argwhere(codes_row == -1).tolist()))
-    return p, n
+def _layer(codes, folds=None, name="", skip_from=None, decision=None,
+           compare_theta=None):
+    """LayerProgram of ternary codes (conv [out, in, kh, kw], dense [in,
+    out]) and one fold per channel, ("ind", theta, flip) or ("const", bit),
+    by default ("ind", 0, False). A constant channel carries no entries.
+    Outside a compare decision, a channel without codes or skip bit becomes
+    constant: its sum S is identically 0."""
+    rows = codes if codes.ndim == 4 else np.ascontiguousarray(codes.T)
+    folds = folds or [("ind", 0, False)] * len(rows)
+    const = np.array([f[1] if f[0] == "const" else -1 for f in folds],
+                     dtype=np.int8)
+    theta = [0 if f[0] == "const" else f[1] for f in folds]
+    flip = np.array([f[0] == "ind" and f[2] for f in folds], dtype=bool)
+    if (const >= 0).any():
+        rows = rows * (const < 0).reshape((-1,) + (1,) * (rows.ndim - 1))
+    # The +1 and the -1 positions, each in C order, merged into the P and N
+    # lists by one stable sort.
+    p, n = np.nonzero(rows > 0), np.nonzero(rows < 0)
+    lists = np.concatenate([2 * p[0], 2 * n[0] + 1])
+    entries = np.concatenate([np.stack(p[1:], axis=1), np.stack(
+        n[1:], axis=1)])[np.argsort(lists, kind="stable")]
+    offsets = np.zeros(2 * len(rows) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(lists, minlength=2 * len(rows)), out=offsets[1:])
+    if skip_from is None and decision != "compare":
+        for c in np.flatnonzero((offsets[2::2] == offsets[:-1:2])
+                                & (const < 0)):
+            const[c] = (0 > theta[c]) ^ flip[c]
+            theta[c], flip[c] = 0, False
+    return LayerProgram(name, "conv" if rows.ndim == 4 else "dense",
+                        rows.shape[1], rows.shape[2:] or None, entries,
+                        offsets, theta, flip, const, skip_from, decision,
+                        compare_theta)
 
 
-def lower_layer(ternary, bn=None, bias=None, theta_mode="folded", skip=False):
-    """ChannelPrograms for one ternary layer.
+def lower_layer(ternary, bn=None, bias=None, theta_mode="folded", name="",
+                skip_from=None):
+    """LayerProgram of one ternary layer.
 
     Conv codes are [out_ch, in_ch, kh, kw]; dense codes are [in, out]
     (channel c is column c). theta_mode "zero" skips folding and emits the
-    literal I(S > 0) convention. skip marks a layer whose sums also take
-    the residual skip bit.
+    literal I(S > 0) convention. skip_from names the layer whose output
+    bits also join the sums (the residual skip).
     """
     if theta_mode not in ("folded", "zero"):
         raise ValueError(f"unknown theta mode {theta_mode!r}")
-    codes = ternary.codes
-    conv = codes.ndim == 4
-    n_ch = codes.shape[0] if conv else codes.shape[1]
-    if theta_mode == "zero":
-        folds = [("ind", 0, False)] * n_ch
-    elif bn is not None:
+    folds = None  # theta mode "zero", or no norm to fold
+    if theta_mode == "folded" and bn is not None:
         folds = fold_batchnorm(bn, ternary.delta)
-    elif bias is not None:
+    elif theta_mode == "folded" and bias is not None:
         folds = fold_bias(bias, ternary.delta)
-    else:
-        folds = [("ind", 0, False)] * n_ch
-
-    channels = []
-    for c in range(n_ch):
-        row = codes[c] if conv else codes[:, c]
-        p, n = _positions(row)
-        fold = folds[c]
-        if fold[0] == "const":
-            channels.append(ChannelProgram(p=(), n=(), const=fold[1]))
-        elif not p and not n and not skip:
-            # Dead channel: S is identically 0, so the indicator is constant.
-            # With a skip, S is the skip bit and the channel keeps its theta.
-            bit = int((0 > fold[1]) ^ fold[2])
-            channels.append(ChannelProgram(p=(), n=(), const=bit))
-        else:
-            channels.append(ChannelProgram(p=p, n=n, theta=fold[1],
-                                           flip=fold[2]))
-    return channels
+    return _layer(ternary.codes, folds, name, skip_from)
 
 
 def fold_output_pair(ternary, bias, mode="threshold", threshold=0.505):
@@ -186,11 +246,8 @@ def fold_output_pair(ternary, bias, mode="threshold", threshold=0.505):
         raise ValueError("threshold must lie in (0, 1)")
     if mode not in ("threshold", "argmax"):
         raise ValueError(f"unknown output fold mode {mode!r}")
-    p, n = _positions(codes[:, 1])
     theta = _compare_theta(ternary, bias, mode, threshold, scale=2)
-    if not p and not n:
-        return ChannelProgram(p=(), n=(), const=int((0 > theta)))
-    return ChannelProgram(p=p, n=n, theta=theta, flip=False)
+    return _layer(codes[:, 1:], [("ind", theta, False)]).channels[0]
 
 
 def _compare_theta(ternary, bias, mode, threshold, scale=1):
@@ -221,16 +278,12 @@ def lower_model(model: Model, theta_mode="folded", fold_output=True,
         return extract_ternary(model.weights[name], model.delta_of(name))
 
     specs = layer_specs(model.cfg)
-    layers = []
+    # spec.norm, "bn" or "bias", names lower_layer's norm argument
+    layers = [lower_layer(tern(spec.name), theta_mode=theta_mode,
+                          name=spec.name, skip_from=spec.skip_from,
+                          **{spec.norm: model.norms[spec.name]})
+              for spec in specs[:-1]]
     warnings = []
-    for spec in specs[:-1]:
-        # spec.norm, "bn" or "bias", names lower_layer's norm argument
-        channels = lower_layer(tern(spec.name), theta_mode=theta_mode,
-                               skip=spec.skip_from is not None,
-                               **{spec.norm: model.norms[spec.name]})
-        layers.append(LayerProgram(
-            name=spec.name, kind=spec.kind, in_width=spec.in_width,
-            kernel=spec.kernel, channels=channels, skip_from=spec.skip_from))
 
     # The output pair's fold or compare decision, on the last spec.
     out = specs[-1]
@@ -239,19 +292,16 @@ def lower_model(model: Model, theta_mode="folded", fold_output=True,
     folded = fold_output_pair(out_t, out_b, mode=output_mode,
                               threshold=thr) if fold_output else None
     if folded is not None:
-        channels, decision, compare_theta = [folded], "folded", None
+        layers.append(LayerProgram.from_channels(
+            out.name, out.kind, out.in_width, out.kernel, [folded],
+            decision="folded"))
     else:
         if fold_output:
             warnings.append("output rows are not antisymmetric; emitting "
                             "both channels with a compare decision")
-        channels = [ChannelProgram(p=p, n=n) for p, n in
-                    (_positions(out_t.codes[:, k]) for k in (0, 1))]
-        decision = "compare"
-        compare_theta = _compare_theta(out_t, out_b, output_mode, thr)
-    layers.append(LayerProgram(
-        name=out.name, kind=out.kind, in_width=out.in_width,
-        kernel=out.kernel, channels=channels, decision=decision,
-        compare_theta=compare_theta))
+        layers.append(_layer(
+            out_t.codes, name=out.name, decision="compare",
+            compare_theta=_compare_theta(out_t, out_b, output_mode, thr)))
     return BooleanProgram(group_size=model.cfg.group_size, layers=layers,
                           warnings=warnings)
 
@@ -275,45 +325,19 @@ def _check_bits(bits, group_size):
 @dataclass
 class _CompiledLayer:
     """One layer's execution arrays, built once per program content."""
-    name: str
+    layer: LayerProgram
     kmat: np.ndarray  # float32 [rows, channels]; conv rows are (tap, in_ch)
     reach: tuple | None  # conv: half-extents of the live taps (nn.tap_matrix)
     theta: np.ndarray  # float32, clamped into the reachable sum range
     flip: np.ndarray  # bool
-    skip_from: str | None
-    decision: str | None
-    compare_theta: int | None
 
 
-def _snapshot(prog):
-    """Everything run_program reads from a program, as nested tuples."""
-    return (prog.group_size, tuple(
-        (lp.name, lp.kind, lp.in_width, lp.kernel, lp.skip_from, lp.decision,
-         lp.compare_theta,
-         tuple((tuple(cp.p), tuple(cp.n), cp.theta, cp.flip, cp.const)
-               for cp in lp.channels))
-        for lp in prog.layers))
-
-
-def _index_lists(layer):
-    """The layer's P and N sets as _codes takes them: int [entries, 1 or 3]
-    (a conv entry is (in_ch, k1, k2)) and the entries per list, the lists
-    being P then N of each channel in order."""
-    sets = [s for cp in layer.channels for s in (cp.p, cp.n)]
-    sizes = [len(s) for s in sets]
-    dims = 3 if layer.kind == "conv" else 1
-    flat = itertools.chain.from_iterable(sets)
-    if dims > 1:
-        flat = itertools.chain.from_iterable(flat)
-    return (np.fromiter(flat, dtype=np.intp,
-                        count=sum(sizes) * dims).reshape(-1, dims), sizes)
-
-
-def _codes(layer, entries, sizes, reach=None):
-    """[channels, in_width, *taps] float32 array of the P (+1) and N (-1)
-    index sets, given as _index_lists gives them. A conv layer's taps are
-    the live block of half-extents reach (nn._live_taps) of its kernel;
-    entries on the other taps only read padding and are left out."""
+def _codes(layer, reach=None):
+    """[channels, in_width, *taps] float32 array of the layer's P (+1) and
+    N (-1) lists. A conv layer's taps are the live block of half-extents
+    reach (nn._live_taps) of its kernel; entries on the other taps only
+    read padding and are left out."""
+    entries, sizes = layer.entries, np.diff(layer.offsets)
     dims = (layer.in_width,) + tuple(layer.kernel or ())
     outside = len(entries) and (entries.min() < 0 or
                                 (entries.max(axis=0) >= dims).any())
@@ -331,52 +355,33 @@ def _codes(layer, entries, sizes, reach=None):
         if len(entries):  # first exceeds int64 only if no entry is live
             entries[:, 1:] -= first
         dims = (layer.in_width,) + tuple(2 * r + 1 for r in reach)
-    k = np.zeros((len(layer.channels),) + dims, dtype=np.float32)
+    k = np.zeros((len(layer.flip),) + dims, dtype=np.float32)
     k[(rows,) + tuple(entries.T)] = signs
     return k
 
 
-def _indicator_vectors(layer, skip):
-    """Clamped float32 thresholds and flips; constant channels become
-    thresholds no sum can fail to exceed, flipped to their constant."""
-    nn.check_f32_exact(layer.name, skip + max(
-        (cp.fan_in for cp in layer.channels), default=0))
-    theta, flip = [], []
-    for cp in layer.channels:
-        lo = -len(cp.n) - 1  # S ranges over [-|N|, |P| + skip]
-        if cp.const is not None:
-            theta.append(lo)
-            flip.append(not cp.const)
-        else:
-            theta.append(min(max(cp.theta, lo), len(cp.p) + skip))
-            flip.append(bool(cp.flip))
-    return np.array(theta, dtype=np.float32), np.array(flip, dtype=bool)
+def _indicators(layer, lo, hi):
+    """Each channel's threshold clamped into [lo, hi], and flip; a constant
+    channel gets lo, and the flip that gives its constant on (lo, hi]."""
+    theta = [lo_c if k >= 0 else min(max(th, lo_c), hi_c) for th, k, lo_c,
+             hi_c in zip(layer.theta, layer.const.tolist(), lo, hi)]
+    return theta, np.where(layer.const >= 0, layer.const == 0, layer.flip)
 
 
-class _WiringError(ValueError):
-    """A layer whose indices or shapes do not fit its input; index is its
-    position in the program."""
-
-    def __init__(self, index, message):
-        super().__init__(message)
-        self.index = index
-
-
-def _compile(prog, index_lists=None):
+def _compile(prog):
     """_CompiledLayer list; checks the layer wiring on the way and raises
-    _WiringError at the first layer that does not fit. Feature maps run
-    channels-last, [N, 16, g, C], so each conv is one GEMM. index_lists
-    holds each layer's _index_lists, where they are at hand already."""
-    if index_lists is None:
-        index_lists = [_index_lists(layer) for layer in prog.layers]
+    ValueError at the first layer that does not fit, its position in the
+    program as the error's layer_index. Feature maps run channels-last,
+    [N, 16, g, C], so each conv is one GEMM."""
     shape = (16, prog.group_size, len(INPUT_CHANNEL_NAMES))
     shapes = {}  # layer name -> output shape, for skip sources
     out = []
-    for i, (layer, lists) in enumerate(zip(prog.layers, index_lists)):
+    for i, layer in enumerate(prog.layers):
         try:
-            cl, shape = _compile_layer(layer, shape, shapes, lists)
+            cl, shape = _compile_layer(layer, shape, shapes)
         except ValueError as e:
-            raise _WiringError(i, str(e)) from None
+            e.layer_index = i
+            raise
         out.append(cl)
         if layer.decision == "compare":
             break
@@ -384,10 +389,10 @@ def _compile(prog, index_lists=None):
     return out
 
 
-def _compile_layer(layer, shape, shapes, index_lists):
+def _compile_layer(layer, shape, shapes):
     """(_CompiledLayer, output shape) of one layer on an input of shape,
     shapes holding the output shape of each earlier layer."""
-    n_ch = len(layer.channels)
+    n_ch = len(layer.flip)
     reach = None
     if layer.kind == "conv":
         if len(shape) != 3 or shape[2] != layer.in_width:
@@ -395,36 +400,34 @@ def _compile_layer(layer, shape, shapes, index_lists):
                              f"input channels, got shape {shape}")
         hh, ww, _ = shape
         reach, _ = nn._live_taps(*nn._same_pad(*layer.kernel), hh, ww)
-        _, kmat = nn.tap_matrix(_codes(layer, *index_lists, reach), hh, ww)
+        _, kmat = nn.tap_matrix(_codes(layer, reach), hh, ww)
         shape = (hh, ww, n_ch)
     else:
         if math.prod(shape) != layer.in_width:
             raise ValueError(f"{layer.name}: expected input width "
                              f"{layer.in_width}, got {math.prod(shape)}")
-        kmat = _codes(layer, *index_lists).T
+        kmat = _codes(layer).T
         if len(shape) == 3:
             # Dense indices are in the [C, 16, g] flattening order.
             hh, ww, c = shape
             kmat = nn.channels_last_rows(kmat, c, hh, ww)
         shape = (n_ch,)
-    skip = 0
-    if layer.skip_from is not None:
-        if shapes.get(layer.skip_from) != shape:
-            raise ValueError(f"{layer.name}: skip source "
-                             f"{layer.skip_from!r} has no output of shape "
-                             f"{shape}")
-        skip = 1
-    theta, flip = _indicator_vectors(layer, skip)
-    return _CompiledLayer(
-        name=layer.name, kmat=np.ascontiguousarray(kmat), reach=reach,
-        theta=theta, flip=flip, skip_from=layer.skip_from,
-        decision=layer.decision, compare_theta=layer.compare_theta), shape
+    skip = int(layer.skip_from is not None)
+    if skip and shapes.get(layer.skip_from) != shape:
+        raise ValueError(f"{layer.name}: skip source {layer.skip_from!r} "
+                         f"has no output of shape {shape}")
+    nn.check_f32_exact(layer.name, skip + int(layer.fan_in.max(initial=0)))
+    off = layer.offsets  # S ranges over [-|N|, |P| + skip]
+    theta, flip = _indicators(layer, (off[1:-1:2] - off[2::2] - 1).tolist(),
+                              (off[1::2] - off[:-1:2] + skip).tolist())
+    return _CompiledLayer(layer, np.ascontiguousarray(kmat), reach,
+                          np.array(theta, dtype=np.float32), flip), shape
 
 
 def _compiled_layers(prog):
     """The program's compiled layers, rebuilt whenever its content changed
-    since they were built (programs are plain dataclasses, edited in place)."""
-    snap = _snapshot(prog)
+    since they were built (a layer's arrays may be edited in place)."""
+    snap = prog.group_size, tuple(lp._key() for lp in prog.layers)
     if prog._compiled is None or prog._compiled[0] != snap:
         prog._compiled = (snap, _compile(prog))
     return prog._compiled[1]
@@ -445,25 +448,26 @@ def run_program(prog: BooleanProgram, bits, return_planes=False):
     h = bits.transpose(0, 2, 3, 1)
     labels = None
     for cl in layers:
+        lp = cl.layer
         if cl.reach is not None:
             s = nn.conv_sums(h, cl.reach, cl.kmat)
         else:
             s = nn.matmul_rows(h.reshape(n, -1).astype(np.float32), cl.kmat)
-        if cl.decision == "compare":
+        if lp.decision == "compare":
             si = s.astype(np.int32)
             d = si[:, 1] - si[:, 0]
-            labels = (d > cl.compare_theta).astype(np.uint8)
-            planes.append((cl.name + ".sum_diff", d))
+            labels = (d > lp.compare_theta).astype(np.uint8)
+            planes.append((lp.name + ".sum_diff", d))
             break
-        if cl.skip_from is not None:
-            s += outputs[cl.skip_from]
+        if lp.skip_from is not None:
+            s += outputs[lp.skip_from]
         fired = s > cl.theta
         fired ^= cl.flip
         out = fired.view(np.uint8)
-        if cl.decision == "folded":
+        if lp.decision == "folded":
             labels = out[:, 0]
-        outputs[cl.name] = out
-        planes.append((cl.name, out if out.ndim == 2
+        outputs[lp.name] = out
+        planes.append((lp.name, out if out.ndim == 2
                        else out.transpose(0, 3, 1, 2)))
         h = out
     if labels is None:
@@ -490,43 +494,34 @@ class VerifyReport:
 def _exhaustive_channel(pred, spec, layer, codes, channel_idx, width):
     """Compare one indicator channel against the model's exact predicate
     pred (of layer spec) over every assignment of its support bits; codes
-    are the model layer's ternary codes. Returns a counterexample dict or
-    None; raises ValueError when the support is wider than `width`."""
+    holds the model layer's ternary codes as P and N, a LayerProgram.
+    Returns a counterexample dict, or None when they agree or the support
+    is wider than `width`."""
     cp = layer.channels[channel_idx]
     folded = layer.decision == "folded"
     # index -> ternary coefficient; the folded channel is the real class's
-    p, n = _positions(codes[channel_idx] if codes.ndim == 4
-                      else codes[:, 1 if folded else channel_idx])
-    coeffs = {**dict.fromkeys(p, 1), **dict.fromkeys(n, -1)}
-    support = sorted(set(coeffs) | set(cp.p) | set(cp.n))
+    model_cp = codes.channels[channel_idx + folded]
+    model, prog = Counter(model_cp.p), Counter(cp.p)
+    model.subtract(model_cp.n)
+    prog.subtract(cp.n)
+    support = sorted(set(model) | set(prog))
     # Include the skip bit whenever either side uses it so a dropped or
     # spurious skip flag shows up as a mismatch.
     model_skip = spec.skip_from is not None
     prog_skip = layer.skip_from is not None
     has_skip = model_skip or prog_skip
-    k = len(support) + (1 if has_skip else 0)
+    coeff = np.array([(prog[i], model[i]) for i in support] + [
+        (prog_skip, model_skip)] * has_skip, dtype=np.int64).reshape(-1, 2)
+    k = len(coeff)
     if k > width:
-        raise ValueError("support too wide")
-
-    prog_coeff = np.zeros(k, dtype=np.int64)
-    model_coeff = np.zeros(k, dtype=np.int64)
-    for j, idx in enumerate(support):
-        model_coeff[j] = coeffs.get(idx, 0)
-        prog_coeff[j] = (1 if idx in cp.p else 0) - (1 if idx in cp.n else 0)
-    if has_skip:
-        prog_coeff[-1] = 1 if prog_skip else 0
-        model_coeff[-1] = 1 if model_skip else 0
-
+        return None
     assign = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.int64)
-    s_prog = assign @ prog_coeff
     # The folded channel sums the real-class column, and the antisymmetric
     # pair's logit difference is twice that sum.
-    s_model = assign @ model_coeff * (2 if folded else 1)
-
-    if cp.const is not None:
-        prog_bits = np.full(len(assign), cp.const, dtype=np.uint8)
-    else:
-        prog_bits = ((s_prog > cp.theta) ^ cp.flip).astype(np.uint8)
+    s_prog, s_model = (assign @ coeff * [1, 2 if folded else 1]).T
+    prog_bits = (np.full(len(assign), cp.const, dtype=np.uint8)
+                 if cp.const is not None else
+                 ((s_prog > cp.theta) ^ cp.flip).astype(np.uint8))
     values, at = np.unique(s_model, return_inverse=True)
     model_bits = np.array([pred(channel_idx, int(v)) for v in values],
                           dtype=np.uint8)[at]
@@ -593,28 +588,24 @@ def _prove(prog, model):
             return proven, {"layer": layer.name, "channel": 0,
                             "support": ["skip"], "program": layer.skip_from,
                             "model": el.spec.skip_from}
-        const = np.array([cp.const is not None and not compare
-                          for cp in layer.channels])
+        const = (layer.const >= 0) & (not compare)
         wrong = np.flatnonzero((cl.kmat != kmat).any(axis=0) & ~const)
         if len(wrong):
             c = int(wrong[0])
             cp = layer.channels[c]
-            codes = extract_ternary(model.weights[layer.name],
-                                    model.delta_of(layer.name)).codes
-            p, n = _positions(codes[c] if codes.ndim == 4 else
-                              codes[:, c + (layer.decision == "folded")])
+            want = _layer(extract_ternary(
+                model.weights[layer.name], model.delta_of(layer.name)).codes
+            ).channels[c + (layer.decision == "folded")]
             return proven + c, {
                 "layer": layer.name, "channel": c,
-                "support": sorted((set(p) ^ set(cp.p)) | (set(n) ^ set(cp.n)))}
+                "support": sorted((set(want.p) ^ set(cp.p))
+                                  | (set(want.n) ^ set(cp.n)))}
         if compare:
-            sides = [(layer.compare_theta, False)]
+            theta, flip = [min(max(layer.compare_theta, int(lo[0]) - 1),
+                               int(hi[0]))], np.zeros(1, dtype=bool)
         else:
-            sides = [(cp.theta, cp.flip) if cp.const is None
-                     else (lo_c - 1, not cp.const)
-                     for cp, lo_c in zip(layer.channels, lo.tolist())]
-        theta = np.array([min(max(th, lo_c - 1), hi_c) for (th, _), lo_c, hi_c
-                          in zip(sides, lo.tolist(), hi.tolist())])
-        flip = np.array([f for _, f in sides], dtype=bool)
+            theta, flip = _indicators(layer, (lo - 1).tolist(), hi.tolist())
+        theta = np.array(theta)
         got_lo, got_hi = (lo > theta) ^ flip, (hi > theta) ^ flip
         want_lo, want_hi = (lo > t) ^ el.first, (hi > t) ^ el.first
         bad = np.flatnonzero((got_lo != want_lo) | (got_hi != want_hi)
@@ -690,17 +681,20 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
     for layer, spec in zip(prog.layers, specs):
         if ce is not None:
             break
-        if layer.decision == "compare":
+        # A channel's support holds the program's and the model's nonzeros,
+        # and the skip bit if either side takes it.
+        skip = (layer.skip_from or spec.skip_from) is not None
+        narrow = np.flatnonzero(layer.fan_in + skip <= exhaustive_width)
+        if layer.decision == "compare" or not len(narrow):
             continue
-        codes = extract_ternary(model.weights[spec.name],
-                                model.delta_of(spec.name)).codes
-        pred = exact_predicate(model, spec)
-        for ci in range(len(layer.channels)):
-            try:
-                ce = _exhaustive_channel(pred, spec, layer, codes, ci,
-                                         exhaustive_width)
-            except ValueError:
-                continue
+        codes = _layer(extract_ternary(model.weights[spec.name],
+                                       model.delta_of(spec.name)).codes)
+        narrow = narrow[codes.fan_in[narrow + (layer.decision == "folded")]
+                        + skip <= exhaustive_width]
+        pred = exact_predicate(model, spec) if len(narrow) else None
+        for ci in narrow.tolist():
+            ce = _exhaustive_channel(pred, spec, layer, codes, ci,
+                                     exhaustive_width)
             if ce is not None:
                 break
     return VerifyReport(passed=ce is None, trials_run=done,
@@ -849,9 +843,9 @@ def program_expressions(prog: BooleanProgram, max_literals=8):
     for layer in prog.layers:
         if layer.decision == "compare" or layer.skip_from is not None:
             continue
-        for ci, cp in enumerate(layer.channels):
-            if cp.const is not None or cp.fan_in > max_literals:
-                continue
+        for ci in np.flatnonzero((layer.const < 0) & (
+                layer.fan_in <= max_literals)).tolist():
+            cp = layer.channels[ci]
             if layer.name == "conv0" and layer.kernel == (1, 1):
                 names = conv0_literal_names(cp)
             else:
@@ -864,12 +858,16 @@ def program_expressions(prog: BooleanProgram, max_literals=8):
 
 # -------------------------------------------------------------- persistence
 
-def _fmt_indices(entries):
-    if not entries:
-        return "[]"
-    if isinstance(entries[0], tuple):
-        return "[" + ",".join(f"({a},{b},{c})" for a, b, c in entries) + "]"
-    return "[" + ",".join(str(i) for i in entries) + "]"
+def _fmt_lists(layer):
+    """The text of each of the layer's index lists, in .bprog order."""
+    if layer.entries.shape[1] == 3:
+        items = [f"({a},{b},{c})" for a, b, c in layer.entries.tolist()]
+    else:  # each distinct index is formatted once
+        values, at = np.unique(layer.entries[:, 0], return_inverse=True)
+        items = np.array(list(map(str, values.tolist())),
+                         dtype=object)[at].tolist()
+    off = layer.offsets.tolist()
+    return ["[" + ",".join(items[a:b]) + "]" for a, b in zip(off, off[1:])]
 
 
 def save_program(prog: BooleanProgram, path):
@@ -888,16 +886,17 @@ def save_program(prog: BooleanProgram, path):
         if layer.compare_theta is not None:
             head += f" compare_theta={layer.compare_theta}"
         lines.append(head)
-        for ci, cp in enumerate(layer.channels):
-            if cp.const is not None:
-                lines.append(f"IND ch={ci} const={cp.const}")
+        lists = _fmt_lists(layer)
+        for ci, (theta, flip, const) in enumerate(zip(
+                layer.theta, layer.flip.tolist(), layer.const.tolist())):
+            p, n = lists[2 * ci:2 * ci + 2]
+            if const >= 0:
+                lines.append(f"IND ch={ci} const={const}")
             elif layer.decision == "compare":
-                lines.append(f"ACC ch={ci} P={_fmt_indices(cp.p)} "
-                             f"N={_fmt_indices(cp.n)}")
+                lines.append(f"ACC ch={ci} P={p} N={n}")
             else:
-                lines.append(f"IND ch={ci} theta={cp.theta} "
-                             f"flip={int(cp.flip)} P={_fmt_indices(cp.p)} "
-                             f"N={_fmt_indices(cp.n)}")
+                lines.append(f"IND ch={ci} theta={theta} flip={int(flip)} "
+                             f"P={p} N={n}")
     lines.append("EXPR")
     for lname, ci, formula in program_expressions(prog):
         lines.append(f"{lname} ch={ci}: {formula}")
@@ -974,24 +973,29 @@ def _header_line(ln):
 
 
 def _channel_line(kv, kind):
-    """(ChannelProgram, P entries, N entries) of a channel line, the
-    entries as _index_list gives them."""
+    """ChannelProgram of a channel line, its P and N as _index_list gives
+    them."""
     if "const" in kv:
-        none = _index_list("[]", kind)
-        return (ChannelProgram(p=(), n=(), const=_bit(kv["const"], "const")),
-                none, none)
+        return ChannelProgram((), (), const=_bit(kv["const"], "const"))
     p, n = (_index_list(_need(kv, key), kind) for key in ("P", "N"))
     theta = _number(kv.get("theta", "0"), "theta", signed=True)
     flip = bool(_bit(kv.get("flip", "0"), "flip"))
-    if kind == "dense":
-        sets = (tuple(p.ravel().tolist()), tuple(n.ravel().tolist()))
-    else:
-        sets = (tuple(zip(*e.T.tolist())) for e in (p, n))
-    return ChannelProgram(*sets, theta=theta, flip=flip), p, n
+    both = np.concatenate([p, n])
+    both = both[np.lexsort(both.T)]  # a repeated entry lies next to itself
+    same = np.flatnonzero((both[1:] == both[:-1]).all(axis=1))
+    if len(same):
+        entry = both[same[0]]
+        if all((e == entry).all(axis=1).any() for e in (p, n)):
+            raise ValueError("P and N must be disjoint")
+        text = ",".join(map(str, entry.tolist()))
+        raise ValueError(f"index {text if kind == 'dense' else f'({text})'} "
+                         f"listed twice")
+    return ChannelProgram(p, n, theta, flip)
 
 
-def _layer_line(prog, kv):
-    """LayerProgram of a LAYER line, and the channel count it declares."""
+def _layer_line(kv, names):
+    """LayerProgram.from_channels arguments of a LAYER line after layers of
+    the given names, and the channel count it declares."""
     kernel = None
     if "kernel" in kv:
         kh, _, kw = kv["kernel"].partition("x")
@@ -1006,16 +1010,16 @@ def _layer_line(prog, kv):
         raise ValueError("missing kernel=")
     if layer_kind == "dense" and kernel is not None:
         raise ValueError("a dense layer takes no kernel=")
-    if skip is not None and skip not in [lp.name for lp in prog.layers]:
+    if skip is not None and skip not in names:
         raise ValueError(f"skip={skip} names no earlier layer")
-    layer = LayerProgram(
+    fields = dict(
         name=_need(kv, "name"), kind=layer_kind,
         in_width=_number(_need(kv, "in"), "in"), kernel=kernel, channels=[],
         skip_from=skip, decision=decision,
         compare_theta=_number(_need(kv, "compare_theta"), "compare_theta",
                               signed=True)
         if decision == "compare" else None)
-    return layer, _number(_need(kv, "channels"), "channels")
+    return fields, _number(_need(kv, "channels"), "channels")
 
 
 def load_program(path) -> BooleanProgram:
@@ -1029,8 +1033,7 @@ def load_program(path) -> BooleanProgram:
         lines = f.read().splitlines()  # the newlines of text mode
     if not lines or not lines[0].startswith(b"BPROG v1 "):
         raise ValueError(f"{path}: not a BPROG v1 file")
-    heads = []  # (line number, declared channels) per LAYER line
-    index_lists = []  # per layer, its P and N entries and their sizes
+    heads = []  # (line number, from_channels arguments, declared channels)
     for lineno, raw in enumerate(lines, start=1):
         try:
             ln = raw.decode("utf-8")
@@ -1046,27 +1049,25 @@ def load_program(path) -> BooleanProgram:
             kind, _, rest = ln.partition(" ")
             kv = _parse_kv(rest.split(" ")) if rest else {}
             if kind == "LAYER":
-                layer, declared = _layer_line(prog, kv)
-                prog.layers.append(layer)
-                heads.append((lineno, declared))
-                index_lists.append(([_index_list("[]", layer.kind)], []))
+                heads.append((lineno, *_layer_line(
+                    kv, [fields["name"] for _, fields, _ in heads])))
             elif kind in ("IND", "ACC"):
-                if not prog.layers:
+                if not heads:
                     raise ValueError("channel line before any LAYER")
-                cp, p, n = _channel_line(kv, prog.layers[-1].kind)
-                prog.layers[-1].channels.append(cp)
-                index_lists[-1][0].extend((p, n))
-                index_lists[-1][1].extend((len(p), len(n)))
+                fields = heads[-1][1]
+                fields["channels"].append(_channel_line(kv, fields["kind"]))
             else:
                 raise ValueError(f"unknown line kind {kind!r}")
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from None
+    prog.layers = [LayerProgram.from_channels(**fields)
+                   for _, fields, _ in heads]
     if not prog.layers:
         raise ValueError(f"{path}: no layers")
     if n_layers != len(prog.layers):
         raise ValueError(f"{path}:1: header has layers={n_layers} but the "
                          f"body has {len(prog.layers)} LAYER lines")
-    for (lineno, declared), lp in zip(heads, prog.layers):
+    for (lineno, _, declared), lp in zip(heads, prog.layers):
         if declared != len(lp.channels):
             raise ValueError(f"{path}:{lineno}: {lp.name} has "
                              f"channels={declared} but {len(lp.channels)} "
@@ -1075,9 +1076,7 @@ def load_program(path) -> BooleanProgram:
             raise ValueError(f"{path}:{lineno}: {lp.name}: the last layer, "
                              f"and only it, takes a decision=")
     try:
-        prog._compiled = (_snapshot(prog), _compile(prog, [
-            (np.concatenate(entries), sizes)
-            for entries, sizes in index_lists]))
-    except _WiringError as e:
-        raise ValueError(f"{path}:{heads[e.index][0]}: {e}") from None
+        _compiled_layers(prog)
+    except ValueError as e:
+        raise ValueError(f"{path}:{heads[e.layer_index][0]}: {e}") from None
     return prog

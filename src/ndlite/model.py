@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,8 +59,12 @@ class ModelConfig:
     hidden_activation: str = "relu"
 
     def __post_init__(self):
-        if self.group_size < 1 or self.channels < 1 or self.residual_blocks < 1:
-            raise ValueError("group_size, channels, residual_blocks must be >= 1")
+        sizes = (self.group_size, self.channels, self.residual_blocks,
+                 *self.dense_sizes)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   and v >= 1 for v in sizes):
+            raise ValueError("group_size, channels, residual_blocks and "
+                             "dense_sizes must be integers >= 1")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ValueError("decision_threshold must lie in (0, 1)")
         if self.hidden_activation not in _ACTIVATIONS:
@@ -708,6 +714,12 @@ def load_model(path) -> Model:
         cfg = ModelConfig(**c)
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad 'config': {e}") from None
+    for name, delta in meta["deltas"].items():
+        # bools are ints; an int past the float range is not finite either
+        if (type(delta) not in (int, float)
+                or not abs(delta) <= sys.float_info.max):
+            raise ValueError(f"{path}: checkpoint meta 'deltas.{name}' is "
+                             f"not a finite number")
 
     def tensor(key, shape):
         if key not in tensors:

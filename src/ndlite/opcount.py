@@ -69,22 +69,15 @@ def count_dense_layer(shape: LayerShape) -> OpCounts:
     return OpCounts(mults=wc * shape.d, adds=(wc - shape.out_ch) * shape.d)
 
 
-def count_lightweight_layer(channels, d, count_dead_indicators=False) -> OpCounts:
-    """Boolean/addition/indicator cost of one lowered layer.
-
-    channels is a sequence with P/N index sets (ChannelProgram-shaped).
-    """
+def count_lightweight_layer(fan_in, d, count_dead_indicators=False) -> OpCounts:
+    """Boolean/addition/indicator cost of one lowered layer whose channels
+    have fan_in nonzero weights each (LayerProgram.fan_in)."""
     if d < 1:
         raise ValueError("d must be positive")
-    bools = adds = live = 0
-    for cp in channels:
-        nnz = len(cp.p) + len(cp.n)
-        bools += nnz
-        if nnz >= 1:
-            adds += nnz - 1
-            live += 1
-    counted = len(channels) if count_dead_indicators else live
-    return OpCounts(bools=bools * d, adds=adds * d, indicators=counted * d)
+    bools, live = int(sum(fan_in)), sum(1 for f in fan_in if f)
+    counted = len(fan_in) if count_dead_indicators else live
+    return OpCounts(bools=bools * d, adds=(bools - live) * d,
+                    indicators=counted * d)
 
 
 def _component_of(layer_name):
@@ -125,10 +118,10 @@ def _program_rows(prog: BooleanProgram, count_dead_indicators):
         d = d_conv if layer.kind == "conv" else 1
         if layer.decision == "compare":
             # two raw accumulators, one difference add, one threshold gate
-            base = count_lightweight_layer(layer.channels, d)
+            base = count_lightweight_layer(layer.fan_in, d)
             cnt = OpCounts(bools=base.bools, adds=base.adds + 1, indicators=1)
         else:
-            cnt = count_lightweight_layer(layer.channels, d,
+            cnt = count_lightweight_layer(layer.fan_in, d,
                                           count_dead_indicators)
         counts.append((layer.name, cnt))
     return _by_component(counts)

@@ -129,7 +129,7 @@ def test_criterion_5_lowering_exactness():
         delta = 0.05 + r.random()
         bn = make_bn(r.normal(size=1), r.normal(scale=0.5, size=1),
                      r.normal(size=1), [0.05 + abs(r.normal())])
-        cp = lower_layer(ternary_from_codes(codes, delta), bn=bn)[0]
+        cp = lower_layer(ternary_from_codes(codes, delta), bn=bn).channels[0]
         for s in assigns @ codes.reshape(-1):
             assert apply_channel(cp, int(s)) == \
                 bn_predicate(bn, 0, delta, int(s))

@@ -26,7 +26,7 @@ from ndlite.model import (exact_bit_forward, layer_specs, load_model,
                           save_model)
 
 from test_lowering import (_planted_conv0_model, antisymmetrize_output,
-                           damaged, saved_programs_in)
+                           damaged, saved_programs_in, set_channel)
 from test_model import randomized_quantized_model, small_cfg
 
 
@@ -305,9 +305,7 @@ def test_verify_mutated_program_exits_3(work, capsys):
                 "--trials", 100]) == 0
     prog = load_program(prog_path)
     conv0 = prog.layer("conv0")
-    bad = dataclasses.replace(conv0.channels[0],
-                              flip=not conv0.channels[0].flip)
-    conv0.channels[0] = bad
+    set_channel(conv0, 0, flip=not conv0.channels[0].flip)
     mutated = work / "mutated.bprog"
     save_program(prog, mutated)
     capsys.readouterr()
@@ -333,34 +331,39 @@ def proof_case(work):
 
 
 def _wide_dense1_channel(prog):
-    """A dense1 channel of fan-in > 9 whose theta lies in [-|N|, |P| - 1],
-    so that theta - 1 and theta + 1 both change its function."""
-    return next(cp for cp in prog.layer("dense1").channels
-                if cp.fan_in > 9 and -len(cp.n) <= cp.theta < len(cp.p))
+    """(dense1, c) of a dense1 channel c of fan-in > 9 whose theta lies in
+    [-|N|, |P| - 1], so that theta - 1 and theta + 1 both change its
+    function."""
+    layer = prog.layer("dense1")
+    return layer, next(c for c, cp in enumerate(layer.channels)
+                       if cp.fan_in > 9 and -len(cp.n) <= cp.theta < len(cp.p))
 
 
 def _theta_up(prog):
-    _wide_dense1_channel(prog).theta += 1
+    layer, c = _wide_dense1_channel(prog)
+    set_channel(layer, c, theta=layer.theta[c] + 1)
 
 
 def _theta_down(prog):
-    _wide_dense1_channel(prog).theta -= 1
+    layer, c = _wide_dense1_channel(prog)
+    set_channel(layer, c, theta=layer.theta[c] - 1)
 
 
 def _flip_flip(prog):
-    cp = prog.layer("res0.c1").channels[0]
-    cp.flip = not cp.flip
+    layer = prog.layer("res0.c1")
+    set_channel(layer, 0, flip=not layer.channels[0].flip)
 
 
 def _wrong_const(prog):
-    cp = prog.layer("conv0").channels[1]
-    cp.const = 1 - cp.const
+    layer = prog.layer("conv0")
+    set_channel(layer, 1, const=1 - layer.channels[1].const)
 
 
 def _move_p_to_n(prog):
     # a 3x3 tap off the centre column reads only padding at g=1
-    cp = next(cp for cp in prog.layer("dense1").channels if cp.p)
-    cp.p, cp.n = cp.p[1:], cp.n + cp.p[:1]
+    layer = prog.layer("dense1")
+    c, cp = next((c, cp) for c, cp in enumerate(layer.channels) if cp.p)
+    set_channel(layer, c, p=cp.p[1:], n=cp.n + cp.p[:1])
 
 
 def _drop_skip_from(prog):
@@ -538,6 +541,19 @@ def _overlap_then_malformed(lines):
     return idx
 
 
+def _set_p_list(layer_prefix, text):
+    """Edit: P= of the first index channel line of the layer whose LAYER
+    line starts with layer_prefix becomes text; returns that channel line."""
+    def edit(lines):
+        head = next(i for i, ln in enumerate(lines)
+                    if ln.startswith(layer_prefix))
+        idx = next(i for i in range(head + 1, len(lines))
+                   if " P=[" in lines[i])
+        lines[idx] = re.sub(r" P=\S*", lambda _: f" P={text}", lines[idx])
+        return idx
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("bad-kind", _set_value("kind", "foo", "LAYER "),
      "kind=foo is not conv or dense"),
@@ -576,6 +592,11 @@ def _overlap_then_malformed(lines):
     ("byte-ff", _byte_ff, "'utf-8' codec can't decode byte 0xff"),
     ("overlap-then-malformed", _overlap_then_malformed,
      "P and N must be disjoint"),
+    ("dense-index-twice", _set_p_list("LAYER name=dense1 ", "[99999,99999]"),
+     "index 99999 listed twice"),
+    ("conv-index-twice", _set_p_list("LAYER name=conv0 ",
+                                     "[(99,0,0),(99,0,0)]"),
+     "index (99,0,0) listed twice"),
 ])
 def test_malformed_program_exits_2(work, quant_ckpt, lowered, tiny_data,
                                    capsys, name, edit, message):
@@ -588,19 +609,6 @@ def test_malformed_program_exits_2(work, quant_ckpt, lowered, tiny_data,
         err = capsys.readouterr().err
         assert f"{path}:{lineno}: {message}" in err
         assert "Traceback" not in err
-
-
-def _set_p_list(layer_prefix, text):
-    """Edit: P= of the first index channel line of the layer whose LAYER
-    line starts with layer_prefix becomes text; returns that channel line."""
-    def edit(lines):
-        head = next(i for i, ln in enumerate(lines)
-                    if ln.startswith(layer_prefix))
-        idx = next(i for i in range(head + 1, len(lines))
-                   if " P=[" in lines[i])
-        lines[idx] = re.sub(r" P=\S*", lambda _: f" P={text}", lines[idx])
-        return idx
-    return edit
 
 
 _MALFORMED_LISTS = ["[1,,2]", "[1,2,]", "[,1]", "[1_0]", "[+1]", "[１]",
@@ -662,6 +670,35 @@ def test_damaged_program_exits_0_2_or_4(work, tiny_data, saved_programs, data):
         _exits_0_2_or_4(argv)
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def header_value_replaced(draw, raw):
+    """Checkpoint bytes raw with one value of its JSON header, at any depth
+    (a meta value, a delta, a tensor shape's dimension, ...), replaced by
+    random JSON."""
+    (hlen,) = struct.unpack_from("<I", raw, 4)
+    header = json.loads(raw[8:8 + hlen])
+    places = []  # (container, key) of every value in the header
+
+    def walk(node):
+        for key in (range(len(node)) if isinstance(node, list) else node):
+            places.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                walk(node[key])
+    walk(header)
+    node, key = draw(st.sampled_from(places))
+    node[key] = draw(_JSON)
+    blob = json.dumps(header).encode("utf-8")
+    return raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen:]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_damaged_checkpoint_loads_or_exits_0_2_or_4(work, quant_ckpt,
@@ -670,7 +707,8 @@ def test_damaged_checkpoint_loads_or_exits_0_2_or_4(work, quant_ckpt,
     (hlen,) = struct.unpack_from("<I", raw, 4)
     path = work / "damaged.ndwf"
     # parts: magic, header length, JSON header, payload
-    path.write_bytes(data.draw(damaged(raw, [0, 4, 8, 8 + hlen])))
+    path.write_bytes(data.draw(damaged(raw, [0, 4, 8, 8 + hlen])
+                               | header_value_replaced(raw)))
     try:
         load_model(path)
     except ValueError:
@@ -818,6 +856,24 @@ _BAD_CHECKPOINTS = [
                              ("shape-negative", "shape", [-3, -4, 1, 1]),
                              ("shape-bool", "shape", [True, 4, 1, 1]),
                              ("name-int", "name", 5))
+] + [
+    ("entry-shape-0x1e30", "header", lambda h: {**h, "tensors": [
+        {**h["tensors"][0], "shape": [0, 10**30]}] + h["tensors"][1:]},
+     f"tensor entry 0 has shape [0, {10**30}], more than the payload holds"),
+] + [
+    (f"delta-{name}", "body", lambda t, m, value=value: (t, {
+        **m, "deltas": {**m["deltas"], "conv0": value}}),
+     "checkpoint meta 'deltas.conv0' is not a finite number")
+    for name, value in (("list", []), ("bool", True), ("str", "0.5"),
+                        ("nan", float("nan")), ("10e400", 10**400))
+] + [
+    (f"config-{name}", "body", lambda t, m, key=key, value=value: (t, {
+        **m, "config": {**m["config"], key: value}}),
+     "bad 'config': group_size, channels, residual_blocks and dense_sizes "
+     "must be integers >= 1")
+    for name, key, value in (("blocks-1.5", "residual_blocks", 1.5),
+                             ("channels-bool", "channels", True),
+                             ("dense-sizes-float", "dense_sizes", [6.5, 5]))
 ]
 
 

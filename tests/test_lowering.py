@@ -2,6 +2,7 @@
 rational model semantics, expression synthesis, mutation detection, and the
 text-format round trip."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -13,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndlite import lowering, nn
-from ndlite.lowering import (BooleanProgram, ChannelProgram, VerifyReport,
-                             conv0_literal_names, fold_batchnorm, fold_bias,
-                             fold_output_pair, load_program, lower_layer,
-                             lower_model, program_expressions, run_program,
-                             save_program, synthesize_expression,
-                             verify_equivalence)
+from ndlite.lowering import (BooleanProgram, ChannelProgram, LayerProgram,
+                             VerifyReport, conv0_literal_names,
+                             fold_batchnorm, fold_bias, fold_output_pair,
+                             load_program, lower_layer, lower_model,
+                             program_expressions, run_program, save_program,
+                             synthesize_expression, verify_equivalence)
 from ndlite.model import build_model, exact_bit_forward
+from ndlite.opcount import count_model
 from ndlite.quant import extract_ternary
 
 from test_model import randomized_quantized_model, small_cfg
@@ -57,6 +59,17 @@ def apply_channel(cp, s):
     if cp.const is not None:
         return cp.const
     return int((s > cp.theta) ^ cp.flip)
+
+
+def set_channel(layer, c, **changes):
+    """Edit channel c of a program layer: its arrays are rebuilt from the
+    layer's channels with that one's fields changed."""
+    channels = list(layer.channels)
+    channels[c] = dataclasses.replace(channels[c], **changes)
+    new = LayerProgram.from_channels(layer.name, layer.kind, layer.in_width,
+                                     layer.kernel, channels)
+    for name in ("entries", "offsets", "theta", "flip", "const"):
+        setattr(layer, name, getattr(new, name))
 
 
 def ternary_from_codes(codes, delta):
@@ -126,7 +139,7 @@ def test_single_channel_3x3_exhaustive_fold():
         delta = 0.05 + r.random()
         bn = make_bn(r.normal(size=1), r.normal(scale=0.5, size=1),
                      r.normal(size=1), [0.05 + abs(r.normal())])
-        cp = lower_layer(ternary_from_codes(codes, delta), bn=bn)[0]
+        cp = lower_layer(ternary_from_codes(codes, delta), bn=bn).channels[0]
         s_all = assigns @ codes.reshape(-1)
         for s in s_all:
             assert apply_channel(cp, int(s)) == bn_predicate(bn, 0, delta, int(s))
@@ -139,7 +152,7 @@ def test_lower_layer_conv_index_sets():
     codes[0, 1, 0, 2] = 1
     codes[0, 2, 2, 1] = -1
     bn = make_bn([1.0, 1.0], [0.0, 0.5], [0.0, 0.0], [1.0, 1.0])
-    chans = lower_layer(ternary_from_codes(codes, 0.5), bn=bn)
+    chans = lower_layer(ternary_from_codes(codes, 0.5), bn=bn).channels
     assert chans[0].p == ((1, 0, 2),)
     assert chans[0].n == ((2, 2, 1),)
     assert chans[0].theta == 0 and chans[0].flip is False
@@ -152,7 +165,8 @@ def test_lower_layer_dense_dead_and_theta():
     codes[0, 0] = 1
     codes[4, 0] = -1
     codes[2, 1] = 1
-    chans = lower_layer(ternary_from_codes(codes, 0.5), bias=[0.0, -1.2, 0.3])
+    chans = lower_layer(ternary_from_codes(codes, 0.5),
+                        bias=[0.0, -1.2, 0.3]).channels
     assert chans[0].p == (0,) and chans[0].n == (4,) and chans[0].theta == 0
     assert chans[1].theta == math.floor(F(12, 10) / F(1, 2))  # 2
     assert chans[2].const == 1  # dead, bias 0.3 > 0 at S == 0
@@ -163,7 +177,7 @@ def test_lower_layer_zero_theta_mode():
     codes[1, 0] = 1
     bn_like_bias = [5.0, -5.0]
     chans = lower_layer(ternary_from_codes(codes, 0.5), bias=bn_like_bias,
-                        theta_mode="zero")
+                        theta_mode="zero").channels
     assert chans[0].theta == 0 and chans[0].flip is False
     assert chans[1].const == 0  # dead channels emit constant 0 in zero mode
     with pytest.raises(ValueError):
@@ -372,11 +386,12 @@ def test_dead_channel_in_skip_layer_passes_skip_bit():
 
 
 def _raise_theta(prog):
-    prog.layer("conv0").channels[0].theta += 1
+    layer = prog.layer("conv0")
+    set_channel(layer, 0, theta=layer.theta[0] + 1)
 
 
 def _drop_p_index(prog):
-    prog.layer("conv0").channels[0].p = ()
+    set_channel(prog.layer("conv0"), 0, p=())
 
 
 def _drop_skip(prog):
@@ -407,12 +422,11 @@ def test_run_program_sees_in_place_edits(edit):
 
 def test_run_program_clamps_out_of_range_thresholds():
     prog = lower_model(_planted_conv0_model())
-    cp = prog.layer("conv0").channels[0]
     bits = np.random.default_rng(13).integers(0, 2, size=(50, 4, 16, 1),
                                               dtype=np.uint8)
     for theta, flip, want in ((10**400, False, 0), (-10**400, False, 1),
                               (2**24 + 1, True, 1), (-2**24 - 3, True, 0)):
-        cp.theta, cp.flip = theta, flip
+        set_channel(prog.layer("conv0"), 0, theta=theta, flip=flip)
         _, planes = run_program(prog, bits, return_planes=True)
         assert (dict(planes)["conv0"][:, 0] == want).all(), theta
 
@@ -490,9 +504,8 @@ def _planted_conv0_model():
 def test_verify_catches_removed_p_index():
     m = _planted_conv0_model()
     prog = lower_model(m)
-    cp = prog.layer("conv0").channels[0]
-    assert cp.p == ((0, 0, 0),)
-    cp.p = ()
+    assert prog.layer("conv0").channels[0].p == ((0, 0, 0),)
+    set_channel(prog.layer("conv0"), 0, p=())
     rep = verify_equivalence(prog, m, trials=0, exhaustive_width=9)
     assert not rep.passed
     assert rep.counterexample["layer"] == "conv0"
@@ -502,7 +515,7 @@ def test_verify_catches_removed_p_index():
 def test_verify_catches_theta_shift():
     m = _planted_conv0_model()
     prog = lower_model(m)
-    prog.layer("conv0").channels[0].theta += 1
+    _raise_theta(prog)
     rep = verify_equivalence(prog, m, trials=0, exhaustive_width=9)
     assert not rep.passed
     assert rep.counterexample["layer"] == "conv0"
@@ -539,7 +552,8 @@ def test_verify_random_trials_catch_wide_channel_mutation():
     rates = dict(planes)["res0.c2"].reshape(300, -1).mean(axis=0)
     cp = prog.layer("dense1").channels[0]
     victim = next(i for i in cp.p if 0.05 < rates[i] < 0.95)
-    cp.p = tuple(i for i in cp.p if i != victim)
+    set_channel(prog.layer("dense1"), 0,
+                p=tuple(i for i in cp.p if i != victim))
     rep = verify_equivalence(prog, m, trials=4000, exhaustive_width=0, seed=1)
     assert not rep.passed
     assert rep.counterexample["first_divergence"] == "dense1"
@@ -750,6 +764,98 @@ def test_program_roundtrip_property(program_dir, seed, folded, group_size):
     assert np.array_equal(labels, want)
     for (name, plane), (want_name, want_plane) in zip(planes, want_planes):
         assert name == want_name and np.array_equal(plane, want_plane)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), folded=st.booleans(),
+       group_size=st.sampled_from([1, 2]), blocks=st.integers(1, 2))
+def test_layer_arrays_match_channel_views_property(program_dir, seed, folded,
+                                                   group_size, blocks):
+    """A lowered program survives save and load, and its layer arrays are
+    what their ChannelProgram views hold: count_model bills the views'
+    entries, and the views rebuild each layer."""
+    m = randomized_quantized_model(
+        seed, cfg=small_cfg(group_size=group_size, residual_blocks=blocks))
+    if folded:
+        antisymmetrize_output(m)
+    prog = lower_model(m)
+    path, again = program_dir / "views.bprog", program_dir / "views2.bprog"
+    save_program(prog, path)
+    loaded = load_program(path)
+    assert loaded == prog
+    save_program(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    bools = adds = indicators = 0
+    for layer in loaded.layers:
+        views = list(layer.channels)
+        assert len(views) == len(layer.channels) == len(layer.theta)
+        assert all(set(cp.p).isdisjoint(cp.n) for cp in views)
+        assert LayerProgram.from_channels(
+            layer.name, layer.kind, layer.in_width, layer.kernel, views,
+            skip_from=layer.skip_from, decision=layer.decision,
+            compare_theta=layer.compare_theta) == layer
+        d = 16 * group_size if layer.kind == "conv" else 1
+        live = sum(1 for cp in views if cp.fan_in)
+        nnz = sum(cp.fan_in for cp in views)
+        bools += nnz * d
+        adds += (nnz - live) * d + (layer.decision == "compare")
+        indicators += 1 if layer.decision == "compare" else live * d
+    total, _ = count_model(loaded)
+    assert (total.bools, total.adds, total.indicators) == (bools, adds,
+                                                           indicators)
+
+
+def _move_p_entry_to_n(layer):
+    """The last P entry of channel 0 becomes its first N entry."""
+    layer.offsets[1] -= 1
+
+
+def _theta_plus_1(layer):
+    layer.theta[0] += 1
+
+
+def _flip_0(layer):
+    layer.flip[0] ^= True
+
+
+def _const_1(layer):
+    layer.const[1] ^= 1
+
+
+@pytest.mark.parametrize("edit", [_move_p_entry_to_n, _theta_plus_1, _flip_0,
+                                  _const_1])
+def test_in_place_array_edit_reaches_eq_and_run_program(edit):
+    """conv0 computes C_l & ~C_r on channel 0 and constants on the others;
+    an edit of one layer array in place makes the program differ from its
+    lowering, and run_program, compiled before, computes the edited one."""
+    m = _planted_conv0_model()
+    prog = lower_model(m)
+    assert prog.layer("conv0").channels[0].p == ((0, 0, 0),)
+    assert prog.layer("conv0").channels[1].const is not None
+    bits = np.random.default_rng(16).integers(0, 2, size=(100, 4, 16, 1),
+                                              dtype=np.uint8)
+    _, before = run_program(prog, bits, return_planes=True)
+    edit(prog.layer("conv0"))
+    assert prog != lower_model(m)
+    _, after = run_program(prog, bits, return_planes=True)
+    assert not np.array_equal(dict(after)["conv0"], dict(before)["conv0"])
+
+
+@pytest.mark.parametrize("layer", ["conv0", "dense1"])
+def test_load_rejects_an_index_listed_twice(tmp_path, layer):
+    path = tmp_path / "twice.bprog"
+    save_program(lower_model(randomized_quantized_model(5)), path)
+    lines = path.read_text().splitlines()
+    head = lines.index(next(ln for ln in lines
+                            if ln.startswith(f"LAYER name={layer} ")))
+    i = next(i for i in range(head + 1, len(lines))
+             if " P=[" in lines[i] and " P=[]" not in lines[i])
+    first = re.search(r" P=\[(\([0-9,]+\)|[0-9]+)", lines[i]).group(1)
+    lines[i] = lines[i].replace(" P=[", f" P=[{first},")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:{i + 1}: index {first} listed twice")):
+        load_program(path)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Operation accounting tests against the published layer and total figures."""
 
+import numpy as np
 import pytest
 
 from ndlite.lowering import (BooleanProgram, ChannelProgram, LayerProgram,
@@ -15,13 +16,20 @@ from test_model import randomized_quantized_model
 
 # ------------------------------------------------------------------ fixture
 
-def _spread(total, live, width):
-    """live channels holding `total` nonzeros, then width-live dead ones."""
+def _spread(total, live, width, taps=None):
+    """live channels holding `total` nonzeros, then width-live dead ones; a
+    conv channel's entries are the first of its (in_ch, k1, k2) taps."""
     base, extra = divmod(total, live)
     sizes = [base + (1 if i < extra else 0) for i in range(live)]
-    chans = [ChannelProgram(p=tuple(range(k)), n=()) for k in sizes]
+    chans = [ChannelProgram(p=tuple(range(k)) if taps is None else tuple(zip(
+        *(a.tolist() for a in np.unravel_index(np.arange(k), taps)))), n=())
+             for k in sizes]
     chans += [ChannelProgram(p=(), n=(), const=0)] * (width - live)
     return chans
+
+
+def _fan_in(chans):
+    return [cp.fan_in for cp in chans]
 
 
 def table4_fixture_program():
@@ -29,19 +37,20 @@ def table4_fixture_program():
     channels, residual convs 671 + 2081 all-live, head 13877 nonzeros over
     99 of 128 channels, folded output with 64 nonzeros."""
     layers = [
-        LayerProgram(name="conv0", kind="conv", in_width=4, kernel=(1, 1),
-                     channels=_spread(8, 4, 4)),
-        LayerProgram(name="res0.c1", kind="conv", in_width=32, kernel=(3, 3),
-                     channels=_spread(671, 32, 32)),
-        LayerProgram(name="res0.c2", kind="conv", in_width=32, kernel=(3, 3),
-                     channels=_spread(2081, 32, 32), skip_from="conv0"),
-        LayerProgram(name="dense1", kind="dense", in_width=4096, kernel=None,
-                     channels=_spread(13000, 55, 64)),
-        LayerProgram(name="dense2", kind="dense", in_width=64, kernel=None,
-                     channels=_spread(877, 44, 64)),
-        LayerProgram(name="out", kind="dense", in_width=64, kernel=None,
-                     channels=[ChannelProgram(p=tuple(range(64)), n=())],
-                     decision="folded"),
+        LayerProgram.from_channels("conv0", "conv", 4, (1, 1),
+                                   _spread(8, 4, 4, (4, 1, 1))),
+        LayerProgram.from_channels("res0.c1", "conv", 32, (3, 3),
+                                   _spread(671, 32, 32, (32, 3, 3))),
+        LayerProgram.from_channels("res0.c2", "conv", 32, (3, 3),
+                                   _spread(2081, 32, 32, (32, 3, 3)),
+                                   skip_from="conv0"),
+        LayerProgram.from_channels("dense1", "dense", 4096, None,
+                                   _spread(13000, 55, 64)),
+        LayerProgram.from_channels("dense2", "dense", 64, None,
+                                   _spread(877, 44, 64)),
+        LayerProgram.from_channels(
+            "out", "dense", 64, None,
+            [ChannelProgram(p=tuple(range(64)), n=())], decision="folded"),
     ]
     return BooleanProgram(group_size=8, layers=layers)
 
@@ -98,21 +107,20 @@ def test_lightweight_layer_rule():
     chans = [ChannelProgram(p=(0, 1), n=(2,)),        # nnz 3
              ChannelProgram(p=(), n=(), const=1),     # dead
              ChannelProgram(p=(4,), n=())]            # nnz 1
-    c = count_lightweight_layer(chans, 10)
+    c = count_lightweight_layer(_fan_in(chans), 10)
     assert (c.bools, c.adds, c.indicators) == (40, 20, 20)
-    c = count_lightweight_layer(chans, 10, count_dead_indicators=True)
+    c = count_lightweight_layer(_fan_in(chans), 10, count_dead_indicators=True)
     assert c.indicators == 30
     assert c.mults == 0
 
 
 def test_lightweight_published_layer_examples():
-    conv0 = count_lightweight_layer(_spread(8, 4, 4), 128)
+    conv0 = count_lightweight_layer(_fan_in(_spread(8, 4, 4)), 128)
     assert (conv0.bools, conv0.adds, conv0.indicators) == (1024, 512, 512)
-    res = (count_lightweight_layer(_spread(671, 32, 32), 128)
-           + count_lightweight_layer(_spread(2081, 32, 32), 128))
+    res = (count_lightweight_layer(_fan_in(_spread(671, 32, 32)), 128)
+           + count_lightweight_layer(_fan_in(_spread(2081, 32, 32)), 128))
     assert (res.bools, res.adds, res.indicators) == (352256, 344064, 8192)
-    out = count_lightweight_layer(
-        [ChannelProgram(p=tuple(range(64)), n=())], 1)
+    out = count_lightweight_layer([64], 1)
     assert (out.bools, out.adds, out.indicators) == (64, 63, 1)
 
 
@@ -148,7 +156,7 @@ def test_lowered_program_counts_match_codes():
     # constant channels shed their gathers, so counted bools never exceed
     # the raw nonzero count
     assert dict(rows)["conv0"].bools <= conv0_nnz * d
-    live = sum(1 for cp in prog.layer("conv0").channels if cp.live)
+    live = int(np.count_nonzero(prog.layer("conv0").fan_in))
     assert dict(rows)["conv0"].indicators == live * d
 
 
