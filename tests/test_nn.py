@@ -83,21 +83,23 @@ def test_conv_matches_naive_depth_one_3x3():
 
 
 def test_conv_backward_finite_difference():
+    # Non-square kernels fail a dx that flips or transposes the wrong axes.
     r = np.random.default_rng(3)
     x = r.normal(size=(2, 3, 6, 5))
-    w = r.normal(size=(4, 3, 3, 3))
     b = r.normal(size=4)
     proj = r.normal(size=(2, 4, 6, 5))
+    for kernel in [(3, 3), (3, 1), (1, 3), (5, 3)]:
+        w = r.normal(size=(4, 3) + kernel)
 
-    def loss():
-        y, _ = nn.conv2d(cl(x), w, b)
-        return float((y * cl(proj)).sum())
+        def loss():
+            y, _ = nn.conv2d(cl(x), w, b)
+            return float((y * cl(proj)).sum())
 
-    y, cache = nn.conv2d(cl(x), w, b)
-    dx, dw, db = nn.conv2d_grad(cl(proj), cache)
-    assert rel_err(dx, cl(fd_grad(loss, x))) < 1e-6
-    assert rel_err(dw, fd_grad(loss, w)) < 1e-6
-    assert rel_err(db, fd_grad(loss, b)) < 1e-6
+        y, cache = nn.conv2d(cl(x), w, b)
+        dx, dw, db = nn.conv2d_grad(cl(proj), cache)
+        assert rel_err(dx, cl(fd_grad(loss, x))) < 1e-6, kernel
+        assert rel_err(dw, fd_grad(loss, w)) < 1e-6, kernel
+        assert rel_err(db, fd_grad(loss, b)) < 1e-6, kernel
 
 
 def test_conv_backward_no_bias():
@@ -135,6 +137,30 @@ def test_conv_backward_depth_one_prunes_padding_taps():
     assert rel_err(dw, fd_grad(loss, w)) < 1e-6
     assert np.all(dw[:, :, :, [0, 2]] == 0.0)
     assert np.all(dw[:, :, :, 1] != 0.0)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-4), (np.float64, 1e-6)])
+def test_conv_backward_kernel_wider_than_map(dtype, tol):
+    # A 5x5 kernel on a 3x2 map reaches (2, 1): columns 0 and 4 only ever
+    # read padding. Finite differences are taken in float64.
+    r = np.random.default_rng(13)
+    x = r.normal(size=(2, 3, 3, 2))
+    w = r.normal(size=(4, 3, 5, 5))
+    b = r.normal(size=4)
+    proj = r.normal(size=(2, 4, 3, 2))
+
+    def loss():
+        y, _ = nn.conv2d(cl(x), w, b)
+        return float((y * cl(proj)).sum())
+
+    y, cache = nn.conv2d(cl(x).astype(dtype), w.astype(dtype), b.astype(dtype))
+    dx, dw, db = nn.conv2d_grad(cl(proj).astype(dtype), cache)
+    assert y.dtype == dx.dtype == dw.dtype == db.dtype == dtype
+    assert dx.shape == (2, 3, 2, 3) and dw.shape == w.shape
+    assert rel_err(dx, cl(fd_grad(loss, x))) < tol
+    assert rel_err(dw, fd_grad(loss, w)) < tol
+    assert rel_err(db, fd_grad(loss, b)) < tol
+    assert np.all(dw[:, :, :, [0, 4]] == 0.0)
 
 
 def test_conv_gemm_blocks_agree(monkeypatch):
@@ -177,11 +203,12 @@ def test_matmul_rows_blocks(monkeypatch, m):
 def test_conv_keeps_dtype(dtype, shape):
     r = np.random.default_rng(8)
     x = r.normal(size=shape).astype(dtype)
-    w = r.normal(size=(4, 3, 3, 3)).astype(dtype)
-    y, cache = nn.conv2d(cl(x), w)
-    dx, dw, _ = nn.conv2d_grad(r.normal(size=y.shape).astype(dtype), cache)
-    assert y.dtype == dx.dtype == dw.dtype == dtype
-    assert dx.shape == cl(x).shape and dw.shape == w.shape
+    for kernel in [(3, 3), (1, 1)]:  # a 1x1 dx runs without windows
+        w = r.normal(size=(4, 3) + kernel).astype(dtype)
+        y, cache = nn.conv2d(cl(x), w)
+        dx, dw, _ = nn.conv2d_grad(r.normal(size=y.shape).astype(dtype), cache)
+        assert y.dtype == dx.dtype == dw.dtype == dtype
+        assert dx.shape == cl(x).shape and dw.shape == w.shape
 
 
 def test_conv_validates_shapes():
@@ -273,6 +300,38 @@ def test_batchnorm_backward_finite_difference_2d():
     dx, dgamma, dbeta = nn.batchnorm_grad(proj, cache)
     assert rel_err(dx, fd_grad(loss, x)) < 1e-5
     assert rel_err(dgamma, fd_grad(loss, bn.gamma)) < 1e-6
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("shape", [(3, 7, 1, 48), (21, 48), (3, 7, 1, 32),
+                                   (4, 16, 2, 32)])
+def test_batchnorm_matches_float64_reference(dtype, tol, shape):
+    # 21 rows do not split evenly into channel_sums' row groups (10 groups
+    # at 48 channels, 16 at 32), and 48 channels do not divide 512.
+    r = np.random.default_rng(14)
+    x = r.normal(loc=1.5, scale=2.0, size=shape)
+    dy = r.normal(size=shape)
+    c = shape[-1]
+    gamma, beta = r.normal(size=c), r.normal(size=c)
+    rows, drows = x.reshape(-1, c), dy.reshape(-1, c)
+    m = len(rows)
+    mean, var = rows.mean(axis=0), rows.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (rows - mean) * inv_std
+    dgamma, dbeta = (drows * xhat).sum(axis=0), drows.sum(axis=0)
+    dx = gamma * inv_std / m * (m * drows - dbeta - xhat * dgamma)
+
+    bn = nn.BnState.create(c, momentum=0.25, dtype=dtype)
+    bn.gamma, bn.beta = gamma.astype(dtype), beta.astype(dtype)
+    y, cache = nn.batchnorm(x.astype(dtype), bn, training=True)
+    got = (y,) + nn.batchnorm_grad(dy.astype(dtype), cache)
+    want = ((gamma * xhat + beta).reshape(shape), dx.reshape(shape), dgamma,
+            dbeta)
+    for a, b in zip(got, want):
+        assert a.dtype == dtype and a.shape == b.shape
+        assert rel_err(a, b) < tol
+    assert rel_err(bn.running_mean, 0.25 * mean) < tol
+    assert rel_err(bn.running_var, 0.75 + 0.25 * var) < tol
 
 
 def test_batchnorm_backward_inference_mode():
