@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ from .model import (Model, _frac, exact_bit_forward, exact_layers,
 from .quant import extract_ternary
 
 INPUT_CHANNEL_NAMES = ("C_l", "C_r", "C_l'", "C_r'")
+MAX_LITERALS = 8  # the widest channel given an EXPR formula
 
 
 # -------------------------------------------------------------------- types
@@ -491,50 +491,6 @@ class VerifyReport:
     counterexample: dict | None = None
 
 
-def _exhaustive_channel(pred, spec, layer, codes, channel_idx, width):
-    """Compare one indicator channel against the model's exact predicate
-    pred (of layer spec) over every assignment of its support bits; codes
-    holds the model layer's ternary codes as P and N, a LayerProgram.
-    Returns a counterexample dict, or None when they agree or the support
-    is wider than `width`."""
-    cp = layer.channels[channel_idx]
-    folded = layer.decision == "folded"
-    # index -> ternary coefficient; the folded channel is the real class's
-    model_cp = codes.channels[channel_idx + folded]
-    model, prog = Counter(model_cp.p), Counter(cp.p)
-    model.subtract(model_cp.n)
-    prog.subtract(cp.n)
-    support = sorted(set(model) | set(prog))
-    # Include the skip bit whenever either side uses it so a dropped or
-    # spurious skip flag shows up as a mismatch.
-    model_skip = spec.skip_from is not None
-    prog_skip = layer.skip_from is not None
-    has_skip = model_skip or prog_skip
-    coeff = np.array([(prog[i], model[i]) for i in support] + [
-        (prog_skip, model_skip)] * has_skip, dtype=np.int64).reshape(-1, 2)
-    k = len(coeff)
-    if k > width:
-        return None
-    assign = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.int64)
-    # The folded channel sums the real-class column, and the antisymmetric
-    # pair's logit difference is twice that sum.
-    s_prog, s_model = (assign @ coeff * [1, 2 if folded else 1]).T
-    prog_bits = (np.full(len(assign), cp.const, dtype=np.uint8)
-                 if cp.const is not None else
-                 ((s_prog > cp.theta) ^ cp.flip).astype(np.uint8))
-    values, at = np.unique(s_model, return_inverse=True)
-    model_bits = np.array([pred(channel_idx, int(v)) for v in values],
-                          dtype=np.uint8)[at]
-    bad = np.nonzero(prog_bits != model_bits)[0]
-    if len(bad):
-        i = int(bad[0])
-        return {"layer": layer.name, "channel": channel_idx,
-                "support": support + (["skip"] if has_skip else []),
-                "assignment": assign[i].tolist(),
-                "program_bit": int(prog_bits[i]), "model_bit": int(model_bits[i])}
-    return None
-
-
 _STRUCTURE = ("name", "kind", "in_width", "kernel", "channels", "decision",
               "skip")
 
@@ -543,7 +499,7 @@ def structure_mismatch(prog, specs):
     """Counterexample naming the first program layer that is not the layer
     table's, or None. Compared: name, kind, input width, kernel, channel
     count, a decision on the last layer only, and the source of any skip
-    the program takes. A dropped skip is left to the per-channel sweep,
+    the program takes. A dropped skip is left to the per-channel proof,
     which shows the skip bit in its counterexample."""
     for i, (lp, spec) in enumerate(itertools.zip_longest(prog.layers, specs)):
         if lp is None or spec is None:
@@ -560,7 +516,7 @@ def structure_mismatch(prog, specs):
     return None
 
 
-def _prove(prog, model):
+def _prove(prog, model, width):
     """(channels proven, counterexample | None): each program indicator
     against the model's over the whole range [lo, hi] its integer sum can
     reach, in O(1) per channel from the switch points of exact_layers.
@@ -572,7 +528,10 @@ def _prove(prog, model):
     Then two indicators S > t, each xor'd with a side or constant, agree on
     every integer of [lo, hi] iff, with t clamped into [lo - 1, hi], they
     agree at lo and at hi and, where they change over it, switch at the
-    same point. Channels are proven in order up to the first mismatch."""
+    same point. A channel with hi - lo <= width is then also evaluated at
+    every integer of [lo, hi] against exact_predicate itself, which checks
+    the switch points too. Channels are proven in order up to the first
+    mismatch."""
     proven = 0
     for layer, cl, el in zip(prog.layers, _compiled_layers(prog),
                              exact_layers(model)):
@@ -592,14 +551,13 @@ def _prove(prog, model):
         wrong = np.flatnonzero((cl.kmat != kmat).any(axis=0) & ~const)
         if len(wrong):
             c = int(wrong[0])
-            cp = layer.channels[c]
-            want = _layer(extract_ternary(
-                model.weights[layer.name], model.delta_of(layer.name)).codes
-            ).channels[c + (layer.decision == "folded")]
+            codes = extract_ternary(model.weights[layer.name],
+                                    model.delta_of(layer.name)).codes
+            want = (codes[c] if codes.ndim == 4 else
+                    codes[:, c + (layer.decision == "folded")])
             return proven + c, {
-                "layer": layer.name, "channel": c,
-                "support": sorted((set(want.p) ^ set(cp.p))
-                                  | (set(want.n) ^ set(cp.n)))}
+                "layer": layer.name, "channel": c, "support": list(_tuples(
+                    np.argwhere(_codes(layer)[c] != want)))}
         if compare:
             theta, flip = [min(max(layer.compare_theta, int(lo[0]) - 1),
                                int(hi[0]))], np.zeros(1, dtype=bool)
@@ -622,23 +580,36 @@ def _prove(prog, model):
                 "layer": layer.name, "channel": c, "sum": int(s),
                 "program_bit": int((s > theta[c]) ^ flip[c]),
                 "model_bit": int((s > t[c]) ^ el.first[c])}
-        if not compare:
-            proven += len(layer.channels)
+        if compare:
+            continue
+        narrow = np.flatnonzero(hi - lo <= width).tolist()
+        pred = exact_predicate(model, el.spec) if narrow else None
+        scale = 2 if layer.decision == "folded" else 1  # the model's D = 2S
+        for c in narrow:
+            for s in range(int(lo[c]), int(hi[c]) + 1):
+                got = int((s > theta[c]) ^ flip[c])
+                want = int(pred(c, scale * s))
+                if got != want:
+                    return proven + c, {
+                        "layer": layer.name, "channel": c, "sum": s,
+                        "program_bit": got, "model_bit": want}
+        proven += len(layer.channels)
     return proven, None
 
 
 def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
                        exhaustive_width=9, seed=0) -> VerifyReport:
     """Layer structure, then randomized whole-network trials, then a
-    complete per-channel proof, then exhaustive per-channel sweeps.
+    complete per-channel proof with a sweep of the narrow channels.
 
     The program's layers must be the model's layer table. Random inputs are
     compared end to end (program labels and every intermediate plane
     against the exact model evaluation). Every channel is then proven
     against the model's switch points over its whole reachable sum range
-    (_prove). Channels whose support spans at most exhaustive_width bits
-    are also checked on every assignment of those bits against the
-    rational predicate itself.
+    (_prove). A channel whose live support (its P and N entries on live
+    taps, and the skip bit) is at most exhaustive_width bits is also
+    checked at every sum that support reaches against the rational
+    predicate itself.
     """
     specs = layer_specs(model.cfg)
     total = sum(len(lp.channels) for lp in prog.layers
@@ -677,26 +648,7 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
                                 "model_label": int(model_labels[i])})
         done += nb
 
-    proven, ce = _prove(prog, model)
-    for layer, spec in zip(prog.layers, specs):
-        if ce is not None:
-            break
-        # A channel's support holds the program's and the model's nonzeros,
-        # and the skip bit if either side takes it.
-        skip = (layer.skip_from or spec.skip_from) is not None
-        narrow = np.flatnonzero(layer.fan_in + skip <= exhaustive_width)
-        if layer.decision == "compare" or not len(narrow):
-            continue
-        codes = _layer(extract_ternary(model.weights[spec.name],
-                                       model.delta_of(spec.name)).codes)
-        narrow = narrow[codes.fan_in[narrow + (layer.decision == "folded")]
-                        + skip <= exhaustive_width]
-        pred = exact_predicate(model, spec) if len(narrow) else None
-        for ci in narrow.tolist():
-            ce = _exhaustive_channel(pred, spec, layer, codes, ci,
-                                     exhaustive_width)
-            if ce is not None:
-                break
+    proven, ce = _prove(prog, model, exhaustive_width)
     return VerifyReport(passed=ce is None, trials_run=done,
                         exhaustive_channels=proven, total_channels=total,
                         counterexample=ce)
@@ -728,102 +680,33 @@ class BooleanExpr:
         return 0
 
 
-def _merge(a, b):
-    """Combine two implicants differing in exactly one cared bit."""
-    (va, dca), (vb, dcb) = a, b
-    if dca != dcb:
-        return None
-    diff = va ^ vb
-    if diff and not (diff & (diff - 1)):
-        return (va & ~diff, dca | diff)
-    return None
+def synthesize_expression(cp: ChannelProgram, names=None):
+    """Minimal two-level formula of one channel, in closed form.
 
-
-def _prime_implicants(minterms):
-    current = {(m, 0) for m in minterms}
-    primes = set()
-    while current:
-        merged = set()
-        used = set()
-        for a, b in itertools.combinations(sorted(current), 2):
-            m = _merge(a, b)
-            if m is not None:
-                merged.add(m)
-                used.add(a)
-                used.add(b)
-        primes |= current - used
-        current = merged
-    return primes
-
-
-def _covers(imp, minterm):
-    value, dc = imp
-    return (minterm & ~dc) == value
-
-
-def _petrick_min_cover(primes, minterms, n_vars):
-    """Smallest cover (fewest terms, then fewest literals)."""
-    primes = sorted(primes)
-    covers = {m: frozenset(i for i, p in enumerate(primes) if _covers(p, m))
-              for m in minterms}
-    # Product of sums over minterms, expanded with subsumption pruning.
-    products = {frozenset()}
-    for m in minterms:
-        nxt = set()
-        for prod in products:
-            for i in covers[m]:
-                nxt.add(prod | {i})
-        pruned = set()
-        for cand in sorted(nxt, key=len):
-            if not any(kept <= cand for kept in pruned):
-                pruned.add(cand)
-        products = pruned
-
-    mask = (1 << n_vars) - 1
-
-    def cost(sel):
-        return (len(sel),
-                sum(bin(~primes[i][1] & mask).count("1") for i in sel))
-
-    best = min(products, key=lambda sel: (cost(sel), sorted(sel)))
-    return [primes[i] for i in sorted(best)]
-
-
-def synthesize_expression(cp: ChannelProgram, names=None, max_literals=8):
-    """Minimal two-level formula for one channel via its truth table."""
+    Take each P entry as a literal and each N entry negated, both swapped
+    under flip: the channel fires iff at least k of its n literals hold,
+    k = theta + |N| + 1, or |P| - theta under flip. That function is
+    unate, so its minimum sum of products is unique: every k-subset of the
+    literals, each one a prime implicant and essential."""
     if cp.const is not None:
         return BooleanExpr(variables=(), terms=(),
                            formula=str(cp.const))
-    n = cp.fan_in
-    if n > max_literals:
-        raise ValueError(f"fan-in {n} exceeds the {max_literals}-literal limit")
+    n, npos = cp.fan_in, len(cp.p)
+    if n > MAX_LITERALS:
+        raise ValueError(f"fan-in {n} exceeds the {MAX_LITERALS}-literal limit")
     if names is None:
         names = [f"x{i}" for i in range(n)]
     if len(names) != n:
         raise ValueError("need one name per P then N entry")
-    npos = len(cp.p)
-    minterms = []
-    for m in range(1 << n):
-        bits = [(m >> i) & 1 for i in range(n)]
-        s = sum(bits[:npos]) - sum(bits[npos:])
-        if (s > cp.theta) ^ cp.flip:
-            minterms.append(m)
-    if not minterms:
+    k = npos - cp.theta if cp.flip else cp.theta + n - npos + 1
+    if k > n:
         return BooleanExpr(variables=tuple(names), terms=(), formula="0")
-    if len(minterms) == 1 << n:
+    if k <= 0:
         return BooleanExpr(variables=tuple(names), terms=((),), formula="1")
-
-    primes = _prime_implicants(minterms)
-    cover = _petrick_min_cover(primes, minterms, n)
-    terms = []
-    for value, dc in cover:
-        term = tuple((names[i], bool((value >> i) & 1))
-                     for i in range(n) if not (dc >> i) & 1)
-        terms.append(term)
-    terms.sort(key=lambda t: (len(t), t))
+    literals = [(v, (i < npos) != cp.flip) for i, v in enumerate(names)]
+    terms = sorted(itertools.combinations(literals, k))
     rendered = " | ".join(
         " & ".join(("" if pol else "~") + v for v, pol in term)
-        if term else "1"
         for term in terms)
     return BooleanExpr(variables=tuple(names), terms=tuple(terms),
                        formula=rendered)
@@ -834,7 +717,7 @@ def conv0_literal_names(cp: ChannelProgram):
     return [INPUT_CHANNEL_NAMES[c] for (c, _, _) in list(cp.p) + list(cp.n)]
 
 
-def program_expressions(prog: BooleanProgram, max_literals=8):
+def program_expressions(prog: BooleanProgram):
     """[(layer, channel, formula)] for every small-fan-in live channel.
 
     Layers whose sums take a skip bit are left out: a formula over the
@@ -844,14 +727,13 @@ def program_expressions(prog: BooleanProgram, max_literals=8):
         if layer.decision == "compare" or layer.skip_from is not None:
             continue
         for ci in np.flatnonzero((layer.const < 0) & (
-                layer.fan_in <= max_literals)).tolist():
+                layer.fan_in <= MAX_LITERALS)).tolist():
             cp = layer.channels[ci]
             if layer.name == "conv0" and layer.kernel == (1, 1):
                 names = conv0_literal_names(cp)
             else:
                 names = None
-            expr = synthesize_expression(cp, names=names,
-                                         max_literals=max_literals)
+            expr = synthesize_expression(cp, names=names)
             out.append((layer.name, ci, expr.formula))
     return out
 

@@ -510,6 +510,30 @@ def test_verify_catches_removed_p_index():
     assert not rep.passed
     assert rep.counterexample["layer"] == "conv0"
     assert rep.counterexample["channel"] == 0
+    assert rep.counterexample["support"] == [(0, 0, 0)]
+
+
+def test_verify_sweep_catches_predicate_mismatch(monkeypatch):
+    # The sweep evaluates the rational predicate itself, so a predicate
+    # that disagrees with the switch points at one reachable sum of a
+    # narrow channel fails verification there, and only with the sweep on.
+    m = _planted_conv0_model()
+    prog = lower_model(m)
+    assert verify_equivalence(prog, m, trials=0, exhaustive_width=9).passed
+    real = lowering.exact_predicate
+
+    def skewed(model, spec):
+        pred = real(model, spec)
+        if spec.name != "conv0":
+            return pred
+        return lambda c, s: pred(c, s) != ((c, s) == (0, 1))
+
+    monkeypatch.setattr(lowering, "exact_predicate", skewed)
+    rep = verify_equivalence(prog, m, trials=0, exhaustive_width=9)
+    assert not rep.passed
+    assert rep.counterexample == {"layer": "conv0", "channel": 0, "sum": 1,
+                                  "program_bit": 1, "model_bit": 0}
+    assert verify_equivalence(prog, m, trials=0, exhaustive_width=0).passed
 
 
 def test_verify_catches_theta_shift():
@@ -573,6 +597,10 @@ def test_table_pattern_expressions():
 
 
 def test_expression_matches_indicator_truth_table():
+    """The formula is the channel's function, and its cover is minimal:
+    every term is prime, and every k-subset of the literals (P entries
+    true, N entries negated, both swapped under flip) is a term, where k
+    is the fewest true literals at which the channel fires."""
     r = np.random.default_rng(23)
     for _ in range(60):
         n = int(r.integers(1, 9))
@@ -583,10 +611,26 @@ def test_expression_matches_indicator_truth_table():
                             theta=int(r.integers(-n - 1, n + 1)),
                             flip=bool(r.integers(2)))
         expr = synthesize_expression(cp)
-        for bits in itertools.product((0, 1), repeat=n):
+        table = np.array(list(itertools.product((0, 1), repeat=n)))
+        fires = np.array([apply_channel(cp, sum(bits[:cut]) - sum(bits[cut:]))
+                          for bits in table.tolist()])
+        for bits, want in zip(table.tolist(), fires):
             assign = {f"x{i}": bits[i] for i in range(n)}
-            s = sum(bits[:cut]) - sum(bits[cut:])
-            assert expr.evaluate(assign) == apply_channel(cp, s)
+            assert expr.evaluate(assign) == want
+        literals = [(f"x{i}", (i < cut) != cp.flip) for i in range(n)]
+        true_literals = (table == [pol for _, pol in literals]).sum(axis=1)
+        if not fires.any():
+            assert expr.terms == ()
+            continue
+        k = int(true_literals[fires == 1].min())
+        assert set(expr.terms) == set(itertools.combinations(literals, k))
+        assert len(expr.terms) == math.comb(n, k)
+        for term in expr.terms:
+            cols = [int(v[1:]) for v, _ in term]
+            holds = table[:, cols] == [pol for _, pol in term]
+            for j in range(len(term)):
+                shorter = np.delete(holds, j, axis=1).all(axis=1)
+                assert (shorter & (fires == 0)).any(), (cp, term, j)
 
 
 def test_expression_constants_and_limits():
