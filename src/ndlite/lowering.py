@@ -9,10 +9,12 @@ The residual skip is pure additions: block-input bits join the second
 conv's accumulator. The antisymmetric output pair folds to one channel
 compared against the decision threshold's log-odds; if the rows are not
 exact negations the fold is refused and both accumulators are compared
-directly. run_program sums with float32 GEMMs over 0/1 inputs and +-1
-codes; those sums are exact integers while every channel's fan-in plus its
-skip bit stays below 2**24 (nn.F32_EXACT_LIMIT), which is checked when a
-program is compiled for execution.
+directly. run_program compiles the program once per content into the
+model module's ExactLayers, GEMM matrices from the P/N lists and
+thresholds from the folds, and runs them through model.run_layers, the
+loop exact_bit_forward runs too. Its float32 GEMM sums are exact while
+every channel's fan-in plus its skip bit stays below 2**24
+(nn.F32_EXACT_LIMIT), which the compile checks.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .model import (Model, _frac, exact_bit_forward, exact_layers,
-                    exact_predicate, layer_specs)
+from .model import (ExactLayer, Model, _frac, check_bits, content_key,
+                    exact_bit_forward, exact_layers, exact_predicate,
+                    layer_specs, named_planes, route_kernel, run_layers,
+                    sum_range)
 from .quant import extract_ternary
 
 INPUT_CHANNEL_NAMES = ("C_l", "C_r", "C_l'", "C_r'")
@@ -102,8 +106,7 @@ class LayerProgram:
         """Everything the layer holds, its arrays as bytes."""
         return (self.name, self.kind, self.in_width, self.kernel,
                 self.skip_from, self.decision, self.compare_theta,
-                tuple(self.theta), tuple(
-                    (a.dtype.str, a.shape, a.tobytes()) for a in
+                tuple(self.theta), content_key(
                     (self.entries, self.offsets, self.flip, self.const)))
 
     def __eq__(self, other):
@@ -308,30 +311,6 @@ def lower_model(model: Model, theta_mode="folded", fold_output=True,
 
 # ---------------------------------------------------------------- execution
 
-def _check_bits(bits, group_size):
-    bits = np.asarray(bits)
-    single = bits.ndim == 3
-    if single:
-        bits = bits[None]
-    if bits.ndim != 4 or bits.shape[1:] != (4, 16, group_size):
-        raise ValueError(f"input shape {bits.shape} does not match layout "
-                         f"(4, 16, {group_size})")
-    b = bits.astype(np.uint8)
-    if bits.size and (not np.array_equal(b, bits) or b.max() > 1):
-        raise ValueError("program inputs must be binary")
-    return b, single
-
-
-@dataclass
-class _CompiledLayer:
-    """One layer's execution arrays, built once per program content."""
-    layer: LayerProgram
-    kmat: np.ndarray  # float32 [rows, channels]; conv rows are (tap, in_ch)
-    reach: tuple | None  # conv: half-extents of the live taps (nn.tap_matrix)
-    theta: np.ndarray  # float32, clamped into the reachable sum range
-    flip: np.ndarray  # bool
-
-
 def _codes(layer, reach=None):
     """[channels, in_width, *taps] float32 array of the layer's P (+1) and
     N (-1) lists. A conv layer's taps are the live block of half-extents
@@ -361,67 +340,73 @@ def _codes(layer, reach=None):
 
 
 def _indicators(layer, lo, hi):
-    """Each channel's threshold clamped into [lo, hi], and flip; a constant
-    channel gets lo, and the flip that gives its constant on (lo, hi]."""
-    theta = [lo_c if k >= 0 else min(max(th, lo_c), hi_c) for th, k, lo_c,
-             hi_c in zip(layer.theta, layer.const.tolist(), lo, hi)]
-    return theta, np.where(layer.const >= 0, layer.const == 0, layer.flip)
+    """(theta, flip) of the layer's indicators on integer sums in [lo, hi]
+    (int lists), each theta clamped into [lo - 1, hi], which changes no bit
+    there. A constant channel gets lo - 1 and the flip that gives its
+    constant; a compare decision is one indicator, on S1 - S0."""
+    theta, const = layer.theta, layer.const.tolist()
+    flip = np.where(layer.const >= 0, layer.const == 0, layer.flip)
+    if layer.decision == "compare":
+        theta, const, flip = [layer.compare_theta], [-1], np.zeros(1, bool)
+    return [lo_c - 1 if k >= 0 else min(max(th, lo_c - 1), hi_c)
+            for th, k, lo_c, hi_c in zip(theta, const, lo, hi)], flip
 
 
 def _compile(prog):
-    """_CompiledLayer list; checks the layer wiring on the way and raises
-    ValueError at the first layer that does not fit, its position in the
-    program as the error's layer_index. Feature maps run channels-last,
-    [N, 16, g, C], so each conv is one GEMM."""
+    """ExactLayer list for run_layers; checks the layer wiring on the way
+    and raises ValueError at the first layer that does not fit, its
+    position in the program as the error's layer_index. Layers after a
+    compare decision are not run."""
     shape = (16, prog.group_size, len(INPUT_CHANNEL_NAMES))
     shapes = {}  # layer name -> output shape, for skip sources
     out = []
     for i, layer in enumerate(prog.layers):
         try:
-            cl, shape = _compile_layer(layer, shape, shapes)
+            el, shape = _compile_layer(layer, shape, shapes)
         except ValueError as e:
             e.layer_index = i
             raise
-        out.append(cl)
+        out.append(el)
         if layer.decision == "compare":
             break
         shapes[layer.name] = shape
+    if not out or out[-1].decision is None:
+        raise ValueError("program has no decision layer")
     return out
 
 
 def _compile_layer(layer, shape, shapes):
-    """(_CompiledLayer, output shape) of one layer on an input of shape,
-    shapes holding the output shape of each earlier layer."""
-    n_ch = len(layer.flip)
-    reach = None
+    """(ExactLayer, output shape) of one layer on an input of shape,
+    shapes holding the output shape of each earlier layer. Its GEMM matrix
+    comes from the layer's P and N lists (_codes), its thresholds from the
+    program's folds."""
     if layer.kind == "conv":
         if len(shape) != 3 or shape[2] != layer.in_width:
             raise ValueError(f"{layer.name}: expected {layer.in_width} "
                              f"input channels, got shape {shape}")
-        hh, ww, _ = shape
-        reach, _ = nn._live_taps(*nn._same_pad(*layer.kernel), hh, ww)
-        _, kmat = nn.tap_matrix(_codes(layer, reach), hh, ww)
-        shape = (hh, ww, n_ch)
+        reach, _ = nn._live_taps(*nn._same_pad(*layer.kernel), *shape[:2])
+        codes = _codes(layer, reach)
     else:
         if math.prod(shape) != layer.in_width:
             raise ValueError(f"{layer.name}: expected input width "
                              f"{layer.in_width}, got {math.prod(shape)}")
-        kmat = _codes(layer).T
-        if len(shape) == 3:
-            # Dense indices are in the [C, 16, g] flattening order.
-            hh, ww, c = shape
-            kmat = nn.channels_last_rows(kmat, c, hh, ww)
-        shape = (n_ch,)
+        codes = _codes(layer).T  # dense indices are in [C, 16, g] order
+    compare = layer.decision == "compare"
+    if compare and len(layer.flip) != 2:
+        raise ValueError(f"{layer.name}: a compare decision takes 2 "
+                         f"channels, got {len(layer.flip)}")
+    reach, kmat, shape = route_kernel(codes, shape)
     skip = int(layer.skip_from is not None)
     if skip and shapes.get(layer.skip_from) != shape:
         raise ValueError(f"{layer.name}: skip source {layer.skip_from!r} "
                          f"has no output of shape {shape}")
-    nn.check_f32_exact(layer.name, skip + int(layer.fan_in.max(initial=0)))
-    off = layer.offsets  # S ranges over [-|N|, |P| + skip]
-    theta, flip = _indicators(layer, (off[1:-1:2] - off[2::2] - 1).tolist(),
-                              (off[1::2] - off[:-1:2] + skip).tolist())
-    return _CompiledLayer(layer, np.ascontiguousarray(kmat), reach,
-                          np.array(theta, dtype=np.float32), flip), shape
+    fan_in = skip + int(layer.fan_in.max(initial=0))
+    nn.check_f32_exact(layer.name, fan_in)
+    lo, hi = sum_range(kmat, skip, compare)
+    theta, flip = _indicators(layer, lo.tolist(), hi.tolist())
+    return ExactLayer(layer.name, layer.skip_from, reach, kmat, fan_in, lo,
+                      hi, np.array(theta, dtype=np.float32), flip,
+                      layer.decision), shape
 
 
 def _compiled_layers(prog):
@@ -434,47 +419,20 @@ def _compiled_layers(prog):
 
 
 def run_program(prog: BooleanProgram, bits, return_planes=False):
-    """Evaluate the program on [N,4,16,g] (or single [4,16,g]) bit inputs.
-
-    Sums are float32 GEMMs of 0/1 bits with +-1 codes, exact integers
-    because every fan-in is below nn.F32_EXACT_LIMIT. Returns labels (uint8),
-    plus named intermediate bit planes when requested.
-    """
+    """Evaluate the program on [N,4,16,g] (or single [4,16,g]) bit inputs,
+    run_layers over its compiled layers. Returns labels (uint8), plus named
+    intermediate bit planes when requested."""
     layers = _compiled_layers(prog)
-    bits, single = _check_bits(bits, prog.group_size)
-    n = bits.shape[0]
-    planes = []
-    outputs = {}  # layer name -> channels-last bit planes, for skip sources
-    h = bits.transpose(0, 2, 3, 1)
-    labels = None
-    for cl in layers:
-        lp = cl.layer
-        if cl.reach is not None:
-            s = nn.conv_sums(h, cl.reach, cl.kmat)
-        else:
-            s = nn.matmul_rows(h.reshape(n, -1).astype(np.float32), cl.kmat)
-        if lp.decision == "compare":
-            si = s.astype(np.int32)
-            d = si[:, 1] - si[:, 0]
-            labels = (d > lp.compare_theta).astype(np.uint8)
-            planes.append((lp.name + ".sum_diff", d))
-            break
-        if lp.skip_from is not None:
-            s += outputs[lp.skip_from]
-        fired = s > cl.theta
-        fired ^= cl.flip
-        out = fired.view(np.uint8)
-        if lp.decision == "folded":
-            labels = out[:, 0]
-        outputs[lp.name] = out
-        planes.append((lp.name, out if out.ndim == 2
-                       else out.transpose(0, 3, 1, 2)))
-        h = out
-    if labels is None:
-        raise ValueError("program has no decision layer")
+    bits = np.asarray(bits)
+    single = bits.ndim == 3
+    labels, planes, d = run_layers(layers, check_bits(
+        bits[None] if single else bits, prog.group_size))
     if single:
         labels = labels[0]
     if return_planes:
+        planes = named_planes(planes)
+        if d is not None:
+            planes.append((layers[-1].name + ".sum_diff", d.astype(np.int32)))
         return labels, planes
     return labels
 
@@ -533,8 +491,9 @@ def _prove(prog, model, width):
     the switch points too. Channels are proven in order up to the first
     mismatch."""
     proven = 0
-    for layer, cl, el in zip(prog.layers, _compiled_layers(prog),
-                             exact_layers(model)):
+    for layer, cl, el, spec in zip(prog.layers, _compiled_layers(prog),
+                                   exact_layers(model),
+                                   layer_specs(model.cfg)):
         kmat, lo, hi, t = el.kmat, el.lo, el.hi, el.t.astype(np.int64)
         compare = layer.decision == "compare"
         if layer.decision == "folded":
@@ -543,10 +502,10 @@ def _prove(prog, model, width):
                                 "reason": "the model's output columns are "
                                           "not negations of each other"}
             kmat, lo, hi, t = kmat[:, 1:], lo // 2, hi // 2, t // 2
-        if layer.skip_from != el.spec.skip_from:
+        if layer.skip_from != el.skip_from:
             return proven, {"layer": layer.name, "channel": 0,
                             "support": ["skip"], "program": layer.skip_from,
-                            "model": el.spec.skip_from}
+                            "model": el.skip_from}
         const = (layer.const >= 0) & (not compare)
         wrong = np.flatnonzero((cl.kmat != kmat).any(axis=0) & ~const)
         if len(wrong):
@@ -558,11 +517,7 @@ def _prove(prog, model, width):
             return proven + c, {
                 "layer": layer.name, "channel": c, "support": list(_tuples(
                     np.argwhere(_codes(layer)[c] != want)))}
-        if compare:
-            theta, flip = [min(max(layer.compare_theta, int(lo[0]) - 1),
-                               int(hi[0]))], np.zeros(1, dtype=bool)
-        else:
-            theta, flip = _indicators(layer, (lo - 1).tolist(), hi.tolist())
+        theta, flip = _indicators(layer, lo.tolist(), hi.tolist())
         theta = np.array(theta)
         got_lo, got_hi = (lo > theta) ^ flip, (hi > theta) ^ flip
         want_lo, want_hi = (lo > t) ^ el.first, (hi > t) ^ el.first
@@ -583,7 +538,7 @@ def _prove(prog, model, width):
         if compare:
             continue
         narrow = np.flatnonzero(hi - lo <= width).tolist()
-        pred = exact_predicate(model, el.spec) if narrow else None
+        pred = exact_predicate(model, spec) if narrow else None
         scale = 2 if layer.decision == "folded" else 1  # the model's D = 2S
         for c in narrow:
             for s in range(int(lo[c]), int(hi[c]) + 1):

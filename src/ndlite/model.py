@@ -14,12 +14,18 @@ conv's step size, so the whole network computes integer accumulator sums of
 input bits. In the "full" stage the model's reference semantics is exact
 rational arithmetic over those integer sums (exact_bit_forward); evaluate()
 and classify() route through it, which is what lowered programs are
-verified against. Its sums are float32 GEMMs (nn.conv_sums), exact because
-it asserts that every channel's fan-in plus its skip bit stays below
-nn.F32_EXACT_LIMIT. Each indicator's rational predicate is affine in the
+verified against. Each indicator's rational predicate is affine in the
 integer sum, so one integer switch point per channel, found in Fraction
 arithmetic and cached per model content (exact_layers), makes it one
 compare. Nothing is taken from the lowering's folded thresholds.
+
+The integer network is one loop, run_layers over ExactLayers: float32 GEMM
+sums (nn.conv_sums, nn.matmul_rows), exact because every channel's fan-in
+plus its skip bit is checked to stay below nn.F32_EXACT_LIMIT, the skip
+bits, one compare per channel. The lowering's run_program runs the same
+loop on layers compiled from a program; the two routes share it, the kernel
+routing (route_kernel) and the sum ranges (sum_range), never the codes or
+the thresholds.
 """
 
 from __future__ import annotations
@@ -206,26 +212,20 @@ class Model:
             return nn.sigmoid_grad(dy, cache)
         return nn.relu_grad(dy, cache)
 
-    def _check_input(self, x):
-        want = (4, 16, self.cfg.group_size)
-        if x.ndim != 4 or x.shape[1:] != want:
-            raise ValueError(f"input shape {x.shape[1:]} does not match model "
-                             f"layout {want}")
-
     def _layer_kernels(self, training):
         """(kernel, raw weight, delta|None) per layer in forward order, the
-        kernel being the effective weight as the forward applies it: an
-        inference conv's (reach, kmat) from nn.tap_matrix, a dense layer
-        that reads a feature map with its rows in channels-last order."""
-        specs = layer_specs(self.cfg)
-        hh, ww = 16, self.cfg.group_size
+        kernel being the effective weight as the forward applies it: as
+        route_kernel gives it, an inference conv's as (reach, kmat), but a
+        training conv's as it is (nn.conv2d)."""
+        shape = (16, self.cfg.group_size, 4)
         out = []
-        for prev, spec in zip([None] + specs, specs):
-            k, w, d = self._effective(spec.name)
-            if spec.kind == "conv" and not training:
-                k = nn.tap_matrix(k, hh, ww)
-            elif spec.kind == "dense" and prev.kind == "conv":
-                k = nn.channels_last_rows(k, prev.out_width, hh, ww)
+        for name in self.quant_layer_names():
+            k, w, d = self._effective(name)
+            reach, kmat, shape = route_kernel(k, shape)
+            if reach is None:
+                k = kmat
+            elif not training:
+                k = reach, kmat
             out.append((k, w, d))
         return out
 
@@ -238,7 +238,7 @@ class Model:
         """forward, with kernels from _layer_kernels(training). Feature maps
         run channels-last, [N, 16, g, C]. Training convs keep their window
         rows for backward (nn.conv2d); inference convs run nn.conv_sums."""
-        self._check_input(x)
+        check_layout(x, self.cfg.group_size)
         specs = layer_specs(self.cfg)
         # Skip sources' outputs stay referenced until the pass returns, like
         # the caches: releasing each as soon as it was read let glibc trim
@@ -252,7 +252,7 @@ class Model:
             norm = self.norms[spec.name]
             in_shape = h.shape
             if spec.kind == "dense":
-                y, c_lin = nn.dense(h.reshape(len(h), -1), k, norm)
+                y, c_lin = nn.dense(h.reshape(len(h), len(k)), k, norm)
             elif training:
                 y, c_lin = nn.conv2d(h, k)
             else:
@@ -320,14 +320,14 @@ class Model:
         """Float-route softmax probability of the real class, [N]. The
         effective weights are built once per call, and the forward runs on
         blocks of about SCORE_ROWS positions, so its buffers do not grow
-        with N."""
+        with N; an empty x is one empty block."""
         x = np.asarray(x)
         kernels = self._layer_kernels(training=False)
         step = max(64, SCORE_ROWS // (16 * self.cfg.group_size))
         return np.concatenate([
             nn.softmax(self._forward(x[i:i + step].astype(np.float32),
                                      False, kernels)[0])[:, 1]
-            for i in range(0, len(x), step)])
+            for i in range(0, max(len(x), 1), step)])
 
 
 # ------------------------------------------------------------------- build
@@ -422,20 +422,104 @@ def exact_predicate(model: Model, spec: LayerSpec):
     return _bias_predicate(norm, delta)
 
 
+# ----------------------------------------------------- the integer network
+
+def content_key(arrays):
+    """A key that changes with the dtype, shape or bytes of any array."""
+    return tuple((a.dtype.str, a.shape, a.tobytes())
+                 for a in map(np.asarray, arrays))
+
+
+def check_layout(x, group_size):
+    """ValueError unless x is a batch [N, 4, 16, group_size]."""
+    if x.ndim != 4 or x.shape[1:] != (4, 16, group_size):
+        raise ValueError(f"input shape {x.shape} does not match layout "
+                         f"(N, 4, 16, {group_size})")
+
+
+def check_bits(bits, group_size):
+    """bits [N, 4, 16, group_size] as uint8; ValueError unless all 0/1."""
+    bits = np.asarray(bits)
+    check_layout(bits, group_size)
+    with np.errstate(invalid="ignore"):  # a NaN or inf fails array_equal
+        b = bits.astype(np.uint8, copy=False)
+    if b.size and (b.max() > 1 or (b is not bits
+                                   and not np.array_equal(b, bits))):
+        raise ValueError("inputs must be binary")
+    return b
+
+
+def route_kernel(k, shape):
+    """(reach, kmat, output shape) of kernel k on a channels-last input of
+    shape [H, W, C] or (F,): a conv [O, C, kh, kw] through nn.tap_matrix, a
+    dense [F, O] (reach None) reading a map through nn.channels_last_rows."""
+    if k.ndim == 4:
+        hh, ww, _ = shape
+        return (*nn.tap_matrix(k, hh, ww), (hh, ww, len(k)))
+    if len(shape) == 3:
+        hh, ww, c = shape
+        k = nn.channels_last_rows(k, c, hh, ww)
+    return None, np.ascontiguousarray(k), (k.shape[1],)
+
+
+def sum_range(kmat, skip, diff):
+    """(lo, hi), int64: the range of each column's sum over 0/1 inputs, plus
+    a skip bit; with diff, of the difference S1 - S0 of the two columns.
+    Summed in float32, exact while fan-ins are below nn.F32_EXACT_LIMIT."""
+    if diff:
+        kmat = (kmat[:, 1] - kmat[:, 0])[:, None]
+    lo, hi = np.minimum(kmat, 0).sum(axis=0), np.maximum(kmat, 0).sum(axis=0)
+    return lo.astype(np.int64), hi.astype(np.int64) + skip
+
+
 @dataclass
 class ExactLayer:
-    """One layer of the exact route. Channel c's integer sum S (the last
-    layer's is S1 - S0) never leaves [lo[c], hi[c]], and there the channel
-    fires iff (S > t[c]) ^ first[c]."""
-    spec: LayerSpec
-    reach: tuple | None  # conv: half-extents of the live taps (nn.tap_matrix)
+    """One layer of the integer network, from a model (exact_layers) or a
+    program (lowering). Channel c's integer sum S never leaves [lo[c],
+    hi[c]], and there it fires iff (S > t[c]) ^ first[c]. A "compare"
+    decision is one such indicator on S1 - S0; a "folded" one, channel 0."""
+    name: str
+    skip_from: str | None  # layer whose output bits join the sums
+    reach: tuple | None  # conv: half-extents of the live taps (route_kernel)
     kmat: np.ndarray  # float32 GEMM matrix of the ternary codes, as routed
     fan_in: int  # widest channel's nonzero codes, plus the skip bit
     lo: np.ndarray  # int64
     hi: np.ndarray  # int64
     t: np.ndarray  # float32, in [lo - 1, hi]
     first: np.ndarray  # bool
-    margin: tuple | None = None  # last layer: (delta, b1 - b0) of its logits
+    decision: str | None = None  # last layer: "folded" | "compare"
+
+
+def run_layers(layers, bits):
+    """The integer network on uint8 bits [N, 4, 16, g]: per layer the sums
+    (float32 GEMMs, exact while each fan_in < nn.F32_EXACT_LIMIT), the skip
+    bits, one compare per channel. Returns (labels, {name: channels-last
+    bit plane} of the layers before a compare, its int64 S1 - S0 | None)."""
+    n = len(bits)
+    planes = {}
+    h = bits.transpose(0, 2, 3, 1)
+    for el in layers:
+        if el.reach is not None:
+            s = nn.conv_sums(h, el.reach, el.kmat)  # [N, 16, g, O]
+        else:
+            s = nn.matmul_rows(h.reshape(n, len(el.kmat)).astype(np.float32),
+                               el.kmat)
+        if el.decision == "compare":
+            s = s.astype(np.int64)
+            d = s[:, 1] - s[:, 0]
+            return ((d > el.t[0]) ^ el.first[0]).view(np.uint8), planes, d
+        if el.skip_from is not None:
+            s += planes[el.skip_from]
+        fired = s > el.t
+        fired ^= el.first
+        h = planes[el.name] = fired.view(np.uint8)
+    return h[:, 0], planes, None
+
+
+def named_planes(planes):
+    """run_layers' planes as [(name, plane)], maps as [N, C, 16, g]."""
+    return [(name, p.transpose(0, 3, 1, 2) if p.ndim == 4 else p)
+            for name, p in planes.items()]
 
 
 def exact_layers(model: Model):
@@ -451,88 +535,46 @@ def exact_layers(model: Model):
         arrays += [model.weights[spec.name], model.deltas[spec.name],
                    getattr(norm, "eps", 0.0),
                    *_norm_tensors(spec, norm).values()]
-    snap = (tuple(vars(model.cfg).items()), tuple(
-        (a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)))
+    snap = (tuple(vars(model.cfg).items()), content_key(arrays))
     if model._exact is not None and model._exact[0] == snap:
         return model._exact[1]
-    hh, ww = 16, model.cfg.group_size
+    shape = (16, model.cfg.group_size, 4)
     layers = []
-    for prev, spec in zip([None] + specs, specs):
+    for spec in specs:
         delta = model.delta_of(spec.name)
         # ternary codes; conv [O, C, kh, kw], dense [in, out]
         codes = extract_ternary(model.weights[spec.name], delta).codes
         rows = codes.reshape(len(codes), -1) if codes.ndim == 4 else codes.T
         skip = spec.skip_from is not None
         fan_in = skip + int(np.count_nonzero(rows, axis=1).max())
-        kmat, reach = codes.astype(np.float32), None
-        if spec.kind == "conv":
-            reach, kmat = nn.tap_matrix(kmat, hh, ww)
-        elif prev.kind == "conv":  # dense rows are in [C, 16, g] order
-            kmat = nn.channels_last_rows(kmat, prev.out_width, hh, ww)
-        margin = None
-        if spec is specs[-1]:
-            diff = (kmat[:, 1] - kmat[:, 0]).astype(np.int64)  # of S1 - S0
-            lo, hi = diff[diff < 0].sum(keepdims=True), diff[diff > 0].sum(
-                keepdims=True)
-            b = model.norms[spec.name]
-            margin = (delta, float(_frac(b[1]) - _frac(b[0])))
-        else:
-            lo = -np.count_nonzero(kmat < 0, axis=0).astype(np.int64)
-            hi = np.count_nonzero(kmat > 0, axis=0).astype(np.int64) + skip
+        reach, kmat, shape = route_kernel(codes.astype(np.float32), shape)
+        last = spec is specs[-1]  # decides on S1 - S0
+        lo, hi = sum_range(kmat, skip, diff=last)
         t, first = exact_predicate(model, spec).switch_points(lo, hi)
-        layers.append(ExactLayer(spec, reach, np.ascontiguousarray(kmat),
+        layers.append(ExactLayer(spec.name, spec.skip_from, reach, kmat,
                                  fan_in, lo, hi, t.astype(np.float32), first,
-                                 margin))
+                                 "compare" if last else None))
     model._exact = (snap, layers)
     return layers
 
 
 def exact_bit_forward(model: Model, bits, return_planes=False):
-    """Exact evaluation of a fully quantized model on binary inputs.
-
-    Integer accumulator sums of the ternary codes are float32 GEMMs
-    (nn.conv_sums), exact because every channel's fan-in plus its skip bit
-    is checked to stay below nn.F32_EXACT_LIMIT; every indicator, the final
-    decision on the output sums' difference too, is one compare with its
-    switch point from exact_layers. Returns (labels, scores) or (labels,
-    scores, planes), one plane per layer plus "out.sum_diff" - scores are
-    float and for reporting only.
-    """
+    """Exact evaluation of a fully quantized model on binary inputs:
+    run_layers over exact_layers, each fan-in checked on every call. Returns
+    (labels, scores) or (labels, scores, planes), one plane per layer plus
+    "out.sum_diff" - scores are float and for reporting only."""
     layers = exact_layers(model)
-    bits = np.asarray(bits)
-    model._check_input(bits)
-    if bits.dtype != np.uint8:
-        if not np.isin(bits, (0, 1)).all():
-            raise ValueError("exact evaluation expects binary inputs")
-        bits = bits.astype(np.uint8)
-    n = bits.shape[0]
-    planes = {}  # channels-last until returned
-    h = bits.transpose(0, 2, 3, 1)
     for el in layers:
-        spec = el.spec
-        nn.check_f32_exact(spec.name, el.fan_in)
-        if el.reach is not None:
-            s = nn.conv_sums(h, el.reach, el.kmat)  # [N, 16, g, O]
-        else:
-            s = nn.matmul_rows(h.reshape(n, -1).astype(np.float32), el.kmat)
-        if spec.skip_from is not None:
-            s += planes[spec.skip_from]
-        if el is layers[-1]:
-            break
-        fired = s > el.t
-        fired ^= el.first
-        h = planes[spec.name] = fired.view(np.uint8)
-
-    s = s.astype(np.int64)
-    d = s[:, 1] - s[:, 0]
-    labels = ((d > el.t[0]) ^ el.first[0]).view(np.uint8)
-    delta, db = el.margin
-    scores = 1.0 / (1.0 + np.exp(-(delta * d.astype(np.float64) + db)))
+        nn.check_f32_exact(el.name, el.fan_in)
+    labels, planes, d = run_layers(layers, check_bits(bits,
+                                                      model.cfg.group_size))
+    name = layers[-1].name
+    b = model.norms[name].astype(np.float64)  # b1 - b0 correctly rounded
+    scores = 1.0 / (1.0 + np.exp(-(model.delta_of(name) * d.astype(np.float64)
+                                   + (b[1] - b[0]))))
     if return_planes:
-        planes = [(name, p.transpose(0, 3, 1, 2) if p.ndim == 4 else p)
-                  for name, p in planes.items()]
-        planes += [(spec.name, labels[:, None]), (spec.name + ".sum_diff", d)]
-        return labels, scores, planes
+        return labels, scores, named_planes(planes) + [
+            (name, labels[:, None]), (name + ".sum_diff", d)]
     return labels, scores
 
 

@@ -182,7 +182,8 @@ def conv_sums(x, reach, kmat):
     n, hh, ww, c = x.shape
     rh, rw = reach
     if rh == rw == 0:
-        return matmul_rows(x.reshape(-1, c), kmat).reshape(n, hh, ww, -1)
+        return matmul_rows(x.reshape(-1, c), kmat).reshape(n, hh, ww,
+                                                           kmat.shape[1])
     step = max(1, GEMM_ROWS // (hh * ww))  # samples per block
     # Every block reuses both buffers; the padding border of xp stays 0.
     xp = np.zeros((min(n, step), hh + 2 * rh, ww + 2 * rw, c), dtype=x.dtype)

@@ -753,6 +753,15 @@ def _skip_into_dense1(lines):
     return idx
 
 
+def _one_channel_compare(lines):
+    idx = next(i for i, ln in enumerate(lines)
+               if ln.startswith("LAYER name=out "))
+    assert " decision=compare " in lines[idx]
+    lines[idx] = lines[idx].replace(" channels=2", " channels=1")
+    del lines[idx + 2]
+    return idx
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("conv-index-99", _first_p_entry("LAYER name=conv0 ", "(99,0,0)"),
      "conv0: index outside the layer input"),
@@ -765,6 +774,8 @@ def _skip_into_dense1(lines):
     ("dense-in-11-digits",
      _set_value("in", "99999999999", "LAYER name=dense1 "),
      "dense1: expected input width 99999999999, got 48"),
+    ("compare-1-channel", _one_channel_compare,
+     "out: a compare decision takes 2 channels, got 1"),
 ])
 def test_miswired_program_exits_2(work, quant_ckpt, lowered, tiny_data,
                                   capsys, name, edit, message):

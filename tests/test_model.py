@@ -7,7 +7,9 @@ stand-ins for sqrt(var+eps) and log(t/(1-t)) with the implementation,
 because those pins ARE the semantics.
 """
 
+import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,7 @@ from ndlite.dataset import gen_dataset
 from ndlite.model import (ExactPredicate, Model, ModelConfig, TrainHyper,
                           _bias_predicate, _bn_predicate, build_model,
                           classify, evaluate, exact_bit_forward,
-                          load_model, save_model, train)
+                          load_model, save_model, sum_range, train)
 from ndlite.quant import QuantSchedule, extract_ternary
 
 from exact_reference import channel_lut_bits
@@ -243,8 +245,11 @@ def test_staged_schedule_transitions():
 
 # --------------------------------------------------- exact forward (oracle)
 
-def ref_exact_forward(m: Model, bits):
-    """Definition-level rational evaluation of one sample, python loops."""
+def ref_exact_forward(m: Model, bits, planes=None):
+    """Definition-level rational evaluation of one sample, python loops.
+    A planes dict, if given, receives each layer's bits and the output
+    sums' difference, named as exact_bit_forward names them."""
+    planes = {} if planes is None else planes
     F = Fraction
     g = m.cfg.group_size
 
@@ -282,6 +287,7 @@ def ref_exact_forward(m: Model, bits):
     h = np.array([[[bn_bit(m.norms["conv0"], c, int(s[c, i, j]), d0)
                     for j in range(g)] for i in range(16)]
                   for c in range(s.shape[0])])
+    planes["conv0"] = h
     for bi in range(m.cfg.residual_blocks):
         h0 = h
         s1 = conv(h0, codes_of(f"res{bi}.c1"))
@@ -289,11 +295,13 @@ def ref_exact_forward(m: Model, bits):
         a1 = np.array([[[bn_bit(m.norms[f"res{bi}.c1"], c, int(s1[c, i, j]), d1)
                          for j in range(g)] for i in range(16)]
                        for c in range(s1.shape[0])])
+        planes[f"res{bi}.c1"] = a1
         s2 = conv(a1, codes_of(f"res{bi}.c2")) + h0
         d2 = m.delta_of(f"res{bi}.c2")
         h = np.array([[[bn_bit(m.norms[f"res{bi}.c2"], c, int(s2[c, i, j]), d2)
                         for j in range(g)] for i in range(16)]
                       for c in range(s2.shape[0])])
+        planes[f"res{bi}.c2"] = h
 
     flat = h.reshape(-1)
 
@@ -311,6 +319,7 @@ def ref_exact_forward(m: Model, bits):
     oc = codes_of("out")
     s0 = int(np.dot(f2, oc[:, 0]))
     s1 = int(np.dot(f2, oc[:, 1]))
+    planes.update({"dense1": f1, "dense2": f2, "out.sum_diff": s1 - s0})
     do = m.delta_of("out")
     out_b = m.norms["out"]
     diff = F(do) * (s1 - s0) + F(float(out_b[1])) - F(float(out_b[0]))
@@ -338,13 +347,50 @@ def randomized_quantized_model(seed, cfg=None):
 
 
 def test_exact_forward_matches_definition_oracle():
-    m = randomized_quantized_model(21)
-    r = np.random.default_rng(2)
-    bits = r.integers(0, 2, size=(40, 4, 16, 1)).astype(np.uint8)
-    labels, scores = exact_bit_forward(m, bits)
-    assert np.all((scores >= 0) & (scores <= 1))
-    for i in range(len(bits)):
-        assert labels[i] == ref_exact_forward(m, bits[i]), f"sample {i}"
+    """exact_bit_forward's labels and every plane against the definitions,
+    at g=1, at g=2 and with two residual blocks: the one check of
+    run_layers that does not go through it."""
+    for cfg in (small_cfg(), small_cfg(group_size=2),
+                small_cfg(residual_blocks=2)):
+        m = randomized_quantized_model(21, cfg=cfg)
+        r = np.random.default_rng(2)
+        bits = r.integers(0, 2, size=(40, 4, 16, cfg.group_size)
+                          ).astype(np.uint8)
+        labels, scores, planes = exact_bit_forward(m, bits,
+                                                   return_planes=True)
+        assert np.all((scores >= 0) & (scores <= 1))
+        for i in range(len(bits)):
+            want = {}
+            assert labels[i] == ref_exact_forward(m, bits[i], want), (cfg, i)
+            want["out"] = labels[i:i + 1]
+            assert {name for name, _ in planes} == set(want)
+            for name, plane in planes:
+                assert np.array_equal(plane[i], want[name]), (cfg, i, name)
+
+
+@pytest.mark.parametrize("route", ["float", "exact", "program"])
+def test_empty_batch_gives_empty_outputs(route):
+    """0 samples give labels, scores and planes of 0 rows, each of the
+    dtype and trailing shape that one sample gets."""
+    m = randomized_quantized_model(3, cfg=small_cfg(group_size=2))
+    prog = lowering.lower_model(m)
+
+    def run(bits):
+        if route == "float":
+            return [("scores", m.scores(bits))]
+        if route == "exact":
+            labels, scores, planes = exact_bit_forward(m, bits,
+                                                       return_planes=True)
+            return [("labels", labels), ("scores", scores)] + planes
+        labels, planes = lowering.run_program(prog, bits, return_planes=True)
+        return [("labels", labels)] + planes
+
+    one = run(np.ones((1, 4, 16, 2), dtype=np.uint8))
+    empty = run(np.ones((0, 4, 16, 2), dtype=np.uint8))
+    assert [name for name, _ in empty] == [name for name, _ in one]
+    for (name, got), (_, want) in zip(empty, one):
+        assert got.dtype == want.dtype, name
+        assert got.shape == (0,) + want.shape[1:], name
 
 
 def test_exact_forward_guards():
@@ -355,6 +401,10 @@ def test_exact_forward_guards():
     m.set_stage("full")
     with pytest.raises(ValueError):
         exact_bit_forward(m, np.full((2, 4, 16, 1), 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning before the error
+        with pytest.raises(ValueError, match="binary"):
+            exact_bit_forward(m, np.full((2, 4, 16, 1), np.nan))
 
 
 F = Fraction
@@ -466,6 +516,22 @@ def test_switch_points_hold_over_the_reachable_range(channels, inclusive,
 
     assert np.array_equal(((s > t) ^ first).view(np.uint8),
                           channel_lut_bits(s, pred))
+
+
+def test_sum_range_is_the_reachable_range():
+    """[lo, hi] is exactly the range of each column's sum over every 0/1
+    input and skip bit, and with diff, of the two columns' S1 - S0."""
+    kmat = np.random.default_rng(0).integers(-1, 2, size=(7, 5)
+                                             ).astype(np.float32)
+    x = np.array(list(itertools.product((0, 1), repeat=7)), np.float32)
+    for skip in (0, 1):
+        s = np.concatenate([x @ kmat + bit for bit in range(skip + 1)])
+        lo, hi = sum_range(kmat, skip, diff=False)
+        assert lo.tolist() == s.min(axis=0).tolist()
+        assert hi.tolist() == s.max(axis=0).tolist()
+    d = x @ (kmat[:, 1] - kmat[:, 0])
+    assert [v.tolist() for v in sum_range(kmat[:, :2], 0, diff=True)] == [
+        [d.min()], [d.max()]]
 
 
 def test_exact_forward_needs_no_lowering_fold(monkeypatch):
