@@ -12,9 +12,12 @@ exact negations the fold is refused and both accumulators are compared
 directly. run_program compiles the program once per content into the
 model module's ExactLayers, GEMM matrices from the P/N lists and
 thresholds from the folds, and runs them through model.run_layers, the
-loop exact_bit_forward runs too. Its float32 GEMM sums are exact while
-every channel's fan-in plus its skip bit stays below 2**24
-(nn.F32_EXACT_LIMIT), which the compile checks.
+loop exact_bit_forward runs too, in blocks of model.block_samples(g)
+samples. Its float32 GEMM sums are exact while every channel's fan-in plus
+its skip bit stays below 2**24 (nn.F32_EXACT_LIMIT), which the compile
+checks. load_program reads a .bprog one line at a time, checks each index
+list on its skeleton (the text without its digits) and each layer's lists
+for a repeated entry with one sort once the layer is read.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from . import nn
 from .model import (ExactLayer, Model, _frac, check_bits, content_key,
                     exact_bit_forward, exact_layers, exact_predicate,
                     layer_specs, named_planes, route_kernel, run_layers,
-                    sum_range)
+                    same_content, sum_range)
 from .quant import extract_ternary
 
 INPUT_CHANNEL_NAMES = ("C_l", "C_r", "C_l'", "C_r'")
@@ -102,15 +105,20 @@ class LayerProgram:
     def channels(self):
         return _Channels(self)
 
-    def _key(self):
-        """Everything the layer holds, its arrays as bytes."""
+    def _fields(self):
+        """Everything the layer holds but its arrays."""
         return (self.name, self.kind, self.in_width, self.kernel,
                 self.skip_from, self.decision, self.compare_theta,
-                tuple(self.theta), content_key(
-                    (self.entries, self.offsets, self.flip, self.const)))
+                tuple(self.theta))
+
+    def _arrays(self):
+        return self.entries, self.offsets, self.flip, self.const
 
     def __eq__(self, other):
-        return isinstance(other, LayerProgram) and self._key() == other._key()
+        return (isinstance(other, LayerProgram)
+                and self._fields() == other._fields()
+                and same_content(self._arrays(),
+                                 content_key(other._arrays())))
 
 
 @dataclass
@@ -135,7 +143,8 @@ class BooleanProgram:
     group_size: int
     layers: list
     warnings: list = field(default_factory=list)
-    # run_program's (snapshot, compiled layers); not part of the program
+    # run_program's (layer fields, content_key of the layer arrays,
+    # compiled layers); not part of the program
     _compiled: tuple | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -324,7 +333,7 @@ def _codes(layer, reach=None):
         raise ValueError(f"{layer.name}: index outside the layer input")
     lists = np.arange(len(sizes))  # P lists are even (+1), N lists odd (-1)
     rows = np.repeat(lists // 2, sizes)
-    signs = np.repeat(1.0 - 2.0 * (lists % 2), sizes)
+    signs = np.repeat(np.where(lists % 2, -1, 1).astype(np.int8), sizes)
     if reach is not None:
         first = [k // 2 - r for k, r in zip(layer.kernel, reach)]
         taps = entries[:, 1:]
@@ -412,10 +421,12 @@ def _compile_layer(layer, shape, shapes):
 def _compiled_layers(prog):
     """The program's compiled layers, rebuilt whenever its content changed
     since they were built (a layer's arrays may be edited in place)."""
-    snap = prog.group_size, tuple(lp._key() for lp in prog.layers)
-    if prog._compiled is None or prog._compiled[0] != snap:
-        prog._compiled = (snap, _compile(prog))
-    return prog._compiled[1]
+    fields = prog.group_size, [lp._fields() for lp in prog.layers]
+    arrays = [a for lp in prog.layers for a in lp._arrays()]
+    if (prog._compiled is None or prog._compiled[0] != fields
+            or not same_content(arrays, prog._compiled[1])):
+        prog._compiled = (fields, content_key(arrays), _compile(prog))
+    return prog._compiled[2]
 
 
 def run_program(prog: BooleanProgram, bits, return_planes=False):
@@ -426,7 +437,7 @@ def run_program(prog: BooleanProgram, bits, return_planes=False):
     bits = np.asarray(bits)
     single = bits.ndim == 3
     labels, planes, d = run_layers(layers, check_bits(
-        bits[None] if single else bits, prog.group_size))
+        bits[None] if single else bits, prog.group_size), return_planes)
     if single:
         labels = labels[0]
     if return_planes:
@@ -741,15 +752,9 @@ def save_program(prog: BooleanProgram, path):
         f.write("\n".join(lines) + "\n")
 
 
-# One strict ASCII grammar per index list ([0-9], as \d takes other
-# digits too): a dense entry is a flat input index, a conv entry a triple.
-_LIST_GRAMMAR = {
-    "dense": (re.compile(r"\[(?:[0-9]+(?:,[0-9]+)*)?\]"), 1),
-    "conv": (re.compile(r"\[(?:\([0-9]+,[0-9]+,[0-9]+\)"
-                        r"(?:,\([0-9]+,[0-9]+,[0-9]+\))*)?\]"), 3),
-}
 _COUNT = re.compile(r"[0-9]+")
 _INTEGER = re.compile(r"-?[0-9]+")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _number(text, key, signed=False):
@@ -765,14 +770,79 @@ def _number(text, key, signed=False):
 def _index_list(text, kind):
     """int64 [entries, 1 or 3] of one index list (a conv entry is
     (in_ch, k1, k2)); a number past the int64 range saturates, outside
-    every layer input."""
-    grammar, dims = _LIST_GRAMMAR[kind]
-    if grammar.fullmatch(text) is None:
+    every layer input.
+
+    The list is checked on its skeleton, the text without its ASCII digits
+    (other digits stay in it): "[" and "]" around the entries, with no
+    digit outside them, a comma between two entries and around each conv
+    entry "(,,)", with no digit outside it either. Then no number may be
+    empty: np.fromstring stops at an empty one, so it must read as many
+    numbers as the skeleton holds."""
+    skeleton = text.translate(_NO_DIGITS)
+    if kind == "dense":
+        dims, body = 1, text[1:-1]
+        count = len(skeleton) - 1 if body else 0
+        ok = (skeleton == "[" + "," * (len(skeleton) - 2) + "]"
+              and text.startswith("[") and text.endswith("]"))
+    else:
+        entries = (len(skeleton) - 1) // 5
+        dims, count = 3, 3 * entries
+        ends = ("[(", ")]") if entries else ("[]", "[]")
+        ok = (skeleton == "[" + ",".join(["(,,)"] * entries) + "]"
+              and text.startswith(ends[0]) and text.endswith(ends[1])
+              and text.count("),(") == max(entries - 1, 0))
+        body = text[1:-1].replace("(", "").replace(")", "")
+    if ok:
+        try:
+            values = np.fromstring(body, dtype=np.int64, sep=",")
+            ok = len(values) == count
+        # the text after an empty number is left over: numpy >= 2 raises,
+        # numpy 1 warns and returns the numbers before it
+        except (ValueError, DeprecationWarning):
+            ok = False
+    if not ok:
         raise ValueError(f"malformed index list {text!r}")
-    body = text[1:-1]
-    if dims == 3:
-        body = body.replace("(", "").replace(")", "")
-    return np.fromstring(body, dtype=np.int64, sep=",").reshape(-1, dims)
+    return values.reshape(-1, dims)
+
+
+def _listed_twice(p, n, kind):
+    """The fault of a channel whose P and N lists hold an entry twice, the
+    first one in (k2, k1, in_ch) order, or None."""
+    both = np.concatenate([p, n])
+    both = both[np.lexsort(both.T)]  # a repeated entry lies next to itself
+    same = np.flatnonzero((both[1:] == both[:-1]).all(axis=1))
+    if not len(same):
+        return None
+    entry = both[same[0]]
+    if all((e == entry).all(axis=1).any() for e in (p, n)):
+        return "P and N must be disjoint"
+    text = ",".join(map(str, entry.tolist()))
+    return f"index {text if kind == 'dense' else f'({text})'} listed twice"
+
+
+def _first_listed_twice(lp):
+    """(channel, fault) of the layer's first channel whose P and N lists
+    hold an entry twice, or None. One sort of all the layer's entries,
+    keyed by channel and entry; the key is packed into an int64 only where
+    it cannot overflow, and otherwise each channel is checked alone."""
+    entries, channels = lp.entries, len(lp.flip)
+    sizes = [int(v) + 1 for v in entries.max(axis=0, initial=0)]
+    candidates = range(channels)
+    if channels * math.prod(sizes) <= 2**63:  # entries are >= 0
+        key = np.repeat(np.arange(channels, dtype=np.int64), lp.fan_in)
+        for column, size in zip(entries.T, sizes):
+            key *= size
+            key += column
+        key.sort(kind="stable")  # P and N lists are sorted runs, often
+        same = np.flatnonzero(key[1:] == key[:-1])
+        candidates = [int(key[same[0]] // math.prod(sizes))] if len(same) \
+            else []
+    for c in candidates:
+        lo, mid, hi = lp.offsets[2 * c:2 * c + 3]
+        fault = _listed_twice(entries[lo:mid], entries[mid:hi], lp.kind)
+        if fault is not None:
+            return c, fault
+    return None
 
 
 def _parse_kv(parts):
@@ -811,22 +881,13 @@ def _header_line(ln):
 
 def _channel_line(kv, kind):
     """ChannelProgram of a channel line, its P and N as _index_list gives
-    them."""
+    them; an entry listed twice is found when the layer is complete
+    (_first_listed_twice)."""
     if "const" in kv:
         return ChannelProgram((), (), const=_bit(kv["const"], "const"))
     p, n = (_index_list(_need(kv, key), kind) for key in ("P", "N"))
     theta = _number(kv.get("theta", "0"), "theta", signed=True)
     flip = bool(_bit(kv.get("flip", "0"), "flip"))
-    both = np.concatenate([p, n])
-    both = both[np.lexsort(both.T)]  # a repeated entry lies next to itself
-    same = np.flatnonzero((both[1:] == both[:-1]).all(axis=1))
-    if len(same):
-        entry = both[same[0]]
-        if all((e == entry).all(axis=1).any() for e in (p, n)):
-            raise ValueError("P and N must be disjoint")
-        text = ",".join(map(str, entry.tolist()))
-        raise ValueError(f"index {text if kind == 'dense' else f'({text})'} "
-                         f"listed twice")
     return ChannelProgram(p, n, theta, flip)
 
 
@@ -864,13 +925,30 @@ def load_program(path) -> BooleanProgram:
     is malformed, a header count that does not match the body, a decision
     anywhere but on the last layer, or a layer that does not fit its input
     (an index outside it, a skip source of another shape) raises ValueError
-    naming the file and line. The wiring is checked by compiling the
-    program for run_program, which then reuses it."""
+    naming the file and line. An index list is checked on its own line
+    (_index_list); an entry listed twice in one channel is found by one
+    sort per layer when the layer's lines are all read, or when a later
+    line of it is faulty, so that it is named before a fault on any later
+    line. The wiring is checked by compiling the program for run_program,
+    which then reuses it."""
     with open(path, "rb") as f:
         lines = f.read().splitlines()  # the newlines of text mode
     if not lines or not lines[0].startswith(b"BPROG v1 "):
         raise ValueError(f"{path}: not a BPROG v1 file")
-    heads = []  # (line number, from_channels arguments, declared channels)
+    # (line number, from_channels arguments, declared channels, line number
+    # of each channel) of each LAYER line, and the layers built from them
+    heads, layers = [], []
+
+    def close_layer():
+        """Builds the last layer read, unless it is built; raises at its
+        first channel line that lists an entry twice."""
+        if len(layers) < len(heads):
+            _, fields, _, at = heads[-1]
+            layers.append(LayerProgram.from_channels(**fields))
+            fault = _first_listed_twice(layers[-1])
+            if fault is not None:
+                raise ValueError(f"{path}:{at[fault[0]]}: {fault[1]}")
+
     for lineno, raw in enumerate(lines, start=1):
         try:
             ln = raw.decode("utf-8")
@@ -886,25 +964,31 @@ def load_program(path) -> BooleanProgram:
             kind, _, rest = ln.partition(" ")
             kv = _parse_kv(rest.split(" ")) if rest else {}
             if kind == "LAYER":
-                heads.append((lineno, *_layer_line(
-                    kv, [fields["name"] for _, fields, _ in heads])))
+                head = _layer_line(kv, [fields["name"]
+                                        for _, fields, _, _ in heads])
             elif kind in ("IND", "ACC"):
                 if not heads:
                     raise ValueError("channel line before any LAYER")
-                fields = heads[-1][1]
-                fields["channels"].append(_channel_line(kv, fields["kind"]))
+                channel = _channel_line(kv, heads[-1][1]["kind"])
             else:
                 raise ValueError(f"unknown line kind {kind!r}")
         except ValueError as e:
+            close_layer()  # a fault on an earlier line comes first
             raise ValueError(f"{path}:{lineno}: {e}") from None
-    prog.layers = [LayerProgram.from_channels(**fields)
-                   for _, fields, _ in heads]
+        if kind == "LAYER":
+            close_layer()
+            heads.append((lineno, *head, []))
+        else:
+            heads[-1][1]["channels"].append(channel)
+            heads[-1][3].append(lineno)
+    close_layer()
+    prog.layers = layers
     if not prog.layers:
         raise ValueError(f"{path}: no layers")
     if n_layers != len(prog.layers):
         raise ValueError(f"{path}:1: header has layers={n_layers} but the "
                          f"body has {len(prog.layers)} LAYER lines")
-    for (lineno, _, declared), lp in zip(heads, prog.layers):
+    for (lineno, _, declared, _), lp in zip(heads, prog.layers):
         if declared != len(lp.channels):
             raise ValueError(f"{path}:{lineno}: {lp.name} has "
                              f"channels={declared} but {len(lp.channels)} "

@@ -22,10 +22,12 @@ compare. Nothing is taken from the lowering's folded thresholds.
 The integer network is one loop, run_layers over ExactLayers: float32 GEMM
 sums (nn.conv_sums, nn.matmul_rows), exact because every channel's fan-in
 plus its skip bit is checked to stay below nn.F32_EXACT_LIMIT, the skip
-bits, one compare per channel. The lowering's run_program runs the same
-loop on layers compiled from a program; the two routes share it, the kernel
-routing (route_kernel) and the sum ranges (sum_range), never the codes or
-the thresholds.
+bits, one compare per channel. It streams the samples through all layers
+in blocks of about SCORE_ROWS positions, as Model.scores does, so its
+memory does not grow with the batch. The lowering's run_program runs the
+same loop on layers compiled from a program; the two routes share it, the
+kernel routing (route_kernel) and the sum ranges (sum_range), never the
+codes or the thresholds.
 """
 
 from __future__ import annotations
@@ -49,10 +51,16 @@ from .checkpoint import load_weights, save_weights
 
 _ACTIVATIONS = ("relu", "sigmoid")
 # Feature-map positions (samples x 16 x group size) per block of
-# Model.scores, with at least 64 samples. A block's feature maps grow with
-# its positions; its convs (nn.conv_sums) reuse one window buffer of about
-# nn.GEMM_ROWS positions.
+# Model.scores and run_layers, with at least 64 samples (block_samples). A
+# block's feature maps grow with its positions; its convs (nn.conv_sums)
+# reuse one window buffer of about nn.GEMM_ROWS positions.
 SCORE_ROWS = 8192
+
+
+def block_samples(group_size):
+    """Samples per block of Model.scores and run_layers: about SCORE_ROWS
+    feature-map positions, 16 x group_size a sample, and at least 64."""
+    return max(64, SCORE_ROWS // (16 * group_size))
 
 
 @dataclass
@@ -148,7 +156,7 @@ class Model:
         self.norms = norms
         # name -> 0-d float64 array, learnable in quantized stages
         self.deltas = {}
-        # exact_layers' (content snapshot, ExactLayers); not a parameter
+        # exact_layers' (config, content_key, ExactLayers); not a parameter
         self._exact = None
 
     # ------------------------------------------------------------ plumbing
@@ -323,7 +331,7 @@ class Model:
         with N; an empty x is one empty block."""
         x = np.asarray(x)
         kernels = self._layer_kernels(training=False)
-        step = max(64, SCORE_ROWS // (16 * self.cfg.group_size))
+        step = block_samples(self.cfg.group_size)
         return np.concatenate([
             nn.softmax(self._forward(x[i:i + step].astype(np.float32),
                                      False, kernels)[0])[:, 1]
@@ -425,9 +433,22 @@ def exact_predicate(model: Model, spec: LayerSpec):
 # ----------------------------------------------------- the integer network
 
 def content_key(arrays):
-    """A key that changes with the dtype, shape or bytes of any array."""
-    return tuple((a.dtype.str, a.shape, a.tobytes())
-                 for a in map(np.asarray, arrays))
+    """A key that changes with the dtype, shape or bytes of any array: two
+    keys are equal iff their arrays are, and same_content checks arrays
+    against a key."""
+    return [(a.dtype.str, a.shape, bytearray(np.ascontiguousarray(a)))
+            for a in map(np.asarray, arrays)]
+
+
+def same_content(arrays, key):
+    """Whether the arrays still have the dtypes, shapes and bytes of key,
+    compared where they lie: a bytearray compares with any contiguous
+    buffer by memcmp, so no array is copied."""
+    arrays = [np.asarray(a) for a in arrays]
+    return len(arrays) == len(key) and all(
+        a.dtype.str == dtype and a.shape == shape
+        and data == np.ascontiguousarray(a)
+        for a, (dtype, shape, data) in zip(arrays, key))
 
 
 def check_layout(x, group_size):
@@ -490,30 +511,59 @@ class ExactLayer:
     decision: str | None = None  # last layer: "folded" | "compare"
 
 
-def run_layers(layers, bits):
-    """The integer network on uint8 bits [N, 4, 16, g]: per layer the sums
+def run_layers(layers, bits, return_planes=False):
+    """The integer network on uint8 bits [N, 4, 16, g], run through all
+    layers in blocks of block_samples(g) samples: per layer the sums
     (float32 GEMMs, exact while each fan_in < nn.F32_EXACT_LIMIT), the skip
-    bits, one compare per channel. Returns (labels, {name: channels-last
-    bit plane} of the layers before a compare, its int64 S1 - S0 | None)."""
-    n = len(bits)
-    planes = {}
-    h = bits.transpose(0, 2, 3, 1)
+    bits, one compare per channel, and an XOR only on a layer where some
+    channel has first set. Each layer's sums and bits go in buffers that
+    are allocated once per call and reused by every block, so without
+    return_planes the call holds one block at a time. Returns (labels,
+    {name: channels-last bit plane, each allocated whole and written a block
+    at a time} of the layers before a compare when return_planes, else {},
+    its int64 S1 - S0 | None)."""
+    n, g = len(bits), bits.shape[-1]
+    step = max(1, min(n, block_samples(g)))
+    rows = n if return_planes else step
+    sums, planes, x32 = [], {}, {}
     for el in layers:
-        if el.reach is not None:
-            s = nn.conv_sums(h, el.reach, el.kmat)  # [N, 16, g, O]
-        else:
-            s = nn.matmul_rows(h.reshape(n, len(el.kmat)).astype(np.float32),
-                               el.kmat)
-        if el.decision == "compare":
-            s = s.astype(np.int64)
-            d = s[:, 1] - s[:, 0]
-            return ((d > el.t[0]) ^ el.first[0]).view(np.uint8), planes, d
-        if el.skip_from is not None:
-            s += planes[el.skip_from]
-        fired = s > el.t
-        fired ^= el.first
-        h = planes[el.name] = fired.view(np.uint8)
-    return h[:, 0], planes, None
+        shape = (16, g) if el.reach is not None else ()
+        shape += (el.kmat.shape[1],)
+        sums.append(np.empty((step,) + shape, np.float32))
+        if el.reach is None:  # a dense layer's input, as float32
+            x32[el.name] = np.empty((step, len(el.kmat)), np.float32)
+        if el.decision != "compare":
+            planes[el.name] = np.empty((rows,) + shape, np.uint8)
+    compare = layers[-1].decision == "compare"
+    labels = np.empty(n, np.uint8)
+    d = np.empty(n, np.int64) if compare else None
+    xors = [bool(el.first.any()) for el in layers]
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        at = slice(lo, lo + m) if return_planes else slice(m)
+        h = bits[lo:lo + m].transpose(0, 2, 3, 1)
+        for el, s, xor in zip(layers, sums, xors):
+            s = s[:m]
+            if el.reach is not None:
+                nn.conv_sums(h, el.reach, el.kmat, out=s)  # [m, 16, g, O]
+            else:
+                x = x32[el.name][:m]
+                x[...] = h.reshape(m, -1)
+                nn.matmul_rows(x, el.kmat, out=s)
+            if el.decision == "compare":
+                s = s.astype(np.int64)
+                d[lo:lo + m] = s[:, 1] - s[:, 0]
+                labels[lo:lo + m] = (d[lo:lo + m] > el.t[0]) ^ el.first[0]
+                break
+            if el.skip_from is not None:
+                s += planes[el.skip_from][at]
+            h = planes[el.name][at]
+            fired = np.greater(s, el.t, out=h.view(bool))
+            if xor:
+                fired ^= el.first
+        else:  # a folded decision: its one channel
+            labels[lo:lo + m] = h[:, 0]
+    return labels, planes if return_planes else {}, d
 
 
 def named_planes(planes):
@@ -535,9 +585,10 @@ def exact_layers(model: Model):
         arrays += [model.weights[spec.name], model.deltas[spec.name],
                    getattr(norm, "eps", 0.0),
                    *_norm_tensors(spec, norm).values()]
-    snap = (tuple(vars(model.cfg).items()), content_key(arrays))
-    if model._exact is not None and model._exact[0] == snap:
-        return model._exact[1]
+    cfg = tuple(vars(model.cfg).items())
+    if (model._exact is not None and model._exact[0] == cfg
+            and same_content(arrays, model._exact[1])):
+        return model._exact[2]
     shape = (16, model.cfg.group_size, 4)
     layers = []
     for spec in specs:
@@ -554,7 +605,7 @@ def exact_layers(model: Model):
         layers.append(ExactLayer(spec.name, spec.skip_from, reach, kmat,
                                  fan_in, lo, hi, t.astype(np.float32), first,
                                  "compare" if last else None))
-    model._exact = (snap, layers)
+    model._exact = (cfg, content_key(arrays), layers)
     return layers
 
 
@@ -566,8 +617,8 @@ def exact_bit_forward(model: Model, bits, return_planes=False):
     layers = exact_layers(model)
     for el in layers:
         nn.check_f32_exact(el.name, el.fan_in)
-    labels, planes, d = run_layers(layers, check_bits(bits,
-                                                      model.cfg.group_size))
+    labels, planes, d = run_layers(
+        layers, check_bits(bits, model.cfg.group_size), return_planes)
     name = layers[-1].name
     b = model.norms[name].astype(np.float64)  # b1 - b0 correctly rounded
     scores = 1.0 / (1.0 + np.exp(-(model.delta_of(name) * d.astype(np.float64)

@@ -42,8 +42,9 @@ ONE_THREAD_MACS = 1 << 18
 SPLIT_MACS = 1 << 25
 
 
-def matmul_rows(a, b):
-    """a [M, K] @ b [K, N], one GEMM per block of rows. Up to SPLIT_MACS
+def matmul_rows(a, b, out=None):
+    """a [M, K] @ b [K, N], one GEMM per block of rows, into out (a
+    C-contiguous [M, N] array) or a new array. Up to SPLIT_MACS
     multiply-adds, blocks are small enough for OpenBLAS to keep each on the
     calling thread; beyond that, or where such blocks would be thinner than
     8 rows (they re-read b every few rows), blocks are GEMM_ROWS rows."""
@@ -53,7 +54,8 @@ def matmul_rows(a, b):
     if rows < 8 or m * k * n > SPLIT_MACS:
         rows = GEMM_ROWS
     blocks, full = m // rows, m - m % rows
-    out = np.empty((m, n), np.result_type(a, b))
+    if out is None:
+        out = np.empty((m, n), np.result_type(a, b))
     np.matmul(a[:full].reshape(blocks, rows, k), b,
               out=out[:full].reshape(blocks, rows, n))
     np.matmul(a[full:], b, out=out[full:])
@@ -173,23 +175,25 @@ def channels_first_rows(w, c, hh, ww):
     return w.reshape(hh, ww, c, -1).transpose(2, 0, 1, 3).reshape(c * hh * ww, -1)
 
 
-def conv_sums(x, reach, kmat):
+def conv_sums(x, reach, kmat, out=None):
     """Conv sums [N, H, W, O] of a channels-last map x [N, H, W, C] (0/1
     bits, or a float dY in conv2d_grad), with (reach, kmat) from tap_matrix,
-    in np.result_type(x, kmat): one GEMM per block of about GEMM_ROWS output
-    positions over their live-tap windows, reads past the edge being the
-    zero padding. A 1x1 conv is one matmul_rows over the [rows, C] view."""
+    in np.result_type(x, kmat), into out (C-contiguous) or a new array: one
+    GEMM per block of about GEMM_ROWS output positions over their live-tap
+    windows, reads past the edge being the zero padding. A 1x1 conv is one
+    matmul_rows over the [rows, C] view."""
     n, hh, ww, c = x.shape
     rh, rw = reach
+    s = out if out is not None else np.empty(
+        (n, hh, ww, kmat.shape[1]), np.result_type(x, kmat))
     if rh == rw == 0:
-        return matmul_rows(x.reshape(-1, c), kmat).reshape(n, hh, ww,
-                                                           kmat.shape[1])
+        matmul_rows(x.reshape(-1, c), kmat, out=s.reshape(-1, s.shape[-1]))
+        return s
     step = max(1, GEMM_ROWS // (hh * ww))  # samples per block
     # Every block reuses both buffers; the padding border of xp stays 0.
     xp = np.zeros((min(n, step), hh + 2 * rh, ww + 2 * rw, c), dtype=x.dtype)
     win = _windows(xp, reach)
-    cols = np.empty(win.shape, np.result_type(x, kmat))
-    s = np.empty((n, hh, ww, kmat.shape[1]), cols.dtype)
+    cols = np.empty(win.shape, s.dtype)
     for lo in range(0, n, step):
         xb = x[lo:lo + step]
         m = len(xb)

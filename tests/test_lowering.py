@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndlite import lowering, nn
+from ndlite import model as model_module
 from ndlite.lowering import (BooleanProgram, ChannelProgram, LayerProgram,
                              VerifyReport, conv0_literal_names,
                              fold_batchnorm, fold_bias, fold_output_pair,
@@ -79,6 +80,23 @@ def ternary_from_codes(codes, delta):
 
 def antisymmetrize_output(m):
     m.weights["out"][:, 1] = -m.weights["out"][:, 0]
+
+
+def assert_same_planes(prog, m, bits):
+    """run_program and exact_bit_forward give the same labels and the same
+    value in every plane the program names: each layer's bits and, under a
+    compare decision, S1 - S0."""
+    labels, planes = run_program(prog, bits, return_planes=True)
+    exact_labels, _, exact_planes = exact_bit_forward(m, bits,
+                                                      return_planes=True)
+    assert np.array_equal(labels, exact_labels)
+    exact_by_name = dict(exact_planes)
+    last = prog.layers[-1]
+    assert [name for name, _ in planes] == [
+        lp.name for lp in prog.layers[:-1]] + [
+        last.name if last.decision == "folded" else last.name + ".sum_diff"]
+    for name, plane in planes:
+        assert np.array_equal(plane, exact_by_name[name]), name
 
 
 # ------------------------------------------------------------------ folding
@@ -289,6 +307,7 @@ def test_program_matches_exact_model_compare_fallback():
     labels = run_program(prog, bits)
     exact_labels, _ = exact_bit_forward(m, bits)
     assert np.array_equal(labels, exact_labels)
+    assert_same_planes(prog, m, bits)
 
 
 def test_program_matches_exact_two_blocks_wider_group():
@@ -302,6 +321,7 @@ def test_program_matches_exact_two_blocks_wider_group():
     labels = run_program(prog, bits)
     exact_labels, _ = exact_bit_forward(m, bits)
     assert np.array_equal(labels, exact_labels)
+    assert_same_planes(prog, m, bits)
 
 
 def test_run_program_gemm_blocks_agree(monkeypatch):
@@ -317,6 +337,74 @@ def test_run_program_gemm_blocks_agree(monkeypatch):
     assert np.array_equal(labels, blocked_labels)
     for (name, plane), (_, blocked) in zip(planes, blocked_planes):
         assert np.array_equal(plane, blocked), name
+
+
+def _both_routes(prog, m, bits):
+    """[(name, array)] of run_program's and exact_bit_forward's labels,
+    scores and planes on bits."""
+    labels, planes = run_program(prog, bits, return_planes=True)
+    exact_labels, scores, exact_planes = exact_bit_forward(
+        m, bits, return_planes=True)
+    return ([("labels", labels)] + planes + [("exact labels", exact_labels),
+                                             ("scores", scores)]
+            + [("exact " + name, p) for name, p in exact_planes])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), group_size=st.sampled_from((1, 2, 8)),
+       fold=st.booleans(), n=st.sampled_from((0, 1, 65, 150)))
+# Most random models give one label on every input; on these the labels
+# take both values.
+@example(seed=6, group_size=1, fold=False, n=150)
+@example(seed=6, group_size=1, fold=True, n=150)
+@example(seed=5, group_size=2, fold=False, n=150)
+@example(seed=5, group_size=2, fold=True, n=150)
+@example(seed=31, group_size=8, fold=False, n=150)
+@example(seed=31, group_size=8, fold=True, n=150)
+def test_routes_do_not_depend_on_the_block_size(seed, group_size, fold, n):
+    """run_layers runs blocks of model.block_samples(g) samples: two, three
+    with a remainder, or none at all give the labels, scores and every
+    plane of both routes that one block gives."""
+    m = randomized_quantized_model(seed, cfg=small_cfg(group_size=group_size))
+    if fold:
+        antisymmetrize_output(m)
+    prog = lower_model(m, fold_output=fold)
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=(n, 4, 16, group_size), dtype=np.uint8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "SCORE_ROWS", 1 << 30)
+        whole = _both_routes(prog, m, bits)
+        for block in (64, 100):  # 150 samples: 64 + 64 + 22, 100 + 50
+            mp.setattr(model_module, "SCORE_ROWS", block * 16 * group_size)
+            assert model_module.block_samples(group_size) == block
+            blocked = _both_routes(prog, m, bits)
+            assert [name for name, _ in blocked] == [
+                name for name, _ in whole]
+            for (name, got), (_, want) in zip(blocked, whole):
+                assert got.dtype == want.dtype and len(got) == n, name
+                assert np.array_equal(got, want), (block, name)
+
+
+def test_labels_only_run_program_memory_is_flat_in_samples():
+    """A labels-only call holds one block of sums and bits at a time: at
+    g=8, 256 samples are 4 blocks of 64, and 4x the samples stay within
+    1.25x the traced peak."""
+    tracemalloc = pytest.importorskip("tracemalloc")
+    m = randomized_quantized_model(9, cfg=small_cfg(group_size=8))
+    prog = lower_model(m)
+    assert model_module.block_samples(8) == 64
+    bits = np.random.default_rng(9).integers(0, 2, size=(4 * 256, 4, 16, 8),
+                                             dtype=np.uint8)
+    run_program(prog, bits[:256])
+    peaks = []
+    for n in (256, 4 * 256):
+        tracemalloc.start()
+        try:
+            run_program(prog, bits[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_run_program_single_sample_and_validation():
@@ -899,6 +987,196 @@ def test_load_rejects_an_index_listed_twice(tmp_path, layer):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(
             f"{path}:{i + 1}: index {first} listed twice")):
+        load_program(path)
+
+
+# The index-list grammar as a regex, the oracle of the loader's list check:
+# a dense entry is a flat input index, a conv entry a triple, in [0-9] only.
+LIST_GRAMMAR = {
+    "dense": re.compile(r"\[(?:[0-9]+(?:,[0-9]+)*)?\]"),
+    "conv": re.compile(r"\[(?:\([0-9]+,[0-9]+,[0-9]+\)"
+                       r"(?:,\([0-9]+,[0-9]+,[0-9]+\))*)?\]"),
+}
+LIST_CHARS = "0123456789,()[]٣ "  # U+0663 is an Arabic-Indic digit
+INT64_MAX = 2**63 - 1
+
+
+def assert_list_check_is_grammar(text, kind):
+    """_index_list accepts text iff the grammar does, and then holds its
+    numbers in order, each saturated at the int64 maximum."""
+    want = LIST_GRAMMAR[kind].fullmatch(text) is not None
+    try:
+        got = lowering._index_list(text, kind)
+    except ValueError as e:
+        assert not want, text
+        assert str(e) == f"malformed index list {text!r}"
+        return
+    assert want, text
+    assert got.shape[1] == (3 if kind == "conv" else 1)
+    assert got.ravel().tolist() == [min(int(v), INT64_MAX)
+                                    for v in re.findall("[0-9]+", text)]
+
+
+@st.composite
+def index_list_texts(draw, kind):
+    """A well-formed index list with up to 3 characters inserted, deleted
+    or replaced, or a string of list characters."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(LIST_CHARS, max_size=24))
+    number = st.integers(0, 10**22).map(str)
+    entry = number if kind == "dense" else st.tuples(
+        number, number, number).map(lambda t: "(" + ",".join(t) + ")")
+    text = "[" + ",".join(draw(st.lists(entry, max_size=4))) + "]"
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(LIST_CHARS))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        tail = text[pos + (edit != "insert"):]
+        text = text[:pos] + ("" if edit == "delete" else char) + tail
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["dense", "conv"]))
+def test_index_list_check_matches_the_grammar(data, kind):
+    assert_list_check_is_grammar(data.draw(index_list_texts(kind)), kind)
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "[5]", "[0,12]", "[,]", "[1,]", "[,1]", "[1,,2]", "[", "]", "",
+    "[1 ]", "[٣]", "[[1]]", "[(1,2,3)]", "[(1,2,3),(4,5,6)]",
+    "[5(1,2,3)]", "[(1,2,3)5]", "[(1,2,3)5,(4,5,6)]", "[(1,2,3),5(4,5,6)]",
+    "[(1,2,3),]", "[(,2,3)]", "[(1,,3)]", "[(1,2,)]", "[(1,2)]",
+    "[(1,2,3,4)]", "[(1,2,3)(4,5,6)]", "[((1,2,3))]", "[(1,2,3)],",
+    "0[]", "[]0", "0[5]", "[5]0", "5[(1,2,3)]", "[(1,2,3)]5",
+    "[99999999999999999999]", "[(99999999999999999999,0,0)]"])
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_index_list_check_edge_cases(text, kind):
+    assert_list_check_is_grammar(text, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["dense", "conv"]), data=st.data())
+def test_layer_repeat_check_is_the_per_channel_check(kind, data):
+    """One sort over a layer finds the first channel that the check of
+    each channel alone finds, with its message, also where the packed key
+    would overflow (indices near the int64 maximum)."""
+    dims = 1 if kind == "dense" else 3
+    top = data.draw(st.sampled_from((3, 40, INT64_MAX)))
+    entry = st.lists(st.integers(0, top), min_size=dims, max_size=dims)
+    lists = data.draw(st.lists(st.lists(entry, max_size=5), min_size=2,
+                               max_size=12).filter(lambda x: len(x) % 2 == 0))
+    channels = [ChannelProgram(np.array(p, dtype=np.int64).reshape(-1, dims),
+                               np.array(n, dtype=np.int64).reshape(-1, dims))
+                for p, n in zip(lists[::2], lists[1::2])]
+    lp = LayerProgram.from_channels("x", kind, 4, (3, 3) if dims == 3
+                                    else None, channels)
+    want = next(((c, fault) for c, cp in enumerate(channels)
+                 if (fault := lowering._listed_twice(cp.p, cp.n, kind))),
+                None)
+    assert lowering._first_listed_twice(lp) == want
+
+
+def _saved_lines(path):
+    save_program(lower_model(randomized_quantized_model(5)), path)
+    return path.read_text().splitlines()
+
+
+def _list_lines(lines, layer):
+    """Indexes of the layer's channel lines with theta= and a nonempty P."""
+    head = lines.index(next(ln for ln in lines
+                            if ln.startswith(f"LAYER name={layer} ")))
+    out = []
+    for i in range(head + 1, len(lines)):
+        if not lines[i].startswith("IND "):
+            return out
+        if "theta=" in lines[i] and " P=[]" not in lines[i]:
+            out.append(i)
+    return out
+
+
+def _first_p(line):
+    return re.search(r" P=\[(\([0-9,]+\)|[0-9]+)", line).group(1)
+
+
+def _repeat_p(line):
+    """The line with its first P entry listed twice, and the message."""
+    first = _first_p(line)
+    return (line.replace(" P=[", f" P=[{first},"),
+            f"index {first} listed twice")
+
+
+LINE_FAULTS = {
+    "malformed list": lambda ln: (ln.replace(" N=[", " N=[["),
+                                  "malformed index list"),
+    "unknown line kind": lambda ln: ("WAT " + ln.partition(" ")[2],
+                                     "unknown line kind 'WAT'"),
+    "bad theta": lambda ln: (re.sub("theta=-?[0-9]+", "theta=1_0", ln),
+                             "theta=1_0 is not an integer"),
+    "not UTF-8": lambda ln: (ln + "\udcff", "codec can't decode"),
+    "P and N overlap": lambda ln: (ln.replace(" N=[", f" N=[{_first_p(ln)},"),
+                                   "P and N must be disjoint"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LINE_FAULTS))
+@pytest.mark.parametrize("layers", [("dense1", "dense1"),
+                                    ("res0.c1", "dense1"),
+                                    ("conv0", "res0.c1")])
+@pytest.mark.parametrize("repeat_first", [True, False])
+def test_load_faults_keep_file_order(tmp_path, fault, layers, repeat_first):
+    """An index listed twice on one line and another fault on a later line,
+    of the same layer or a later one: the error names the earlier line."""
+    path = tmp_path / "order.bprog"
+    lines = _saved_lines(path)
+    first = _list_lines(lines, layers[0])[0]
+    second = _list_lines(lines, layers[1])[-1]
+    assert first < second
+    edits = (_repeat_p, LINE_FAULTS[fault])
+    if not repeat_first:
+        edits = edits[::-1]
+    lines[first], message = edits[0](lines[first])
+    lines[second], _ = edits[1](lines[second])
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape")
+                     + b"\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{first + 1}: ")
+                       + ".*" + re.escape(message)):
+        load_program(path)
+
+
+@pytest.mark.parametrize("layer", ["conv0", "res0.c2", "dense1", "out"])
+def test_load_rejects_an_entry_in_p_and_n(tmp_path, layer):
+    path = tmp_path / "both.bprog"
+    lines = _saved_lines(path)
+    i = next(i for i, ln in enumerate(lines) if " P=[" in ln
+             and " P=[]" not in ln and lines.index(next(
+                 h for h in lines if h.startswith(f"LAYER name={layer} ")))
+             < i)
+    lines[i], _ = LINE_FAULTS["P and N overlap"](lines[i])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:{i + 1}: P and N must be disjoint")):
+        load_program(path)
+
+
+@pytest.mark.parametrize("listed, shown", [
+    ("99999999999999999999,99999999999999999999", str(INT64_MAX)),
+    ("99999999999999999999,88888888888888888888", str(INT64_MAX)),
+    ("(99999999999999999999,0,0),(99999999999999999999,0,0)",
+     f"({INT64_MAX},0,0)")])
+def test_load_rejects_a_saturated_index_listed_twice(tmp_path, listed,
+                                                     shown):
+    """Numbers past the int64 range saturate, so two of them are one index
+    listed twice; the check names it before the compile finds it outside
+    the layer input."""
+    path = tmp_path / "huge.bprog"
+    lines = _saved_lines(path)
+    layer = "conv0" if listed.startswith("(") else "dense1"
+    i = _list_lines(lines, layer)[0]
+    lines[i] = lines[i].replace(" P=[", f" P=[{listed},")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:{i + 1}: index {shown} listed twice")):
         load_program(path)
 
 
