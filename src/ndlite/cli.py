@@ -13,6 +13,7 @@ overrides both. Exit codes: 0 success, 2 validation or shape error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -640,10 +641,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on its first call (2-3 ms) and reused:
+    parse_args does not change it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_VALIDATION if e.code not in (0, None) else EXIT_OK
     try:

@@ -5,6 +5,10 @@ residual blocks of two 3x3 'same' convs with batchnorm and a skip
 connection, then a dense head (flatten -> 64 -> 64 -> 2) with softmax. A
 sample is called real when the softmax probability of the real class is at
 least the decision threshold (0.505 by default, boundary inclusive).
+Training normalizes with batch statistics (nn.batchnorm); the float route's
+inference (forward without training, scores) folds each batchnorm's
+running statistics into the layer before it (nn.bn_affine), so a layer is
+one GEMM, the skip add, one shift add and the activation in place.
 
 Quantization stages: "fp" trains plain float weights; "weights" substitutes
 fake-quantized ternary weights (straight-through gradients, learned step
@@ -205,13 +209,18 @@ class Model:
     # ------------------------------------------------------------- forward
 
     def _act(self, x, training):
-        """Hidden activation and its backward cache, None at inference but
-        for the sigmoid's (its output)."""
+        """Hidden activation and its backward cache. At inference the cache
+        is None but for the sigmoid's (its output), and the binarization and
+        the relu overwrite x."""
         if self.stage == "full":
-            return binarize_activation(x, grad=training)
+            if not training:
+                return np.greater(x, 0, out=x), None
+            return binarize_activation(x)
         if self.cfg.hidden_activation == "sigmoid":
             return nn.sigmoid(x)
-        return nn.relu(x, grad=training)
+        if not training:
+            return np.maximum(x, 0, out=x), None
+        return nn.relu(x)
 
     def _act_grad(self, dy, cache):
         if self.stage == "full":
@@ -221,20 +230,31 @@ class Model:
         return nn.relu_grad(dy, cache)
 
     def _layer_kernels(self, training):
-        """(kernel, raw weight, delta|None) per layer in forward order, the
-        kernel being the effective weight as the forward applies it: as
-        route_kernel gives it, an inference conv's as (reach, kmat), but a
-        training conv's as it is (nn.conv2d)."""
+        """(kernel, raw weight, delta|None, skip scale, shift|None) per layer
+        in forward order. The kernel is the effective weight as the forward
+        applies it: as route_kernel gives it, an inference conv's as (reach,
+        kmat), but a training conv's as it is (nn.conv2d). A skip joins the
+        sums times the skip scale: the step size in the full stage, else 1.
+        At inference each batchnorm is folded into the layer before it: its
+        nn.bn_affine scale multiplies the kernel's columns and the skip
+        scale, and its shift (a dense layer's, the bias) is added after."""
         shape = (16, self.cfg.group_size, 4)
         out = []
-        for name in self.quant_layer_names():
-            k, w, d = self._effective(name)
+        for spec in layer_specs(self.cfg):
+            k, w, d = self._effective(spec.name)
             reach, kmat, shape = route_kernel(k, shape)
+            lam = d if self.stage == "full" and spec.skip_from else 1.0
+            shift = None
+            if not training:
+                shift = self.norms[spec.name]
+                if spec.norm == "bn":
+                    scale, shift = nn.bn_affine(shift)
+                    kmat, lam = kmat * scale, lam * scale
             if reach is None:
                 k = kmat
             elif not training:
                 k = reach, kmat
-            out.append((k, w, d))
+            out.append((k, w, d, lam, shift))
         return out
 
     def forward(self, x, training):
@@ -245,7 +265,10 @@ class Model:
     def _forward(self, x, training, kernels):
         """forward, with kernels from _layer_kernels(training). Feature maps
         run channels-last, [N, 16, g, C]. Training convs keep their window
-        rows for backward (nn.conv2d); inference convs run nn.conv_sums."""
+        rows for backward (nn.conv2d), and training normalizes with
+        nn.batchnorm. Inference runs per layer the GEMM (nn.conv_sums,
+        nn.matmul_rows) of the folded kernel, the scaled skip add, the shift
+        add and the activation in place."""
         check_layout(x, self.cfg.group_size)
         specs = layer_specs(self.cfg)
         # Skip sources' outputs stay referenced until the pass returns, like
@@ -256,25 +279,28 @@ class Model:
         outputs = {}
         caches = []
         h = x.transpose(0, 2, 3, 1)
-        for spec, (k, w, d) in zip(specs, kernels):
+        for spec, (k, w, d, lam, shift) in zip(specs, kernels):
             norm = self.norms[spec.name]
             in_shape = h.shape
-            if spec.kind == "dense":
-                y, c_lin = nn.dense(h.reshape(len(h), len(k)), k, norm)
+            c_lin = c_bn = c_act = None
+            if spec.kind == "conv":
+                if training:
+                    y, c_lin = nn.conv2d(h, k)
+                else:
+                    y = nn.conv_sums(h, *k)
             elif training:
-                y, c_lin = nn.conv2d(h, k)
+                y, c_lin = nn.dense(h.reshape(len(h), len(k)), k, norm)
             else:
-                y, c_lin = nn.conv_sums(h, *k), None
-            lam = 0.0
+                y = nn.matmul_rows(h.reshape(len(h), len(k)), k)
             if spec.skip_from is not None:
                 # In the full stage the skip joins pre-normalization at the
                 # same scale as the quantized weights, so the accumulated sum
                 # stays an integer multiple of delta. The scale is a constant
                 # in backward.
-                lam = d if self.stage == "full" else 1.0
                 y += lam * outputs[spec.skip_from]
-            c_bn = c_act = None
-            if spec.norm == "bn":
+            if not training:
+                y += shift
+            elif spec.norm == "bn":
                 y, c_bn = nn.batchnorm(y, norm, training)
             if spec is not specs[-1]:
                 h, c_act = self._act(y, training)

@@ -6,6 +6,8 @@ cache); the matching *_grad function consumes the cache. Effective weights
 are passed in by the caller, so quantization-aware training can substitute
 fake-quantized tensors without the kernels knowing. Per-channel sums
 (batchnorm, bias gradients) run on the [rows, C] view (channel_sums).
+Training normalizes through batchnorm; inference folds a batchnorm into
+the layer before it as the per-channel affine map of bn_affine.
 
 A 'same' conv is a GEMM of window rows [N*H*W, live_taps*C] with the kernel
 matrix of tap_matrix, over the taps that can read data (at group depth 1,
@@ -245,21 +247,34 @@ def channel_sums(rows):
     return wide.reshape(k, c).sum(axis=0) + rows[full:].sum(axis=0)
 
 
+def bn_affine(bn: BnState):
+    """(scale, shift) of inference batchnorm, y = x * scale + shift per
+    channel: scale = gamma / sqrt(var + eps), shift = beta - mean * scale,
+    in the parameters' own dtype (an identity batchnorm gives exactly 1 and
+    0). The float route folds them into the layer before (Model)."""
+    scale = bn.gamma * (1.0 / np.sqrt(bn.running_var + bn.eps))
+    return scale, bn.beta - bn.running_mean * scale
+
+
 def batchnorm(x, bn: BnState, training):
     """Normalize per channel over every leading axis of a channels-last
-    x [..., C]; training mode updates running stats in place."""
+    x [..., C]; training mode updates running stats in place, inference
+    applies bn_affine."""
     rows = x.reshape(-1, x.shape[-1])
-    if training:
-        if x.shape[0] < 2:
-            raise ValueError("batchnorm training requires batch size >= 2")
-        mean = channel_sums(rows) / len(rows)
-        xhat = rows - mean
-        var = channel_sums(np.square(xhat)) / len(rows)
-        bn.running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
-        bn.running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var
-    else:
-        var = bn.running_var
-        xhat = rows - bn.running_mean
+    if not training:
+        scale, shift = bn_affine(bn)
+        y = rows * scale
+        y += shift
+        inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        xhat = (rows - bn.running_mean) * inv_std  # for batchnorm_grad
+        return y.reshape(x.shape), (xhat, inv_std, bn.gamma, training)
+    if x.shape[0] < 2:
+        raise ValueError("batchnorm training requires batch size >= 2")
+    mean = channel_sums(rows) / len(rows)
+    xhat = rows - mean
+    var = channel_sums(np.square(xhat)) / len(rows)
+    bn.running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
+    bn.running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var
     inv_std = 1.0 / np.sqrt(var + bn.eps)
     xhat *= inv_std
     y = bn.gamma * xhat
@@ -298,8 +313,8 @@ def dense_grad(dy, cache):
 
 # -------------------------------------------------------------- activations
 
-def relu(x, grad=True):
-    return np.maximum(x, 0.0), (x > 0) if grad else None
+def relu(x):
+    return np.maximum(x, 0.0), x > 0
 
 
 def relu_grad(dy, cache):

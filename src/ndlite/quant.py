@@ -66,11 +66,9 @@ def extract_ternary(w, delta) -> TernaryLayer:
     return TernaryLayer(codes=codes, delta=float(delta), dead=not codes.any())
 
 
-def binarize_activation(x, grad=True):
-    """Forward I(x > 0); cache passes gradients only where |x| <= 1, and is
-    None without grad."""
-    y = (x > 0).astype(x.dtype)
-    return y, (np.abs(x) <= 1.0) if grad else None
+def binarize_activation(x):
+    """Forward I(x > 0); cache passes gradients only where |x| <= 1."""
+    return (x > 0).astype(x.dtype), np.abs(x) <= 1.0
 
 
 def binarize_activation_grad(dy, cache):

@@ -1,0 +1,147 @@
+"""Mutation check: does the test suite notice a fault in the code it covers?
+
+Each mutation below replaces one exact piece of text in one file of
+src/ndlite with a faulty version, in a copy of src/ made in a temporary
+directory, and runs the tests it names against that copy (PYTHONPATH points
+at the copy). A mutation is killed when those tests fail, and survives when
+they pass. The script prints one line per mutation and the kill rate.
+
+    python3 tests/mutation_check.py            # every mutation
+    python3 tests/mutation_check.py fold       # the names containing "fold"
+
+It exits 2 if a mutation's target text is not found exactly once in its file
+(the source moved on: update the mutation), and 1 if a mutation survived.
+pytest does not collect this file (its name does not start with test_), so
+it is not part of the unit suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODEL = "tests/test_model.py"
+LOWERING = "tests/test_lowering.py"
+CLI = "tests/test_cli.py"
+FOLD_TEST = f"{MODEL}::test_folded_float_route_matches_unfused_reference"
+ORACLE = f"{MODEL}::test_exact_forward_matches_definition_oracle"
+PROGRAM_TESTS = [f"{LOWERING}::test_program_matches_exact_{case}" for case in (
+    "model_folded", "model_compare_fallback", "two_blocks_wider_group")]
+PROOF = f"{CLI}::test_verify_proof_catches_mutation_without_trials"
+LOADER = [f"{LOWERING}::test_load_rejects_malformed",
+          f"{LOWERING}::test_load_rejects_an_index_listed_twice",
+          f"{LOWERING}::test_load_faults_keep_file_order",
+          f"{CLI}::test_malformed_program_exits_2",
+          f"{CLI}::test_malformed_index_list_exits_2"]
+
+# (name, file under src/ndlite, target text, replacement, tests)
+MUTATIONS = [
+    # the float route's batchnorm fold
+    ("fold: skip not scaled by the batchnorm scale", "model.py",
+     "kmat, lam = kmat * scale, lam * scale",
+     "kmat, lam = kmat * scale, lam", [FOLD_TEST]),
+    ("fold: shift without the mean term", "nn.py",
+     "return scale, bn.beta - bn.running_mean * scale",
+     "return scale, bn.beta", [FOLD_TEST]),
+    ("fold: res*.c1 writes its sums and activation over its skip source",
+     "model.py", "y = nn.conv_sums(h, *k)",
+     'y = nn.conv_sums(h, *k, out=h if spec.name.endswith(".c1") else None)',
+     [FOLD_TEST]),
+    # run_layers, the integer routes' one loop
+    ("run_layers: skip bits not added", "model.py",
+     "                s += planes[el.skip_from][at]\n",
+     "                pass\n", [ORACLE]),
+    ("run_layers: >= for >", "model.py",
+     "fired = np.greater(s, el.t, out=h.view(bool))",
+     "fired = np.greater_equal(s, el.t, out=h.view(bool))", [ORACLE]),
+    ("run_layers: first ignored", "model.py",
+     "                fired ^= el.first\n", "                pass\n",
+     PROGRAM_TESTS),
+    ("run_layers: dense rows channels-first", "model.py",
+     "x[...] = h.reshape(m, -1)",
+     "x[...] = np.moveaxis(h, -1, 1).reshape(m, -1)", [ORACLE]),
+    ("run_layers: S0 - S1", "model.py",
+     "d[lo:lo + m] = s[:, 1] - s[:, 0]",
+     "d[lo:lo + m] = s[:, 0] - s[:, 1]", [ORACLE]),
+    # sum_range
+    ("sum_range: skip bit left out of hi", "model.py",
+     "return lo.astype(np.int64), hi.astype(np.int64) + skip",
+     "return lo.astype(np.int64), hi.astype(np.int64)",
+     [f"{MODEL}::test_sum_range_is_the_reachable_range"]),
+    ("sum_range: lo taken as 0", "model.py",
+     "return lo.astype(np.int64), hi.astype(np.int64) + skip",
+     "return 0 * lo.astype(np.int64), hi.astype(np.int64) + skip",
+     [f"{MODEL}::test_sum_range_is_the_reachable_range"]),
+    # _prove, the verifier's per-channel proof
+    ("_prove: skip wiring not compared", "lowering.py",
+     "        if layer.skip_from != el.skip_from:",
+     "        if False:", [PROOF]),
+    ("_prove: switch points not compared", "lowering.py",
+     "                             | ((got_lo != got_hi) & (theta != t)))",
+     "                             )", [PROOF]),
+    ("_prove: antisymmetry of a folded output not checked", "lowering.py",
+     "            if not np.array_equal(kmat[:, 0], -kmat[:, 1]):",
+     "            if False:", [PROOF]),
+    # load_program
+    ("loader: number count of an index list unchecked", "lowering.py",
+     "            ok = len(values) == count", "            ok = True", LOADER),
+    ("loader: an index listed twice not looked for", "lowering.py",
+     "            fault = _first_listed_twice(layers[-1])",
+     "            fault = None", LOADER),
+    ("loader: a later line's fault reported first", "lowering.py",
+     "            close_layer()  # a fault on an earlier line comes first",
+     "            pass", LOADER),
+    ("loader: channel count unchecked", "lowering.py",
+     "        if declared != len(lp.channels):", "        if False:", LOADER),
+    ("loader: a decision allowed on any layer", "lowering.py",
+     "        if (lp.decision is not None) != (lp is prog.layers[-1]):",
+     "        if False:", LOADER),
+]
+
+
+def run_tests(src, tests, cwd):
+    """True when the tests pass against the package copy under src."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+           "no:cacheprovider", "--rootdir", str(ROOT),
+           *[str(ROOT / t) for t in tests]]
+    done = subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main(argv):
+    chosen = [m for m in MUTATIONS if not argv or any(a in m[0] for a in argv)]
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        for _, rel, target, _, _ in chosen:
+            if (src / "ndlite" / rel).read_text().count(target) != 1:
+                print(f"target text not found once in {rel}: {target!r}")
+                return 2
+        if not all(run_tests(src, tests, tmp) for *_, tests in chosen):
+            print("the named tests fail on the unmutated source")
+            return 2
+        killed = 0
+        for name, rel, target, replacement, tests in chosen:
+            path = src / "ndlite" / rel
+            original = path.read_text()
+            path.write_text(original.replace(target, replacement))
+            try:
+                survived = run_tests(src, tests, tmp)
+            finally:
+                path.write_text(original)
+            killed += not survived
+            print(f"{'SURVIVED' if survived else 'killed  '}  {name}")
+        print(f"kill rate: {killed}/{len(chosen)}")
+        return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ndlite.cli
 from ndlite import dataset, lowering
 from ndlite.checkpoint import load_weights, save_weights
 from ndlite.cli import _implied_config, main, sha256_file
@@ -426,6 +427,26 @@ def test_count_full_checkpoint_both_tables(quant_ckpt, capsys):
     assert run(["count", quant_ckpt]) == 0
     text = capsys.readouterr().out
     assert "[dense]" in text and "[lightweight]" in text
+
+
+def test_main_reuses_its_parser_unchanged(quant_ckpt, capsys, monkeypatch):
+    """main builds its parser once; a call that fails to parse leaves it
+    as it was, so a failed call and then a valid count give the same exits
+    and output as two fresh parsers do."""
+    calls = [["count", "--no-such-flag", quant_ckpt], ["count", quant_ckpt]]
+
+    def outcomes():
+        got = []
+        for argv in calls:
+            code = run(argv)
+            got.append((code, capsys.readouterr()))
+        return got
+
+    reused = outcomes()
+    assert ndlite.cli._parser() is ndlite.cli._parser()
+    monkeypatch.setattr(ndlite.cli, "_parser", ndlite.cli.build_parser)
+    assert outcomes() == reused
+    assert [code for code, _ in reused] == [2, 0]
 
 
 # -------------------------------------------------------------- exit codes

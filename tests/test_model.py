@@ -23,7 +23,8 @@ from ndlite.dataset import gen_dataset
 from ndlite.model import (ExactPredicate, Model, ModelConfig, TrainHyper,
                           _bias_predicate, _bn_predicate, build_model,
                           classify, evaluate, exact_bit_forward,
-                          load_model, save_model, sum_range, train)
+                          layer_specs, load_model, save_model, sum_range,
+                          train)
 from ndlite.quant import QuantSchedule, extract_ternary
 
 from exact_reference import channel_lut_bits
@@ -346,13 +347,131 @@ def randomized_quantized_model(seed, cfg=None):
     return m
 
 
+def _ref_conv(x, k):
+    """'same' conv of channels-first maps x [N, C, H, W] with a kernel
+    k [O, C, kh, kw], zero padded, in float64: one product per tap."""
+    n, _, hh, ww = x.shape
+    _, _, kh, kw = k.shape
+    xp = np.zeros((n, x.shape[1], hh + kh - 1, ww + kw - 1))
+    xp[:, :, kh // 2:kh // 2 + hh, kw // 2:kw // 2 + ww] = x
+    out = 0.0
+    for u, v in itertools.product(range(kh), range(kw)):
+        out = out + np.einsum("nchw,oc->nohw", xp[:, :, u:u + hh, v:v + ww],
+                              np.asarray(k[:, :, u, v], np.float64))
+    return out
+
+
+def ref_float_forward(m: Model, x):
+    """Unfused float64 forward of m in its stage, from the layer table:
+    (logits [N, 2], {name: hidden output, maps [N, C, 16, g]}, {name: sums
+    before normalization}). A quantized stage's weights are its ternary
+    codes times delta, the skip joins the sums scaled by lam (delta in the
+    full stage, else 1) before normalization, a batchnorm is
+    gamma * (y - mean) / sqrt(var + eps) + beta."""
+    h, outs, pre = np.asarray(x, np.float64), {}, {}
+    specs = layer_specs(m.cfg)
+    for spec in specs:
+        w = np.asarray(m.weights[spec.name], np.float64)
+        if m.stage != "fp":
+            d = m.delta_of(spec.name)
+            w = np.clip(np.sign(w / d) * np.floor(np.abs(w / d) + 0.5),
+                        -1, 1) * d
+        if spec.kind == "conv":
+            y = _ref_conv(h, w)
+        else:  # dense rows are in [C, H, W] flattening order
+            y = h.reshape(len(h), -1) @ w
+        if spec.skip_from is not None:
+            lam = m.delta_of(spec.name) if m.stage == "full" else 1.0
+            y = y + lam * outs[spec.skip_from]
+        pre[spec.name] = y
+        norm = m.norms[spec.name]
+        if spec.norm == "bn":
+            col = (slice(None), None, None)
+            p = [np.asarray(v, np.float64)[col] for v in (
+                norm.gamma, norm.beta, norm.running_mean, norm.running_var)]
+            y = p[0] * (y - p[2]) / np.sqrt(p[3] + norm.eps) + p[1]
+        else:
+            y = y + np.asarray(norm, np.float64)
+        if spec is specs[-1]:
+            return y, outs, pre
+        if m.stage == "full":
+            y = (y > 0).astype(np.float64)
+        elif m.cfg.hidden_activation == "sigmoid":
+            y = 1.0 / (1.0 + np.exp(-y))
+        else:
+            y = np.maximum(y, 0.0)
+        outs[spec.name] = h = y
+
+
+def randomized_firing_model(seed, cfg=None):
+    """randomized_quantized_model with each step size, batchnorm mean and
+    dense bias (the output's b1 - b0) drawn again. A step size is
+    0.8-1.6 times its layer's mean |w|, so that 52-75% of Gaussian weights
+    get a nonzero code. Layer by layer, every channel's switch point then goes in its
+    reachable range, half a step above a sum it takes on 256 random inputs
+    (a random quantile between 0.25 and 0.75; below it, if that is the
+    largest): its channels fire on some inputs and not on others, and
+    float rounding cannot flip a bit."""
+    m = randomized_quantized_model(seed, cfg)
+    r = np.random.default_rng(seed + 1000)
+    for name, d in m.deltas.items():
+        d[()] = float(np.mean(np.abs(m.weights[name]))) * r.uniform(0.8, 1.6)
+    x = r.integers(0, 2, size=(256, 4, 16, m.cfg.group_size))
+    t = m.cfg.decision_threshold
+    specs = layer_specs(m.cfg)
+    for spec in specs:
+        delta = m.delta_of(spec.name)
+        sums = np.rint(ref_float_forward(m, x)[2][spec.name] / delta)
+        sums = np.moveaxis(sums, 1, -1).reshape(-1, sums.shape[1])
+        if spec is specs[-1]:
+            sums = sums[:, 1:] - sums[:, :1]
+        switch = []
+        for col in sums.T:  # below the largest sum, so that both sides occur
+            k = np.quantile(col, r.uniform(0.25, 0.75), method="lower")
+            switch.append(k - 0.5 if k == col.max() else k + 0.5)
+        switch = np.array(switch)
+        norm = m.norms[spec.name]
+        if spec is specs[-1]:
+            norm[:] = [0.0, math.log(t / (1.0 - t)) - delta * switch[0]]
+        elif spec.norm == "bias":
+            norm[:] = -delta * switch
+        else:  # gamma * (delta * S - mean) / sigma + beta is 0 at the switch
+            sigma = np.sqrt(norm.running_var.astype(np.float64) + norm.eps)
+            norm.running_mean[:] = (delta * switch
+                                    + norm.beta * sigma / norm.gamma)
+    return m
+
+
+@pytest.mark.parametrize("cfg", [small_cfg(), small_cfg(group_size=2),
+                                 small_cfg(residual_blocks=2)])
+def test_firing_model_fires(cfg):
+    """On fresh random inputs, most non-output channels of every layer of
+    randomized_firing_model take both values, and both labels occur."""
+    for seed in range(3):
+        m = randomized_firing_model(seed, cfg)
+        bits = np.random.default_rng(seed).integers(
+            0, 2, size=(256, 4, 16, cfg.group_size), dtype=np.uint8)
+        labels, _, planes = exact_bit_forward(m, bits, return_planes=True)
+        assert set(labels.tolist()) == {0, 1}, seed
+        for name, plane in planes:
+            if name.startswith("out"):
+                continue
+            per_channel = np.moveaxis(plane, 1, 0).reshape(plane.shape[1], -1)
+            both = ((per_channel.min(axis=1) == 0)
+                    & (per_channel.max(axis=1) == 1))
+            assert both.mean() > 0.5, (seed, name, both)
+
+
 def test_exact_forward_matches_definition_oracle():
     """exact_bit_forward's labels and every plane against the definitions,
-    at g=1, at g=2 and with two residual blocks: the one check of
-    run_layers that does not go through it."""
-    for cfg in (small_cfg(), small_cfg(group_size=2),
-                small_cfg(residual_blocks=2)):
-        m = randomized_quantized_model(21, cfg=cfg)
+    at g=1, at g=2 and with two residual blocks, on a saturated and on a
+    firing random model: the one check of run_layers that does not go
+    through it."""
+    for cfg, make in itertools.product(
+            (small_cfg(), small_cfg(group_size=2),
+             small_cfg(residual_blocks=2)),
+            (randomized_quantized_model, randomized_firing_model)):
+        m = make(21, cfg=cfg)
         r = np.random.default_rng(2)
         bits = r.integers(0, 2, size=(40, 4, 16, cfg.group_size)
                           ).astype(np.uint8)
@@ -633,13 +752,14 @@ def test_exact_forward_asserts_float32_exact_bound(monkeypatch):
 
 
 def test_evaluate_routes_full_stage_through_exact_path():
-    m = randomized_quantized_model(33)
     ds = gen_dataset(n_per_class=64, rounds=3, group_size=1, seed=3)
-    acc, confusion = evaluate(m, ds)
-    labels, _ = exact_bit_forward(m, ds.bits)
-    expect = float(np.mean(labels == ds.labels))
-    assert acc == expect
-    assert sum(confusion.values()) == len(ds)
+    for m in (randomized_quantized_model(33), randomized_firing_model(33)):
+        acc, confusion = evaluate(m, ds)
+        labels, _ = exact_bit_forward(m, ds.bits)
+        expect = float(np.mean(labels == ds.labels))
+        assert acc == expect
+        assert sum(confusion.values()) == len(ds)
+    assert set(labels.tolist()) == {0, 1}  # the firing model's
 
 
 # ---------------------------------------------------------------- persistence
@@ -697,6 +817,51 @@ def test_inference_forward_builds_no_activation_masks(stage):
     assert all(c_act is None for _, _, c_act, *_ in caches)
     _, train_caches = m.forward(x, training=True)
     assert all(c_act is not None for _, _, c_act, *_ in train_caches[:-1])
+
+
+@pytest.mark.parametrize("stage", ["fp", "weights", "full"])
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("shape", [dict(), dict(group_size=2),
+                                   dict(residual_blocks=2)])
+def test_folded_float_route_matches_unfused_reference(monkeypatch, stage,
+                                                      activation, shape):
+    """The float route folds each inference batchnorm into the layer before
+    it; ref_float_forward does not. In the fp and weights stages the scores
+    of Model.scores and forward agree with it within rtol 1e-5; in the full
+    stage every hidden bit and every label is equal."""
+    cfg = small_cfg(hidden_activation=activation, **shape)
+    m = randomized_firing_model(8, cfg)
+    m.set_stage(stage)
+    x = np.random.default_rng(8).integers(0, 2, size=(256, 4, 16,
+                                                      cfg.group_size),
+                                          dtype=np.uint8)
+    ref_logits, ref_hidden, _ = ref_float_forward(m, x)
+    want = 1.0 / (1.0 + np.exp(ref_logits[:, 0] - ref_logits[:, 1]))
+    hidden = []
+    act = Model._act
+
+    def recording_act(self, y, training):
+        out = act(self, y, training)
+        hidden.append(np.array(out[0]))
+        return out
+
+    monkeypatch.setattr(Model, "_act", recording_act)
+    logits, _ = m.forward(x.astype(np.float32), training=False)
+    monkeypatch.undo()
+    got = {"forward": nn.softmax(logits)[:, 1], "scores": m.scores(x)}
+    if stage != "full":
+        for route, p in got.items():
+            np.testing.assert_allclose(p, want, rtol=1e-5, err_msg=route)
+        return
+    assert len(hidden) == len(ref_hidden)
+    for (name, ref), h in zip(ref_hidden.items(), hidden):
+        assert np.array_equal(np.moveaxis(h, -1, 1) if h.ndim == 4 else h,
+                              ref), name
+    t = cfg.decision_threshold
+    labels = ref_logits[:, 1] - ref_logits[:, 0] >= math.log(t / (1.0 - t))
+    assert 0 < labels.sum() < len(labels)
+    for route, p in got.items():
+        assert np.array_equal(p >= t, labels), route
 
 
 def test_scores_memory_does_not_grow_with_blocks(monkeypatch):
