@@ -828,7 +828,9 @@ def _first_listed_twice(lp):
     entries, channels = lp.entries, len(lp.flip)
     sizes = [int(v) + 1 for v in entries.max(axis=0, initial=0)]
     candidates = range(channels)
-    if channels * math.prod(sizes) <= 2**63:  # entries are >= 0
+    # entries are >= 0, so keys stay below the product, and each size (a
+    # factor of it) fits an int64 multiplier
+    if channels * math.prod(sizes) < 2**63:
         key = np.repeat(np.arange(channels, dtype=np.int64), lp.fan_in)
         for column, size in zip(entries.T, sizes):
             key *= size

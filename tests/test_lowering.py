@@ -1077,6 +1077,15 @@ def test_layer_repeat_check_is_the_per_channel_check(kind, data):
     assert lowering._first_listed_twice(lp) == want
 
 
+def test_layer_repeat_check_with_an_index_at_the_int64_maximum():
+    """A lone entry at the int64 maximum makes the packed key's bound
+    exactly 2**63, one past what an int64 multiplier holds."""
+    channels = [ChannelProgram(np.zeros((0, 1), dtype=np.int64),
+                               np.array([[INT64_MAX]], dtype=np.int64))]
+    lp = LayerProgram.from_channels("x", "dense", 4, None, channels)
+    assert lowering._first_listed_twice(lp) is None
+
+
 def _saved_lines(path):
     save_program(lower_model(randomized_quantized_model(5)), path)
     return path.read_text().splitlines()
