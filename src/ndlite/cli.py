@@ -71,6 +71,13 @@ def read_config(path):
     return values, text
 
 
+def _boolean(text):
+    """A config-file boolean: true or false, in any case."""
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
 class Resolver:
     """Flag > config file > default, recording every resolved value."""
 
@@ -87,7 +94,11 @@ class Resolver:
         if flag is not None:
             value = flag
         elif key in self.values:
-            value = cast(self.values[key])
+            try:
+                value = cast(self.values[key])
+            except ValueError as e:
+                raise CliError(EXIT_VALIDATION, f"config file: {key} = "
+                               f"{self.values[key]}: {e}") from None
         else:
             value = default
         if value is None and required:
@@ -360,7 +371,7 @@ def cmd_lower(args):
     ckpt = r.get("checkpoint", required=True)
     out = r.get("out", required=True)
     theta_mode = r.get("theta_mode", str, "folded")
-    fold_output = r.get("fold_output", lambda s: s.lower() == "true", True)
+    fold_output = r.get("fold_output", _boolean, True)
     output_mode = r.get("output_mode", str, "threshold")
     trials = r.get("trials", int, 10_000)
     width = r.get("width", int, 9)
@@ -415,8 +426,7 @@ def _implied_config(prog):
 def cmd_count(args):
     r = Resolver(args)
     path = args.path
-    dead = r.get("count_dead_indicators", lambda s: s.lower() == "true",
-                 False)
+    dead = r.get("count_dead_indicators", _boolean, False)
     csv_out = r.get("csv")
     report = Report("count", args.report, r)
     report.add_input(path)
@@ -470,9 +480,6 @@ def cmd_eval(args):
     path = args.path
     data_path = r.get("data", required=True)
     threshold = r.get("threshold", float)
-    batch_size = r.get("batch_size", int, 4096)
-    if batch_size < 1:
-        raise CliError(EXIT_VALIDATION, "batch size must be at least 1")
     report = Report("eval", args.report, r)
     report.add_input(path)
     report.add_input(data_path)
@@ -488,9 +495,7 @@ def cmd_eval(args):
                            "programs have their decision threshold folded "
                            "in; re-lower the checkpoint to change it")
         prog = load_program(path)
-        pred = np.concatenate([run_program(prog, ds.bits[i:i + batch_size])
-                               for i in range(0, len(ds), batch_size)])
-        accuracy, counts = confusion(pred, ds.labels)
+        accuracy, counts = confusion(run_program(prog, ds.bits), ds.labels)
     else:
         model = load_model(path)
         if threshold is not None and not 0.0 < threshold < 1.0:
@@ -501,7 +506,7 @@ def cmd_eval(args):
         else:
             if threshold is not None:
                 model.cfg.decision_threshold = threshold
-            accuracy, counts = evaluate(model, ds, batch_size=batch_size)
+            accuracy, counts = evaluate(model, ds)
     print(f"accuracy {accuracy:.6f} on {len(ds)} samples")
     print(" ".join(f"{k}={counts[k]}" for k in ("tp", "tn", "fp", "fn")))
     report.finish(accuracy=accuracy, confusion=counts, samples=len(ds))
@@ -624,7 +629,6 @@ def build_parser():
     sp.add_argument("path", help="checkpoint or program file")
     sp.add_argument("--data")
     sp.add_argument("--threshold", type=float)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
     sp.add_argument("--report", help="write a JSON report here")
     sp.set_defaults(func=cmd_eval)
 

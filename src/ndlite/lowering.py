@@ -348,19 +348,6 @@ def _codes(layer, reach=None):
     return k
 
 
-def _indicators(layer, lo, hi):
-    """(theta, flip) of the layer's indicators on integer sums in [lo, hi]
-    (int lists), each theta clamped into [lo - 1, hi], which changes no bit
-    there. A constant channel gets lo - 1 and the flip that gives its
-    constant; a compare decision is one indicator, on S1 - S0."""
-    theta, const = layer.theta, layer.const.tolist()
-    flip = np.where(layer.const >= 0, layer.const == 0, layer.flip)
-    if layer.decision == "compare":
-        theta, const, flip = [layer.compare_theta], [-1], np.zeros(1, bool)
-    return [lo_c - 1 if k >= 0 else min(max(th, lo_c - 1), hi_c)
-            for th, k, lo_c, hi_c in zip(theta, const, lo, hi)], flip
-
-
 def _compile(prog):
     """ExactLayer list for run_layers; checks the layer wiring on the way
     and raises ValueError at the first layer that does not fit, its
@@ -412,9 +399,17 @@ def _compile_layer(layer, shape, shapes):
     fan_in = skip + int(layer.fan_in.max(initial=0))
     nn.check_f32_exact(layer.name, fan_in)
     lo, hi = sum_range(kmat, skip, compare)
-    theta, flip = _indicators(layer, lo.tolist(), hi.tolist())
+    # Each theta clamped into [lo - 1, hi], which changes no bit there. A
+    # constant channel gets lo - 1 and the first that gives its constant; a
+    # compare decision is one indicator, on S1 - S0.
+    theta, const = layer.theta, layer.const.tolist()
+    first = np.where(layer.const >= 0, layer.const == 0, layer.flip)
+    if compare:
+        theta, const, first = [layer.compare_theta], [-1], np.zeros(1, bool)
+    t = [lo_c - 1 if k >= 0 else min(max(th, lo_c - 1), hi_c)
+         for th, k, lo_c, hi_c in zip(theta, const, lo.tolist(), hi.tolist())]
     return ExactLayer(layer.name, layer.skip_from, reach, kmat, fan_in, lo,
-                      hi, np.array(theta, dtype=np.float32), flip,
+                      hi, np.array(t, dtype=np.float32), first,
                       layer.decision), shape
 
 
@@ -486,50 +481,53 @@ def structure_mismatch(prog, specs):
 
 
 def _prove(prog, model, width):
-    """(channels proven, counterexample | None): each program indicator
-    against the model's over the whole range [lo, hi] its integer sum can
-    reach, in O(1) per channel from the switch points of exact_layers.
+    """(channels proven, counterexample | None): each indicator that
+    run_program runs, from the program's compiled layers, against the
+    model's from exact_layers over the whole range [lo, hi] the model's
+    integer sum can reach, in O(1) per channel from the switch points.
 
-    Structure first: each layer's skip bit, and a non-constant channel's
-    P/N sets on the live taps, must be the model's; a folded output also
-    needs antisymmetric model columns, so that the model decides at
-    D = S1 - S0 = 2S of the program's sum S, and 2S > t iff S > floor(t/2).
-    Then two indicators S > t, each xor'd with a side or constant, agree on
-    every integer of [lo, hi] iff, with t clamped into [lo - 1, hi], they
-    agree at lo and at hi and, where they change over it, switch at the
-    same point. A channel with hi - lo <= width is then also evaluated at
-    every integer of [lo, hi] against exact_predicate itself, which checks
-    the switch points too. Channels are proven in order up to the first
-    mismatch."""
+    Structure first: each layer's skip bit must be the model's; a folded
+    output also needs antisymmetric model columns, so that the model decides
+    at D = S1 - S0 = 2S of the program's sum S, and 2S > t iff S > floor(t/2).
+    Each channel's GEMM column must be the model's, except where both
+    channels are the same constant over their own sum ranges: t at lo - 1
+    or at hi. The program's constant is then read at the model's range.
+    Two indicators S > t, each xor'd with its first, agree on every integer
+    of [lo, hi] iff, with t in [lo - 1, hi], they agree at lo and at hi and,
+    where they change over it, switch at the same point. A channel with
+    hi - lo <= width is then also evaluated at every integer of [lo, hi]
+    against exact_predicate itself, which checks the switch points too.
+    Channels are proven in order up to the first mismatch."""
     proven = 0
     for layer, cl, el, spec in zip(prog.layers, _compiled_layers(prog),
                                    exact_layers(model),
                                    layer_specs(model.cfg)):
         kmat, lo, hi, t = el.kmat, el.lo, el.hi, el.t.astype(np.int64)
-        compare = layer.decision == "compare"
-        if layer.decision == "folded":
+        if cl.decision == "folded":
             if not np.array_equal(kmat[:, 0], -kmat[:, 1]):
-                return proven, {"layer": layer.name, "channel": 0,
+                return proven, {"layer": cl.name, "channel": 0,
                                 "reason": "the model's output columns are "
                                           "not negations of each other"}
             kmat, lo, hi, t = kmat[:, 1:], lo // 2, hi // 2, t // 2
-        if layer.skip_from != el.skip_from:
-            return proven, {"layer": layer.name, "channel": 0,
-                            "support": ["skip"], "program": layer.skip_from,
+        if cl.skip_from != el.skip_from:
+            return proven, {"layer": cl.name, "channel": 0,
+                            "support": ["skip"], "program": cl.skip_from,
                             "model": el.skip_from}
-        const = (layer.const >= 0) & (not compare)
+        theta = cl.t.astype(np.int64)  # exact: |t| < 2**24
+        below, above = theta < cl.lo, theta >= cl.hi
+        const = (below | above) & ((t < lo) | (t >= hi))
         wrong = np.flatnonzero((cl.kmat != kmat).any(axis=0) & ~const)
         if len(wrong):
             c = int(wrong[0])
-            codes = extract_ternary(model.weights[layer.name],
-                                    model.delta_of(layer.name)).codes
+            codes = extract_ternary(model.weights[cl.name],
+                                    model.delta_of(cl.name)).codes
             want = (codes[c] if codes.ndim == 4 else
-                    codes[:, c + (layer.decision == "folded")])
+                    codes[:, c + (cl.decision == "folded")])
             return proven + c, {
-                "layer": layer.name, "channel": c, "support": list(_tuples(
+                "layer": cl.name, "channel": c, "support": list(_tuples(
                     np.argwhere(_codes(layer)[c] != want)))}
-        theta, flip = _indicators(layer, lo.tolist(), hi.tolist())
-        theta = np.array(theta)
+        theta = np.where(below, lo - 1, np.where(above, hi, theta))
+        flip = cl.first
         got_lo, got_hi = (lo > theta) ^ flip, (hi > theta) ^ flip
         want_lo, want_hi = (lo > t) ^ el.first, (hi > t) ^ el.first
         bad = np.flatnonzero((got_lo != want_lo) | (got_hi != want_hi)
@@ -543,23 +541,23 @@ def _prove(prog, model, width):
             elif got_hi[c] != want_hi[c]:
                 s = hi[c]
             return proven + c, {
-                "layer": layer.name, "channel": c, "sum": int(s),
+                "layer": cl.name, "channel": c, "sum": int(s),
                 "program_bit": int((s > theta[c]) ^ flip[c]),
                 "model_bit": int((s > t[c]) ^ el.first[c])}
-        if compare:
+        if cl.decision == "compare":
             continue
         narrow = np.flatnonzero(hi - lo <= width).tolist()
         pred = exact_predicate(model, spec) if narrow else None
-        scale = 2 if layer.decision == "folded" else 1  # the model's D = 2S
+        scale = 2 if cl.decision == "folded" else 1  # the model's D = 2S
         for c in narrow:
             for s in range(int(lo[c]), int(hi[c]) + 1):
                 got = int((s > theta[c]) ^ flip[c])
                 want = int(pred(c, scale * s))
                 if got != want:
                     return proven + c, {
-                        "layer": layer.name, "channel": c, "sum": s,
+                        "layer": cl.name, "channel": c, "sum": s,
                         "program_bit": got, "model_bit": want}
-        proven += len(layer.channels)
+        proven += len(theta)
     return proven, None
 
 
@@ -570,12 +568,12 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
 
     The program's layers must be the model's layer table. Random inputs are
     compared end to end (program labels and every intermediate plane
-    against the exact model evaluation). Every channel is then proven
-    against the model's switch points over its whole reachable sum range
-    (_prove). A channel whose live support (its P and N entries on live
-    taps, and the skip bit) is at most exhaustive_width bits is also
-    checked at every sum that support reaches against the rational
-    predicate itself.
+    against the exact model evaluation). Every channel that run_program
+    runs, its compiled GEMM column and threshold, is then proven against
+    the model's switch points over its whole reachable sum range (_prove).
+    A channel whose live support (its P and N entries on live taps, and the
+    skip bit) is at most exhaustive_width bits is also checked at every sum
+    that support reaches against the rational predicate itself.
     """
     specs = layer_specs(model.cfg)
     total = sum(len(lp.channels) for lp in prog.layers
@@ -597,19 +595,21 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
         # Each named intermediate plane must match, not just the labels:
         # exactness is layerwise, and a masked divergence is still a bug.
         model_by_name = dict(model_planes)
+        diffs = [(name, (plane != model_by_name[name]).reshape(
+                     nb, -1).any(axis=1))
+                 for name, plane in prog_planes if name in model_by_name]
         diff = prog_labels != model_labels
-        for name, plane in prog_planes:
-            if name in model_by_name:
-                diff = diff | (plane != model_by_name[name]).reshape(
-                    nb, -1).any(axis=1)
+        for _, d in diffs:
+            diff |= d
         if diff.any():
-            i = int(np.nonzero(diff)[0][0])
-            mism = _first_plane_mismatch(prog_planes, model_planes, i)
+            i = int(np.flatnonzero(diff)[0])
             return VerifyReport(
                 passed=False, trials_run=done + nb, exhaustive_channels=0,
                 total_channels=total,
                 counterexample={"input": bits[i], "trial": done + i,
-                                "first_divergence": mism,
+                                "first_divergence": next(
+                                    (name for name, d in diffs if d[i]),
+                                    "output"),
                                 "program_label": int(prog_labels[i]),
                                 "model_label": int(model_labels[i])})
         done += nb
@@ -618,15 +618,6 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
     return VerifyReport(passed=ce is None, trials_run=done,
                         exhaustive_channels=proven, total_channels=total,
                         counterexample=ce)
-
-
-def _first_plane_mismatch(prog_planes, model_planes, i):
-    model_by_name = dict(model_planes)
-    for name, plane in prog_planes:
-        if name in model_by_name and not np.array_equal(
-                plane[i], model_by_name[name][i]):
-            return name
-    return "output"
 
 
 # ------------------------------------------------------------- expressions

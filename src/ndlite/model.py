@@ -669,22 +669,18 @@ def classify(model: Model, bits):
     return label, score
 
 
-def evaluate(model: Model, dataset: Dataset, batch_size=4096):
-    """(accuracy, confusion) under the decision-threshold rule."""
-    n = len(dataset)
-    if n == 0:
+def evaluate(model: Model, dataset: Dataset):
+    """(accuracy, confusion) under the decision-threshold rule. Both routes
+    stream the set in blocks of block_samples(g) samples."""
+    if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if dataset.group_size != model.cfg.group_size:
         raise ValueError(f"dataset group_size {dataset.group_size} does not "
                          f"match model group_size {model.cfg.group_size}")
-    pred = np.empty(n, dtype=np.uint8)
-    for i in range(0, n, batch_size):
-        xb = dataset.bits[i:i + batch_size]
-        if model.stage == "full":
-            pred[i:i + batch_size], _ = exact_bit_forward(model, xb)
-        else:
-            sc = model.scores(xb)
-            pred[i:i + batch_size] = sc >= model.cfg.decision_threshold
+    if model.stage == "full":
+        pred, _ = exact_bit_forward(model, dataset.bits)
+    else:
+        pred = model.scores(dataset.bits) >= model.cfg.decision_threshold
     return confusion(pred, dataset.labels)
 
 

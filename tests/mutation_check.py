@@ -79,14 +79,19 @@ MUTATIONS = [
      [f"{MODEL}::test_sum_range_is_the_reachable_range"]),
     # _prove, the verifier's per-channel proof
     ("_prove: skip wiring not compared", "lowering.py",
-     "        if layer.skip_from != el.skip_from:",
-     "        if False:", [PROOF]),
+     "        if cl.skip_from != el.skip_from:",
+     "        if False:",
+     [PROOF, f"{LOWERING}::test_verify_catches_dropped_skip"]),
     ("_prove: switch points not compared", "lowering.py",
      "                             | ((got_lo != got_hi) & (theta != t)))",
      "                             )", [PROOF]),
     ("_prove: antisymmetry of a folded output not checked", "lowering.py",
      "            if not np.array_equal(kmat[:, 0], -kmat[:, 1]):",
      "            if False:", [PROOF]),
+    # _compile_layer, the thresholds run_program runs
+    ("compile: thresholds clamped from lo + 1", "lowering.py",
+     "min(max(th, lo_c - 1), hi_c)", "min(max(th, lo_c + 1), hi_c)",
+     [f"{LOWERING}::test_verify_without_trials_proves_every_channel"]),
     # load_program
     ("loader: number count of an index list unchecked", "lowering.py",
      "            ok = len(values) == count", "            ok = True", LOADER),

@@ -23,8 +23,8 @@ from ndlite.cli import _implied_config, main, sha256_file
 from ndlite.dataset import load_dataset, save_dataset
 from ndlite.lowering import (load_program, lower_model, save_program,
                              structure_mismatch)
-from ndlite.model import (exact_bit_forward, layer_specs, load_model,
-                          save_model)
+from ndlite.model import (evaluate, exact_bit_forward, layer_specs,
+                          load_model, save_model)
 
 from test_lowering import (_planted_conv0_model, antisymmetrize_output,
                            damaged, saved_programs_in, set_channel)
@@ -216,6 +216,46 @@ def test_lower_prints_sparsity_and_verifies(work, quant_ckpt, capsys):
     load_program(out)
 
 
+def test_lower_zero_theta_exits_3(work, quant_ckpt, capsys):
+    """--theta-mode zero drops the batchnorm folds, so the proof alone, with
+    no random trials, rejects the program: exit 3, a counterexample on
+    stderr and verify_passed false in the report."""
+    out = work / "zero.bprog"
+    capsys.readouterr()
+    assert run(["lower", "--checkpoint", quant_ckpt, "--out", out,
+                "--theta-mode", "zero", "--trials", 0]) == 3
+    err = capsys.readouterr().err
+    assert "verification FAILED" in err and "counterexample:" in err
+    res = read_report(f"{out}.report.json")["results"]
+    assert res["verify_passed"] is False and res["trials_run"] == 0
+    assert res["exhaustive_channels"] < res["total_channels"]
+
+
+def test_config_booleans(work, quant_ckpt, lowered, capsys):
+    """A config-file boolean is true or false in any case; any other value
+    exits 2 naming its key."""
+    cfg = work / "bool.cfg"
+    out = work / "bool.bprog"
+    for text, want in (("FALSE", False), ("True", True)):
+        cfg.write_text(f"fold_output = {text}\n"
+                       f"count_dead_indicators = {text}\n")
+        assert run(["lower", "--config", cfg, "--checkpoint", quant_ckpt,
+                    "--out", out, "--trials", 0]) == 0
+        assert read_report(f"{out}.report.json")["resolved"][
+            "fold_output"] is want
+        rpt = work / "bool.count.json"
+        assert run(["count", lowered, "--config", cfg, "--report", rpt]) == 0
+        assert read_report(rpt)["resolved"]["count_dead_indicators"] is want
+    for key, argv in (("fold_output", ["lower", "--checkpoint", quant_ckpt,
+                                       "--out", out]),
+                      ("count_dead_indicators", ["count", lowered])):
+        cfg.write_text(f"{key} = yes\n")
+        capsys.readouterr()
+        assert run(argv + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} = yes" in err and "Traceback" not in err
+
+
 def test_lower_rejects_fp_checkpoint(work, fp_ckpt):
     assert run(["lower", "--checkpoint", fp_ckpt,
                 "--out", work / "nope.bprog"]) == 2
@@ -253,13 +293,11 @@ def test_eval_program_batches_odd_sized_set(work, quant_ckpt, lowered,
     confusions = {}
     for name, path in (("model", quant_ckpt), ("program", lowered)):
         rpt = work / f"eval.odd.{name}.json"
-        assert run(["eval", path, "--data", odd, "--batch-size", 7,
-                    "--report", rpt]) == 0
+        assert run(["eval", path, "--data", odd, "--report", rpt]) == 0
         res = read_report(rpt)["results"]
         assert res["samples"] == 101
         confusions[name] = res["confusion"]
     assert confusions["model"] == confusions["program"]
-    assert run(["eval", lowered, "--data", odd, "--batch-size", 0]) == 2
 
 
 def test_eval_rejects_empty_dataset(work, quant_ckpt, lowered, capsys):
@@ -290,6 +328,27 @@ def test_eval_threshold_out_of_range(work, fp_ckpt, tiny_data):
 def test_eval_program_rejects_threshold_flag(lowered, tiny_data):
     assert run(["eval", lowered, "--data", tiny_data["val"],
                 "--threshold", 0.6]) == 2
+
+
+def test_eval_checkpoint_threshold_flag(work, fp_ckpt, quant_ckpt,
+                                       tiny_data):
+    """--threshold 0.6 evaluates a checkpoint under that decision rule, on
+    the float route and on the exact route."""
+    ds = load_dataset(tiny_data["val"])
+    changed = []
+    for path in (fp_ckpt, quant_ckpt):
+        rpt = work / "eval.threshold.json"
+        assert run(["eval", path, "--data", tiny_data["val"],
+                    "--threshold", 0.6, "--report", rpt]) == 0
+        rep = read_report(rpt)
+        assert rep["resolved"]["threshold"] == 0.6
+        model = load_model(path)
+        default = evaluate(model, ds)
+        model.cfg.decision_threshold = 0.6
+        assert (rep["results"]["accuracy"], rep["results"]["confusion"]) \
+            == evaluate(model, ds)
+        changed.append(rep["results"]["confusion"] != default[1])
+    assert any(changed)
 
 
 def test_verify_roundtrip_ok(quant_ckpt, lowered):
@@ -653,7 +712,7 @@ def test_malformed_index_list_exits_2(work, lowered, tiny_data, capsys,
 
 
 def test_program_eval_compiles_once(work, lowered, tiny_data, monkeypatch):
-    """eval of a .bprog in several batches reuses the compile of the load."""
+    """eval of a .bprog reuses the compile of the load."""
     calls = []
     compile_ = lowering._compile
 
@@ -662,9 +721,7 @@ def test_program_eval_compiles_once(work, lowered, tiny_data, monkeypatch):
         return compile_(*args, **kwargs)
 
     monkeypatch.setattr(lowering, "_compile", counted)
-    assert len(load_dataset(tiny_data["val"])) > 64
-    assert run(["eval", lowered, "--data", tiny_data["val"],
-                "--batch-size", 64]) == 0
+    assert run(["eval", lowered, "--data", tiny_data["val"]]) == 0
     assert len(calls) == 1
 
 

@@ -25,7 +25,8 @@ from ndlite.model import build_model, exact_bit_forward
 from ndlite.opcount import count_model
 from ndlite.quant import extract_ternary
 
-from test_model import randomized_quantized_model, small_cfg
+from test_model import (randomized_firing_model, randomized_quantized_model,
+                        small_cfg)
 
 F = Fraction
 
@@ -298,30 +299,35 @@ def test_program_matches_exact_model_folded():
 
 
 def test_program_matches_exact_model_compare_fallback():
-    m = randomized_quantized_model(2)  # random rows are not antisymmetric
-    prog = lower_model(m)
-    assert prog.layers[-1].decision == "compare"
-    assert any("antisymmetric" in w for w in prog.warnings)
-    bits = np.random.default_rng(2).integers(0, 2, size=(200, 4, 16, 1),
-                                             dtype=np.uint8)
-    labels = run_program(prog, bits)
-    exact_labels, _ = exact_bit_forward(m, bits)
-    assert np.array_equal(labels, exact_labels)
-    assert_same_planes(prog, m, bits)
+    """On a saturated and on a firing random model: random rows are not
+    antisymmetric."""
+    for make in (randomized_quantized_model, randomized_firing_model):
+        m = make(2)
+        prog = lower_model(m)
+        assert prog.layers[-1].decision == "compare"
+        assert any("antisymmetric" in w for w in prog.warnings)
+        bits = np.random.default_rng(2).integers(0, 2, size=(200, 4, 16, 1),
+                                                 dtype=np.uint8)
+        labels = run_program(prog, bits)
+        exact_labels, _ = exact_bit_forward(m, bits)
+        assert np.array_equal(labels, exact_labels)
+        assert_same_planes(prog, m, bits)
 
 
 def test_program_matches_exact_two_blocks_wider_group():
-    m = randomized_quantized_model(
-        8, cfg=small_cfg(residual_blocks=2, group_size=4))
-    antisymmetrize_output(m)
-    prog = lower_model(m)
-    assert prog.layer("res1.c2").skip_from == "res0.c2"
-    bits = np.random.default_rng(8).integers(0, 2, size=(120, 4, 16, 4),
-                                             dtype=np.uint8)
-    labels = run_program(prog, bits)
-    exact_labels, _ = exact_bit_forward(m, bits)
-    assert np.array_equal(labels, exact_labels)
-    assert_same_planes(prog, m, bits)
+    """On a saturated and on a firing random model."""
+    cfg = small_cfg(residual_blocks=2, group_size=4)
+    for m in (randomized_quantized_model(8, cfg),
+              randomized_firing_model(8, cfg, antisymmetric=True)):
+        antisymmetrize_output(m)
+        prog = lower_model(m)
+        assert prog.layer("res1.c2").skip_from == "res0.c2"
+        bits = np.random.default_rng(8).integers(0, 2, size=(120, 4, 16, 4),
+                                                 dtype=np.uint8)
+        labels = run_program(prog, bits)
+        exact_labels, _ = exact_bit_forward(m, bits)
+        assert np.array_equal(labels, exact_labels)
+        assert_same_planes(prog, m, bits)
 
 
 def test_run_program_gemm_blocks_agree(monkeypatch):

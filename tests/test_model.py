@@ -153,6 +153,18 @@ def test_symmetric_output_scores_half_and_threshold_inclusive():
     assert score == 0.5 and label == 1  # boundary inclusive
 
 
+def test_classify_full_stage_is_exact_bit_forward():
+    """A full-stage model classifies one sample by the exact route: the
+    label and score of exact_bit_forward on a batch holding it."""
+    m = randomized_firing_model(4)
+    bits = np.random.default_rng(4).integers(0, 2, size=(64, 4, 16, 1),
+                                             dtype=np.uint8)
+    labels, scores = exact_bit_forward(m, bits)
+    assert set(labels.tolist()) == {0, 1}
+    assert [classify(m, b) for b in bits] == list(zip(labels.tolist(),
+                                                      scores.tolist()))
+
+
 def test_evaluate_all_half_scorer_and_errors():
     ds = gen_dataset(n_per_class=16, rounds=3, group_size=1, seed=0)
     m = build_model(small_cfg(), seed=0)
@@ -220,6 +232,21 @@ def test_train_validates_inputs():
         train(m, tr, other_r, TrainHyper(epochs=1))
     with pytest.raises(ValueError):
         train(m, tr, tr, TrainHyper(epochs=1, batch_size=1))
+
+
+def test_train_stops_early_without_improvement():
+    """With lr 0 and a zeroed output layer every epoch scores 0.5 on the
+    balanced validation set, so patience 0 stops after epoch 1, keeping
+    epoch 0."""
+    tr = gen_dataset(n_per_class=32, rounds=3, group_size=1, seed=0)
+    va = gen_dataset(n_per_class=16, rounds=3, group_size=1, seed=1)
+    m = build_model(small_cfg(), seed=0)
+    m.weights["out"][:] = 0.0
+    m.norms["out"][:] = 0.0
+    _, rep = train(m, tr, va, TrainHyper(epochs=5, batch_size=32, lr=0.0,
+                                         patience=0))
+    assert [e["epoch"] for e in rep.entries] == [0, 1]
+    assert rep.best_epoch == 0 and rep.best_val_acc == 0.5
 
 
 def test_train_loss_decreases_fp():
@@ -403,9 +430,10 @@ def ref_float_forward(m: Model, x):
         outs[spec.name] = h = y
 
 
-def randomized_firing_model(seed, cfg=None):
+def randomized_firing_model(seed, cfg=None, antisymmetric=False):
     """randomized_quantized_model with each step size, batchnorm mean and
-    dense bias (the output's b1 - b0) drawn again. A step size is
+    dense bias (the output's b1 - b0) drawn again, its output columns first
+    made negations of each other when antisymmetric. A step size is
     0.8-1.6 times its layer's mean |w|, so that 52-75% of Gaussian weights
     get a nonzero code. Layer by layer, every channel's switch point then goes in its
     reachable range, half a step above a sum it takes on 256 random inputs
@@ -413,6 +441,8 @@ def randomized_firing_model(seed, cfg=None):
     largest): its channels fire on some inputs and not on others, and
     float rounding cannot flip a bit."""
     m = randomized_quantized_model(seed, cfg)
+    if antisymmetric:
+        m.weights["out"][:, 1] = -m.weights["out"][:, 0]
     r = np.random.default_rng(seed + 1000)
     for name, d in m.deltas.items():
         d[()] = float(np.mean(np.abs(m.weights[name]))) * r.uniform(0.8, 1.6)
