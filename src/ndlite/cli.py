@@ -1,13 +1,15 @@
 """Command-line pipeline: generate data, train, quantize, lower, count,
 evaluate, verify.
 
-Every command resolves its parameters from CLI flags over an optional flat
-key=value config file, records the resolved values (and the verbatim
-config text) in a JSON report next to its primary output before doing any
-work, and embeds the sha256 of every input file it consumed. The ND_SEED
-environment variable overrides a config-file seed; an explicit --seed flag
-overrides both. Exit codes: 0 success, 2 validation or shape error,
-3 equivalence failure, 4 I/O error.
+Each command's options are declared once, in COMMANDS: key -> (type,
+default[, help]). The table gives each option its --flag and its key in an
+optional flat key=value config file; a flag beats the config file, which
+beats the default. Every command records every resolved value (and the
+verbatim config text) in a JSON report next to its primary output before
+doing any work, and embeds the sha256 of every input file it consumed. The
+ND_SEED environment variable overrides a config-file seed; an explicit
+--seed flag overrides both. Exit codes: 0 success, 2 validation or shape
+error, 3 equivalence failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from .lowering import (load_program, lower_model, program_expressions,
 from .model import (ModelConfig, TrainHyper, build_model, confusion,
                     evaluate, layer_specs, load_model, save_model, train)
 from .opcount import count_model, format_csv, format_table, op_ratio
-from .quant import QuantSchedule
+from .quant import STAGES, QuantSchedule
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_EQUIVALENCE = 3
 EXIT_IO = 4
+
+REQUIRED = object()  # the default of an option that has none
 
 
 class CliError(Exception):
@@ -72,66 +76,85 @@ def read_config(path):
 
 
 def _boolean(text):
-    """A config-file boolean: true or false, in any case."""
+    """A config-file boolean: true or false, in any case. As a flag,
+    --key or --no-key."""
     if text.lower() not in ("true", "false"):
         raise ValueError("expected true or false")
     return text.lower() == "true"
 
 
-class Resolver:
-    """Flag > config file > default, recording every resolved value."""
+def _count(text):
+    """A non-negative integer, such as a number of epochs or trials."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
 
-    def __init__(self, args):
-        self.args = args
-        self.config_text = None
-        self.values = {}
-        if getattr(args, "config", None):
-            self.values, self.config_text = read_config(args.config)
-        self.resolved = {}
 
-    def get(self, key, cast=str, default=None, required=False):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            value = flag
-        elif key in self.values:
-            try:
-                value = cast(self.values[key])
-            except ValueError as e:
-                raise CliError(EXIT_VALIDATION, f"config file: {key} = "
-                               f"{self.values[key]}: {e}") from None
-        else:
-            value = default
-        if value is None and required:
-            raise CliError(EXIT_VALIDATION, f"missing required option '{key}'")
-        self.resolved[key] = value
-        return value
+def _delta(text):
+    """An input difference, recorded as 0xLLLL/0xRRRR."""
+    try:
+        words = [int(p, 16) for p in text.split("/")]
+    except ValueError:
+        words = []
+    if len(words) != 2:
+        raise argparse.ArgumentTypeError(
+            f"expected a difference such as 0x0040/0x0000, got {text!r}")
+    return "/".join(f"0x{w:04x}" for w in words)
 
-    def seed(self, default=0):
-        """--seed beats ND_SEED beats config-file seed."""
-        flag = getattr(self.args, "seed", None)
+
+def _config_value(key, kind, text):
+    """A config-file value, read as the option's flag reads it."""
+    try:
+        if not isinstance(kind, tuple):
+            return kind(text)
+        if text in kind:
+            return text
+        raise ValueError(f"expected one of {', '.join(kind)}")
+    except (ValueError, argparse.ArgumentTypeError) as e:
+        raise CliError(EXIT_VALIDATION,
+                       f"config file: {key} = {text}: {e}") from None
+
+
+def resolve(args):
+    """(o, report): every option of args' command, flag > config file >
+    default, as the namespace o, and the command's Report, which records
+    them. A set ND_SEED sits between --seed and the config file's seed."""
+    config, text = read_config(args.config) if args.config else ({}, None)
+    o = argparse.Namespace()
+    for key, (kind, default, *_) in args.options.items():
+        flag = getattr(args, key)
         if flag is not None:
             value, source = flag, "flag"
-        elif os.environ.get("ND_SEED"):
+        elif key == "seed" and os.environ.get("ND_SEED"):
             value, source = int(os.environ["ND_SEED"], 0), "ND_SEED"
-        elif "seed" in self.values:
-            value, source = int(self.values["seed"]), "config"
+        elif key in config:
+            value, source = _config_value(key, kind, config[key]), "config"
+        elif default is REQUIRED:
+            raise CliError(EXIT_VALIDATION, f"missing required option '{key}'")
         else:
             value, source = default, "default"
-        self.resolved["seed"] = value
-        self.resolved["seed_source"] = source
-        return value
+        setattr(o, key, value)
+        if key == "seed":
+            o.seed_source = source
+    path = o.report if "report" in args.options else f"{o.out}.report.json"
+    return o, Report(args.command, path, vars(o), args.config, text)
 
 
 class Report:
     """Serialized before work starts, rewritten with results at the end."""
 
-    def __init__(self, command, path, resolver):
+    def __init__(self, command, path, resolved, config_file, config_text):
         self.path = path
-        self.payload = {"command": command, "resolved": resolver.resolved,
+        self.payload = {"command": command, "resolved": resolved,
                         "inputs": {}, "outputs": {}, "results": {}}
-        if resolver.config_text is not None:
-            self.payload["config_file"] = resolver.args.config
-            self.payload["config_text"] = resolver.config_text
+        if config_text is not None:
+            self.payload["config_file"] = config_file
+            self.payload["config_text"] = config_text
 
     def start(self):
         self._t0 = time.perf_counter()
@@ -161,17 +184,6 @@ class Report:
             f.write("\n")
 
 
-def _parse_delta(text):
-    parts = text.split("/")
-    if len(parts) != 2:
-        raise ValueError(f"delta must look like 0x0040/0x0000, got {text!r}")
-    return tuple(int(p, 16) for p in parts)
-
-
-def _parse_sizes(text):
-    return tuple(int(p) for p in str(text).split(","))
-
-
 def _detect_kind(path):
     with open(path, "rb") as f:
         magic = f.read(5)
@@ -185,58 +197,26 @@ def _detect_kind(path):
 # ----------------------------------------------------------------- commands
 
 def cmd_gen_data(args):
-    r = Resolver(args)
-    out = r.get("out", required=True)
-    n_per_class = r.get("n_per_class", int, required=True)
-    rounds = r.get("rounds", int, 6)
-    group_size = r.get("group_size", int, 8)
-    delta = _parse_delta(r.get("delta", str, "0x0040/0x0000"))
-    r.resolved["delta"] = f"0x{delta[0]:04x}/0x{delta[1]:04x}"
-    seed = r.seed()
-    report = Report("gen-data", f"{out}.report.json", r)
+    o, report = resolve(args)
     report.start()
 
-    ds = gen_dataset(n_per_class, rounds, delta=delta, group_size=group_size,
-                     seed=seed)
-    save_dataset(ds, out)
-    report.add_output(out)
+    delta = tuple(int(w, 16) for w in o.delta.split("/"))
+    ds = gen_dataset(o.n_per_class, o.rounds, delta=delta,
+                     group_size=o.group_size, seed=o.seed)
+    save_dataset(ds, o.out)
+    report.add_output(o.out)
     n_real = int(ds.labels.sum())
-    print(f"wrote {out}: {len(ds)} samples "
+    print(f"wrote {o.out}: {len(ds)} samples "
           f"({n_real} real, {len(ds) - n_real} random), "
-          f"rounds={rounds} group_size={group_size}")
-    print(f"sha256 {sha256_file(out)}")
+          f"rounds={o.rounds} group_size={o.group_size}")
+    print(f"sha256 {sha256_file(o.out)}")
     report.finish(samples=len(ds), real=n_real, random=len(ds) - n_real)
     return EXIT_OK
 
 
-def _model_config(r, group_size):
-    return ModelConfig(
-        group_size=group_size,
-        channels=r.get("channels", int, 32),
-        residual_blocks=r.get("residual_blocks", int, 1),
-        dense_sizes=_parse_sizes(r.get("dense_sizes", str, "64,64")),
-        decision_threshold=r.get("threshold", float, 0.505),
-        hidden_activation=r.get("activation", str, "relu"))
-
-
-def _hyper(r, seed):
-    return TrainHyper(
-        epochs=r.get("epochs", int, 20),
-        batch_size=r.get("batch_size", int, 512),
-        lr=r.get("lr", float, 1e-3),
-        patience=r.get("patience", int, 5),
-        seed=seed)
-
-
-def _schedule(r, stage):
-    warmup = r.get("warmup_epochs", int, 5)
-    weights = r.get("weight_quant_epochs", int, 5)
-    acts = r.get("act_quant_epochs", int, 10)
-    if stage == "fp":
-        return None
-    if stage == "weights":
-        return QuantSchedule(warmup, weights, 0)
-    return QuantSchedule(warmup, weights, acts)
+def _hyper(o, seed):
+    # the keys of _HYPER are fields of TrainHyper
+    return TrainHyper(seed=seed, **{key: getattr(o, key) for key in _HYPER})
 
 
 def _progress(n_samples):
@@ -252,38 +232,33 @@ def _progress(n_samples):
 
 
 def cmd_train(args):
-    r = Resolver(args)
-    data_path = r.get("data", required=True)
-    val_path = r.get("val_data", required=True)
-    out = r.get("out", required=True)
-    stage = r.get("quant_stage", str, "fp")
-    if stage not in ("fp", "weights", "full"):
-        raise ValueError(f"unknown quant stage {stage!r}")
-    repeats = r.get("repeats", int, 1)
-    if repeats < 1:
+    o, report = resolve(args)
+    if o.repeats < 1:
         raise ValueError("repeats must be >= 1")
-    seed = r.seed()
 
-    train_set = load_dataset(data_path)
-    val_set = load_dataset(val_path)
-    cfg = _model_config(r, train_set.group_size)
-    quant = _schedule(r, stage)
-    hyper = _hyper(r, seed)
-    report = Report("train", f"{out}.report.json", r)
-    report.add_input(data_path)
-    report.add_input(val_path)
+    train_set = load_dataset(o.data)
+    val_set = load_dataset(o.val_data)
+    cfg = ModelConfig(
+        group_size=train_set.group_size, channels=o.channels,
+        residual_blocks=o.residual_blocks,
+        dense_sizes=tuple(int(p) for p in o.dense_sizes.split(",")),
+        decision_threshold=o.threshold, hidden_activation=o.activation)
+    quant = None if o.quant_stage == "fp" else QuantSchedule(
+        o.warmup_epochs, o.weight_quant_epochs,
+        o.act_quant_epochs if o.quant_stage == "full" else 0)
+    report.add_input(o.data)
+    report.add_input(o.val_data)
     report.start()
 
-    out_path = Path(out)
+    out_path = Path(o.out)
     runs = []
-    for i in range(repeats):
-        run_seed = seed + i
+    for i in range(o.repeats):
+        run_seed = o.seed + i
         model = build_model(cfg, seed=run_seed)
-        hyper_i = TrainHyper(**{**hyper.__dict__, "seed": run_seed})
         model, train_report = train(model, train_set, val_set,
-                                    hyper=hyper_i, quant=quant,
+                                    hyper=_hyper(o, run_seed), quant=quant,
                                     on_epoch=_progress(len(train_set)))
-        path = out_path if repeats == 1 else out_path.with_name(
+        path = out_path if o.repeats == 1 else out_path.with_name(
             f"{out_path.stem}.r{i}{out_path.suffix}")
         save_model(model, path)
         report.add_output(path)
@@ -295,65 +270,66 @@ def cmd_train(args):
         print(f"run {i}: seed={run_seed} stage={model.stage} "
               f"val_acc={acc:.4f} -> {path}")
     mean_acc = float(np.mean([run["val_acc"] for run in runs]))
-    print(f"mean val_acc over {repeats} run(s): {mean_acc:.4f}")
+    print(f"mean val_acc over {o.repeats} run(s): {mean_acc:.4f}")
     report.finish(runs=runs, mean_val_acc=mean_acc)
     return EXIT_OK
 
 
 def cmd_quantize(args):
-    r = Resolver(args)
-    ckpt = r.get("checkpoint", required=True)
-    out = r.get("out", required=True)
-    stage = r.get("stage", str, "full")
-    data_path = r.get("data")
-    val_path = r.get("val_data")
-    epochs = r.get("epochs", int, 0)
-    seed = r.seed()
-    report = Report("quantize", f"{out}.report.json", r)
-    report.add_input(ckpt)
+    o, report = resolve(args)
+    report.add_input(o.checkpoint)
     report.start()
 
-    model = load_model(ckpt)
-    model.set_stage(stage)
-    results = {"stage": stage, "fine_tune_epochs": 0}
-    if data_path is not None and epochs > 0:
-        if val_path is None:
+    model = load_model(o.checkpoint)
+    model.set_stage(o.stage)
+    results = {"stage": o.stage, "fine_tune_epochs": 0}
+    if o.data is not None and o.epochs > 0:
+        if o.val_data is None:
             raise CliError(EXIT_VALIDATION,
                            "fine-tuning needs val_data alongside data")
-        train_set = load_dataset(data_path)
-        val_set = load_dataset(val_path)
-        report.add_input(data_path)
-        report.add_input(val_path)
-        hyper = TrainHyper(**{**_hyper(r, seed).__dict__, "epochs": epochs})
-        model, train_report = train(model, train_set, val_set, hyper=hyper,
+        train_set = load_dataset(o.data)
+        val_set = load_dataset(o.val_data)
+        report.add_input(o.data)
+        report.add_input(o.val_data)
+        model, train_report = train(model, train_set, val_set,
+                                    hyper=_hyper(o, o.seed),
                                     on_epoch=_progress(len(train_set)))
-        results["fine_tune_epochs"] = epochs
+        results["fine_tune_epochs"] = o.epochs
         results["best_epoch"] = train_report.best_epoch
         acc, _ = evaluate(model, val_set)
         results["val_acc"] = acc
-        print(f"fine-tuned {epochs} epoch(s) at stage {stage}, "
+        print(f"fine-tuned {o.epochs} epoch(s) at stage {o.stage}, "
               f"val_acc={acc:.4f}")
-    save_model(model, out)
-    report.add_output(out)
-    print(f"wrote {out} at stage {model.stage}")
+    save_model(model, o.out)
+    report.add_output(o.out)
+    print(f"wrote {o.out} at stage {model.stage}")
     report.finish(**results)
     return EXIT_OK
 
 
-def _print_counterexample(ce):
+def _verify(prog, model, o, report, passed_key, **results):
+    """Checks prog against model with o's trials, width and seed, and
+    finishes the report with the outcome (under passed_key) and results.
+    Returns the coverage line; on a failure, prints FAILED and the
+    counterexample on stderr and returns None."""
+    rep = verify_equivalence(prog, model, trials=o.trials,
+                             exhaustive_width=o.width, seed=o.seed)
+    report.finish(**{passed_key: rep.passed}, trials_run=rep.trials_run,
+                  exhaustive_channels=rep.exhaustive_channels,
+                  total_channels=rep.total_channels, **results)
+    if rep.passed:
+        return (f"{rep.trials_run} random trials, proven "
+                f"{rep.exhaustive_channels}/{rep.total_channels} channels")
+    print("equivalence verification FAILED", file=sys.stderr)
     print("counterexample:", file=sys.stderr)
-    for key, value in ce.items():
+    for key, value in rep.counterexample.items():
         if key == "input":
             packed = np.packbits(np.asarray(value, dtype=np.uint8).ravel())
             print(f"  input_bits_hex={packed.tobytes().hex()}",
                   file=sys.stderr)
         else:
             print(f"  {key}={value}", file=sys.stderr)
-
-
-def _coverage(rep):
-    return (f"{rep.trials_run} random trials, proven "
-            f"{rep.exhaustive_channels}/{rep.total_channels} channels")
+    return None
 
 
 def _sparsity_lines(prog):
@@ -367,45 +343,30 @@ def _sparsity_lines(prog):
 
 
 def cmd_lower(args):
-    r = Resolver(args)
-    ckpt = r.get("checkpoint", required=True)
-    out = r.get("out", required=True)
-    theta_mode = r.get("theta_mode", str, "folded")
-    fold_output = r.get("fold_output", _boolean, True)
-    output_mode = r.get("output_mode", str, "threshold")
-    trials = r.get("trials", int, 10_000)
-    width = r.get("width", int, 9)
-    seed = r.seed()
-    report = Report("lower", f"{out}.report.json", r)
-    report.add_input(ckpt)
+    o, report = resolve(args)
+    report.add_input(o.checkpoint)
     report.start()
 
-    model = load_model(ckpt)
-    prog = lower_model(model, theta_mode=theta_mode, fold_output=fold_output,
-                       output_mode=output_mode)
-    save_program(prog, out)
-    report.add_output(out)
+    model = load_model(o.checkpoint)
+    prog = lower_model(model, theta_mode=o.theta_mode,
+                       fold_output=o.fold_output, output_mode=o.output_mode)
+    save_program(prog, o.out)
+    report.add_output(o.out)
     for line in _sparsity_lines(prog):
         print(line)
     for warning in prog.warnings:
         print(f"warning: {warning}")
-    exprs = [(ln, ci, f) for ln, ci, f in program_expressions(prog)
+    exprs = [f"{ln} ch={ci}: {f}" for ln, ci, f in program_expressions(prog)
              if ln == "conv0"]
-    for ln, ci, formula in exprs:
-        print(f"{ln} ch={ci}: {formula}")
+    for expr in exprs:
+        print(expr)
 
-    rep = verify_equivalence(prog, model, trials=trials,
-                             exhaustive_width=width, seed=seed)
-    report.finish(verify_passed=rep.passed, trials_run=rep.trials_run,
-                  exhaustive_channels=rep.exhaustive_channels,
-                  total_channels=rep.total_channels, warnings=prog.warnings,
-                  expressions=[f"{ln} ch={ci}: {f}" for ln, ci, f in exprs])
-    if not rep.passed:
-        print("equivalence verification FAILED", file=sys.stderr)
-        _print_counterexample(rep.counterexample)
+    coverage = _verify(prog, model, o, report, "verify_passed",
+                       warnings=prog.warnings, expressions=exprs)
+    if coverage is None:
         return EXIT_EQUIVALENCE
-    print(f"verified: {_coverage(rep)}")
-    print(f"wrote {out}")
+    print(f"verified: {coverage}")
+    print(f"wrote {o.out}")
     return EXIT_OK
 
 
@@ -424,18 +385,15 @@ def _implied_config(prog):
 
 
 def cmd_count(args):
-    r = Resolver(args)
-    path = args.path
-    dead = r.get("count_dead_indicators", _boolean, False)
-    csv_out = r.get("csv")
-    report = Report("count", args.report, r)
-    report.add_input(path)
+    o, report = resolve(args)
+    report.add_input(o.path)
     report.start()
 
-    kind = _detect_kind(path)
+    kind = _detect_kind(o.path)
+    dead = o.count_dead_indicators
     sections = []
     if kind == "checkpoint":
-        model = load_model(path)
+        model = load_model(o.path)
         dense_total, dense_rows = count_model(model)
         sections.append(("dense", dense_total, dense_rows))
         if model.stage == "full":
@@ -444,7 +402,7 @@ def cmd_count(args):
                 prog, count_dead_indicators=dead)
             sections.append(("lightweight", light_total, light_rows))
     else:
-        prog = load_program(path)
+        prog = load_program(o.path)
         light_total, light_rows = count_model(prog,
                                               count_dead_indicators=dead)
         sections.append(("lightweight", light_total, light_rows))
@@ -466,46 +424,42 @@ def cmd_count(args):
         ratio = op_ratio(sections[1][1], sections[0][1])
         print(f"lightweight/dense operation ratio: {ratio:.4f}")
         results["ratio"] = ratio
-    if csv_out:
-        with open(csv_out, "w", encoding="utf-8") as f:
+    if o.csv:
+        with open(o.csv, "w", encoding="utf-8") as f:
             f.write("\n".join(csv_parts) + "\n")
-        report.add_output(csv_out)
-        print(f"wrote {csv_out}")
+        report.add_output(o.csv)
+        print(f"wrote {o.csv}")
     report.finish(**results)
     return EXIT_OK
 
 
 def cmd_eval(args):
-    r = Resolver(args)
-    path = args.path
-    data_path = r.get("data", required=True)
-    threshold = r.get("threshold", float)
-    report = Report("eval", args.report, r)
-    report.add_input(path)
-    report.add_input(data_path)
+    o, report = resolve(args)
+    report.add_input(o.path)
+    report.add_input(o.data)
     report.start()
 
-    ds = load_dataset(data_path)
+    ds = load_dataset(o.data)
     if len(ds) == 0:
         raise CliError(EXIT_VALIDATION, "cannot evaluate on an empty dataset")
-    kind = _detect_kind(path)
+    kind = _detect_kind(o.path)
     if kind == "program":
-        if threshold is not None:
+        if o.threshold is not None:
             raise CliError(EXIT_VALIDATION,
                            "programs have their decision threshold folded "
                            "in; re-lower the checkpoint to change it")
-        prog = load_program(path)
+        prog = load_program(o.path)
         accuracy, counts = confusion(run_program(prog, ds.bits), ds.labels)
     else:
-        model = load_model(path)
-        if threshold is not None and not 0.0 < threshold < 1.0:
+        model = load_model(o.path)
+        if o.threshold is not None and not 0.0 < o.threshold < 1.0:
             # degenerate rule: score >= t is constant on [0, 1] scores
-            pred = np.full(len(ds), 1 if threshold <= 0.0 else 0,
+            pred = np.full(len(ds), 1 if o.threshold <= 0.0 else 0,
                            dtype=np.uint8)
             accuracy, counts = confusion(pred, ds.labels)
         else:
-            if threshold is not None:
-                model.cfg.decision_threshold = threshold
+            if o.threshold is not None:
+                model.cfg.decision_threshold = o.threshold
             accuracy, counts = evaluate(model, ds)
     print(f"accuracy {accuracy:.6f} on {len(ds)} samples")
     print(" ".join(f"{k}={counts[k]}" for k in ("tp", "tn", "fp", "fn")))
@@ -514,37 +468,98 @@ def cmd_eval(args):
 
 
 def cmd_verify(args):
-    r = Resolver(args)
-    ckpt = r.get("checkpoint", required=True)
-    prog_path = r.get("program", required=True)
-    trials = r.get("trials", int, 10_000)
-    width = r.get("width", int, 9)
-    seed = r.seed()
-    report = Report("verify", args.report, r)
-    report.add_input(ckpt)
-    report.add_input(prog_path)
+    o, report = resolve(args)
+    report.add_input(o.checkpoint)
+    report.add_input(o.program)
     report.start()
 
-    model = load_model(ckpt)
-    prog = load_program(prog_path)
-    rep = verify_equivalence(prog, model, trials=trials,
-                             exhaustive_width=width, seed=seed)
-    report.finish(passed=rep.passed, trials_run=rep.trials_run,
-                  exhaustive_channels=rep.exhaustive_channels,
-                  total_channels=rep.total_channels)
-    if not rep.passed:
-        print("equivalence verification FAILED", file=sys.stderr)
-        _print_counterexample(rep.counterexample)
+    model = load_model(o.checkpoint)
+    prog = load_program(o.program)
+    coverage = _verify(prog, model, o, report, "passed")
+    if coverage is None:
         return EXIT_EQUIVALENCE
-    print(f"equivalent: {_coverage(rep)}")
+    print(f"equivalent: {coverage}")
     return EXIT_OK
 
 
-# ------------------------------------------------------------------- parser
+# ------------------------------------------------------------------ options
 
-def _add_common(sp):
-    sp.add_argument("--config", help="flat key=value config file")
-    sp.add_argument("--seed", type=int, help="RNG seed (beats ND_SEED)")
+# Option groups that more than one command takes.
+_SEED = {"seed": (int, TrainHyper.seed, "RNG seed (beats ND_SEED)")}
+_HYPER = {"epochs": (_count, TrainHyper.epochs),
+          "batch_size": (_count, TrainHyper.batch_size),
+          "lr": (float, TrainHyper.lr),
+          "patience": (_count, TrainHyper.patience)}
+_VERIFY = {"trials": (_count, 10_000, "random whole-network trials"),
+           "width": (_count, 9, "enumerate every sum of channels with at "
+                                "most this many live input bits")}
+_REPORT = {"report": (str, None, "write a JSON report here")}
+_PATH = {"path": (str, REQUIRED, "checkpoint or program file")}
+
+# command -> (function, help, options); an option is key -> (type, default
+# [, help]). The type reads both the flag and the config-file value; a
+# tuple of names is a choice, _boolean a --key/--no-key flag. "path" is the
+# command's positional argument.
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate a labeled dataset file", {
+        "out": (str, REQUIRED),
+        "n_per_class": (_count, REQUIRED),
+        "rounds": (_count, 6),
+        "group_size": (_count, ModelConfig.group_size),
+        "delta": (_delta, _delta("/".join(map(hex, DEFAULT_DELTA))),
+                  "input difference"),
+        **_SEED}),
+    "train": (cmd_train, "train distinguisher checkpoint(s)", {
+        "data": (str, REQUIRED),
+        "val_data": (str, REQUIRED),
+        "out": (str, REQUIRED),
+        "quant_stage": (STAGES, "fp"),
+        "repeats": (_count, 1),
+        **_HYPER,
+        "channels": (_count, ModelConfig.channels),
+        "residual_blocks": (_count, ModelConfig.residual_blocks),
+        "dense_sizes": (str, ",".join(map(str, ModelConfig.dense_sizes))),
+        "threshold": (float, ModelConfig.decision_threshold),
+        "activation": (str, ModelConfig.hidden_activation),
+        "warmup_epochs": (_count, QuantSchedule.warmup_epochs),
+        "weight_quant_epochs": (_count, QuantSchedule.weight_quant_epochs),
+        "act_quant_epochs": (_count, QuantSchedule.act_quant_epochs),
+        **_SEED}),
+    "quantize": (cmd_quantize, "move a checkpoint to a quantization stage", {
+        "checkpoint": (str, REQUIRED),
+        "out": (str, REQUIRED),
+        "stage": (STAGES, "full"),
+        "data": (str, None, "fine-tune on this dataset"),
+        "val_data": (str, None),
+        **_HYPER,
+        "epochs": (_count, 0, "fine-tuning epochs"),
+        **_SEED}),
+    "lower": (cmd_lower, "compile a quantized checkpoint to a program", {
+        "checkpoint": (str, REQUIRED),
+        "out": (str, REQUIRED),
+        "theta_mode": (("folded", "zero"), "folded"),
+        "fold_output": (_boolean, True),
+        "output_mode": (("threshold", "argmax"), "threshold"),
+        **_VERIFY,
+        **_SEED}),
+    "count": (cmd_count, "operation-count report", {
+        **_PATH,
+        "count_dead_indicators": (_boolean, False),
+        "csv": (str, None, "also write the table as CSV"),
+        **_REPORT}),
+    "eval": (cmd_eval, "accuracy of a checkpoint or program", {
+        **_PATH,
+        "data": (str, REQUIRED),
+        "threshold": (float, None, "a checkpoint's decision threshold "
+                                   "(default: its own)"),
+        **_REPORT}),
+    "verify": (cmd_verify, "re-check program/checkpoint equivalence", {
+        "checkpoint": (str, REQUIRED),
+        "program": (str, REQUIRED),
+        **_VERIFY,
+        **_REPORT,
+        **_SEED}),
+}
 
 
 def build_parser():
@@ -553,95 +568,26 @@ def build_parser():
         description="SPECK32/64 distinguisher pipeline: data, training, "
                     "ternary quantization, Boolean lowering, op counting.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("gen-data", help="generate a labeled dataset file")
-    _add_common(sp)
-    sp.add_argument("--out")
-    sp.add_argument("--n-per-class", type=int, dest="n_per_class")
-    sp.add_argument("--rounds", type=int)
-    sp.add_argument("--group-size", type=int, dest="group_size")
-    sp.add_argument("--delta", help="input difference, e.g. 0x0040/0x0000")
-    sp.set_defaults(func=cmd_gen_data)
-
-    sp = sub.add_parser("train", help="train distinguisher checkpoint(s)")
-    _add_common(sp)
-    sp.add_argument("--data")
-    sp.add_argument("--val-data", dest="val_data")
-    sp.add_argument("--out")
-    sp.add_argument("--quant-stage", dest="quant_stage",
-                    choices=("fp", "weights", "full"))
-    sp.add_argument("--repeats", type=int)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--patience", type=int)
-    sp.add_argument("--channels", type=int)
-    sp.add_argument("--residual-blocks", type=int, dest="residual_blocks")
-    sp.add_argument("--dense-sizes", dest="dense_sizes")
-    sp.add_argument("--threshold", type=float)
-    sp.add_argument("--activation")
-    sp.add_argument("--warmup-epochs", type=int, dest="warmup_epochs")
-    sp.add_argument("--weight-quant-epochs", type=int,
-                    dest="weight_quant_epochs")
-    sp.add_argument("--act-quant-epochs", type=int, dest="act_quant_epochs")
-    sp.set_defaults(func=cmd_train)
-
-    sp = sub.add_parser("quantize",
-                        help="move a checkpoint to a quantization stage")
-    _add_common(sp)
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--out")
-    sp.add_argument("--stage", choices=("fp", "weights", "full"))
-    sp.add_argument("--data")
-    sp.add_argument("--val-data", dest="val_data")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--patience", type=int)
-    sp.set_defaults(func=cmd_quantize)
-
-    sp = sub.add_parser("lower",
-                        help="compile a quantized checkpoint to a program")
-    _add_common(sp)
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--out")
-    sp.add_argument("--theta-mode", dest="theta_mode",
-                    choices=("folded", "zero"))
-    sp.add_argument("--fold-output", dest="fold_output",
-                    action=argparse.BooleanOptionalAction)
-    sp.add_argument("--output-mode", dest="output_mode",
-                    choices=("threshold", "argmax"))
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--width", type=int)
-    sp.set_defaults(func=cmd_lower)
-
-    sp = sub.add_parser("count", help="operation-count report")
-    _add_common(sp)
-    sp.add_argument("path", help="checkpoint or program file")
-    sp.add_argument("--count-dead-indicators", dest="count_dead_indicators",
-                    action=argparse.BooleanOptionalAction)
-    sp.add_argument("--csv", help="also write the table as CSV")
-    sp.add_argument("--report", help="write a JSON report here")
-    sp.set_defaults(func=cmd_count)
-
-    sp = sub.add_parser("eval", help="accuracy of a checkpoint or program")
-    _add_common(sp)
-    sp.add_argument("path", help="checkpoint or program file")
-    sp.add_argument("--data")
-    sp.add_argument("--threshold", type=float)
-    sp.add_argument("--report", help="write a JSON report here")
-    sp.set_defaults(func=cmd_eval)
-
-    sp = sub.add_parser("verify",
-                        help="re-check program/checkpoint equivalence")
-    _add_common(sp)
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--program")
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--report", help="write a JSON report here")
-    sp.set_defaults(func=cmd_verify)
-
+    for name, (func, about, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=about)
+        sp.set_defaults(func=func, options=options)
+        sp.add_argument("--config", help="flat key=value config file")
+        for key, (kind, default, *text) in options.items():
+            if default is REQUIRED:
+                text.append("(required)")
+            elif default is not None:
+                text.append(f"(default: {default})")
+            if key == "path":
+                names, how = [key], {"nargs": "?"}
+            else:
+                names, how = ["--" + key.replace("_", "-")], {}
+            if kind is _boolean:
+                how["action"] = argparse.BooleanOptionalAction
+            elif isinstance(kind, tuple):
+                how["choices"] = kind
+            else:
+                how["type"] = kind
+            sp.add_argument(*names, help=" ".join(text), **how)
     return p
 
 

@@ -301,7 +301,7 @@ class Model:
             if not training:
                 y += shift
             elif spec.norm == "bn":
-                y, c_bn = nn.batchnorm(y, norm, training)
+                y, c_bn = nn.batchnorm(y, norm)
             if spec is not specs[-1]:
                 h, c_act = self._act(y, training)
                 if spec.name in skip_sources:

@@ -256,20 +256,14 @@ def bn_affine(bn: BnState):
     return scale, bn.beta - bn.running_mean * scale
 
 
-def batchnorm(x, bn: BnState, training):
-    """Normalize per channel over every leading axis of a channels-last
-    x [..., C]; training mode updates running stats in place, inference
-    applies bn_affine."""
-    rows = x.reshape(-1, x.shape[-1])
-    if not training:
-        scale, shift = bn_affine(bn)
-        y = rows * scale
-        y += shift
-        inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-        xhat = (rows - bn.running_mean) * inv_std  # for batchnorm_grad
-        return y.reshape(x.shape), (xhat, inv_std, bn.gamma, training)
+def batchnorm(x, bn: BnState):
+    """Training-mode batchnorm: normalize per channel over every leading
+    axis of a channels-last x [..., C] by the batch's statistics, and
+    update the running stats in place. Inference folds bn_affine into the
+    layer before instead."""
     if x.shape[0] < 2:
         raise ValueError("batchnorm training requires batch size >= 2")
+    rows = x.reshape(-1, x.shape[-1])
     mean = channel_sums(rows) / len(rows)
     xhat = rows - mean
     var = channel_sums(np.square(xhat)) / len(rows)
@@ -279,22 +273,19 @@ def batchnorm(x, bn: BnState, training):
     xhat *= inv_std
     y = bn.gamma * xhat
     y += bn.beta
-    return y.reshape(x.shape), (xhat, inv_std, bn.gamma, training)
+    return y.reshape(x.shape), (xhat, inv_std, bn.gamma)
 
 
 def batchnorm_grad(dy, cache):
-    """Returns (dx, dgamma, dbeta). In training mode
+    """Returns (dx, dgamma, dbeta), with
     dx = g * (dy - dbeta/m - xhat * dgamma/m), g = gamma * inv_std."""
-    xhat, inv_std, gamma, training = cache
+    xhat, inv_std, gamma = cache
     rows = dy.reshape(xhat.shape)
     dx = rows * xhat
     dgamma, dbeta = channel_sums(dx), channel_sums(rows)
-    if training:
-        np.multiply(xhat, dgamma / len(rows), out=dx)
-        np.subtract(rows, dx, out=dx)
-        dx -= dbeta / len(rows)
-    else:
-        np.copyto(dx, rows)
+    np.multiply(xhat, dgamma / len(rows), out=dx)
+    np.subtract(rows, dx, out=dx)
+    dx -= dbeta / len(rows)
     dx *= gamma * inv_std
     return dx.reshape(dy.shape), dgamma, dbeta
 

@@ -106,6 +106,11 @@ MUTATIONS = [
     ("loader: a decision allowed on any layer", "lowering.py",
      "        if (lp.decision is not None) != (lp is prog.layers[-1]):",
      "        if False:", LOADER),
+    # resolve, the CLI's flag > config file > default
+    ("resolve: config value beats the flag", "cli.py",
+     "        if flag is not None:\n",
+     "        if flag is not None and key not in config:\n",
+     [f"{CLI}::test_every_option_as_flag_or_config_line"]),
 ]
 
 

@@ -181,11 +181,11 @@ def _bn_case(r, four_d):
     bn = nn.BnState.create(c)
     bn.gamma = r.normal(size=c)
     bn.beta = r.normal(size=c)
-    _, cache = nn.batchnorm(layout(x), bn, training=True)
+    _, cache = nn.batchnorm(layout(x), bn)
     proj = r.normal(size=shape)
 
     def loss():
-        return float((nn.batchnorm(layout(x), bn, training=True)[0]
+        return float((nn.batchnorm(layout(x), bn)[0]
                       * layout(proj)).sum())
 
     dx, dgamma, dbeta = nn.batchnorm_grad(layout(proj), cache)

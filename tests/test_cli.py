@@ -25,6 +25,8 @@ from ndlite.lowering import (load_program, lower_model, save_program,
                              structure_mismatch)
 from ndlite.model import (evaluate, exact_bit_forward, layer_specs,
                           load_model, save_model)
+from ndlite.model import ModelConfig, TrainHyper
+from ndlite.quant import QuantSchedule
 
 from test_lowering import (_planted_conv0_model, antisymmetrize_output,
                            damaged, saved_programs_in, set_channel)
@@ -125,6 +127,125 @@ def test_config_file_with_flag_override(work):
     assert rep["resolved"]["rounds"] == 3      # file beat the default
     assert rep["resolved"]["seed_source"] == "config"
     assert "n_per_class = 30" in rep["config_text"]
+
+
+# ------------------------------------------------------------------ options
+
+def _parsed(argv):
+    return ndlite.cli._parser().parse_args([str(a) for a in argv])
+
+
+# two distinct texts of each option type; a choice takes its last and first
+_SAMPLES = {int: ("5", "6"), float: ("0.25", "0.75"), str: ("v.bin", "w.bin"),
+            ndlite.cli._count: ("3", "4"),
+            ndlite.cli._delta: ("0x1/0x2", "0x3/0x4"),
+            ndlite.cli._boolean: ("false", "true")}
+
+
+def _samples(kind):
+    return (kind[-1], kind[0]) if isinstance(kind, tuple) else _SAMPLES[kind]
+
+
+def _flag(key, kind, text):
+    """The command-line form of key = text."""
+    if key == "path":
+        return [text]
+    flag = key.replace("_", "-")
+    if kind is ndlite.cli._boolean:
+        return [f"--{flag}" if text == "true" else f"--no-{flag}"]
+    return [f"--{flag}", text]
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, _, options) in ndlite.cli.COMMANDS.items()
+    for key in options])
+def test_every_option_as_flag_or_config_line(tmp_path, monkeypatch, command,
+                                             key):
+    """Each declared option given as a flag and as a config line records
+    the same value; the flag beats a config line that gives another."""
+    monkeypatch.delenv("ND_SEED", raising=False)
+    options = ndlite.cli.COMMANDS[command][2]
+    kind = options[key][0]
+    value, other = _samples(kind)
+    required = [f"{k} = {_samples(spec[0])[0]}" for k, spec in options.items()
+                if spec[1] is ndlite.cli.REQUIRED and k != key]
+    resolved = {}
+    for name, line, flag in (("flag", other, _flag(key, kind, value)),
+                             ("config", value, []), ("other", other, [])):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("\n".join(required + [f"{key} = {line}"]) + "\n")
+        o, _ = ndlite.cli.resolve(_parsed([command, *flag, "--config", cfg]))
+        resolved[name] = {k: v for k, v in vars(o).items()
+                          if k != "seed_source"}
+    assert resolved["flag"] == resolved["config"]
+    assert resolved["flag"][key] != resolved["other"][key]
+
+
+def test_defaults_are_the_library_defaults(monkeypatch):
+    monkeypatch.delenv("ND_SEED", raising=False)
+    o, _ = ndlite.cli.resolve(_parsed(["train", "--data", "d.nds",
+                                       "--val-data", "v.nds", "--out", "m"]))
+    assert ModelConfig(channels=o.channels, residual_blocks=o.residual_blocks,
+                       dense_sizes=tuple(map(int, o.dense_sizes.split(","))),
+                       decision_threshold=o.threshold,
+                       hidden_activation=o.activation) == ModelConfig()
+    assert TrainHyper(o.epochs, o.batch_size, o.lr, patience=o.patience,
+                      seed=o.seed) == TrainHyper()
+    assert QuantSchedule(o.warmup_epochs, o.weight_quant_epochs,
+                         o.act_quant_epochs) == QuantSchedule()
+    o, _ = ndlite.cli.resolve(_parsed(["quantize", "--checkpoint", "c",
+                                       "--out", "q"]))
+    hyper = TrainHyper()  # quantize's epochs are fine-tuning epochs
+    assert (o.epochs, o.batch_size, o.lr, o.patience, o.seed) == (
+        0, hyper.batch_size, hyper.lr, hyper.patience, hyper.seed)
+    o, _ = ndlite.cli.resolve(_parsed(["gen-data", "--out", "x.nds",
+                                       "--n-per-class", 1]))
+    assert tuple(int(w, 16) for w in o.delta.split("/")) == \
+        dataset.DEFAULT_DELTA
+    assert o.group_size == ModelConfig().group_size
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["gen-data", "--out", "neg.nds", "--n-per-class", 10], "rounds"),
+    (["train", "--data", "d.nds", "--val-data", "v.nds", "--out", "neg.ndwf"],
+     "epochs"),
+    (["quantize", "--checkpoint", "c.ndwf", "--out", "neg.ndwf"], "patience"),
+    (["lower", "--checkpoint", "c.ndwf", "--out", "neg.bprog"], "trials"),
+    (["verify", "--checkpoint", "c.ndwf", "--program", "p.bprog"], "width")])
+def test_negative_count_exits_2_naming_its_key(tmp_path, monkeypatch, capsys,
+                                               argv, key):
+    """A negative count exits 2 before any work, as a flag and as a config
+    line, and the message names the option."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(f"{key} = -5\n")
+    flag = "--" + key.replace("_", "-")
+    for extra, named in (([flag, -5], flag), (["--config", cfg], f"{key} = -5")):
+        capsys.readouterr()
+        assert run(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert named in err and "integer >= 0" in err, err
+    assert sorted(os.listdir(tmp_path)) == ["neg.cfg"]
+
+
+def test_count_and_eval_take_no_seed(quant_ckpt, tiny_data):
+    assert run(["count", quant_ckpt, "--seed", 1]) == 2
+    assert run(["eval", quant_ckpt, "--data", tiny_data["val"],
+                "--seed", 1]) == 2
+
+
+@pytest.mark.parametrize("command", list(ndlite.cli.COMMANDS))
+def test_help_shows_each_default(capsys, command):
+    capsys.readouterr()
+    assert run([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key, (_, default, *_) in ndlite.cli.COMMANDS[command][2].items():
+        name = key if key == "path" else "--" + key.replace("_", "-")
+        assert name in text, key
+        if default is ndlite.cli.REQUIRED:
+            assert "(required)" in text
+        elif default is not None:
+            assert f"(default: {default})" in text, key
 
 
 # -------------------------------------------------------------------- train

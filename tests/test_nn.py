@@ -225,7 +225,7 @@ def test_batchnorm_training_normalizes():
     r = np.random.default_rng(5)
     x = r.normal(loc=3.0, scale=2.0, size=(8, 4, 6, 5))
     bn = nn.BnState.create(4)
-    y, _ = nn.batchnorm(cl(x), bn, training=True)
+    y, _ = nn.batchnorm(cl(x), bn)
     assert np.abs(y.mean(axis=(0, 1, 2))).max() < 1e-10
     assert rel_err(y.var(axis=(0, 1, 2)), np.ones(4)) < 1e-4  # off by eps only
 
@@ -235,7 +235,7 @@ def test_batchnorm_running_stats_update():
     x = r.normal(size=(16, 3, 4, 4))
     bn = nn.BnState.create(3, momentum=0.25)
     mean0, var0 = bn.running_mean.copy(), bn.running_var.copy()
-    nn.batchnorm(cl(x), bn, training=True)
+    nn.batchnorm(cl(x), bn)
     bm = x.mean(axis=(0, 2, 3))
     bv = x.var(axis=(0, 2, 3))
     assert rel_err(bn.running_mean, 0.75 * mean0 + 0.25 * bm) < 1e-12
@@ -250,7 +250,8 @@ def test_batchnorm_inference_uses_running_stats():
     bn.running_mean = np.array([1.0, -2.0])
     bn.running_var = np.array([4.0, 0.25])
     x = r.normal(size=(1, 2, 3, 3))
-    y, _ = nn.batchnorm(cl(x), bn, training=False)
+    scale, shift = nn.bn_affine(bn)
+    y = cl(x) * scale + shift
     expect = (bn.gamma[None, :, None, None]
               * (x - bn.running_mean[None, :, None, None])
               / np.sqrt(bn.running_var + bn.eps)[None, :, None, None]
@@ -262,8 +263,7 @@ def test_batchnorm_rejects_tiny_training_batch():
     bn = nn.BnState.create(2)
     x = cl(np.zeros((1, 2, 4, 4)))
     with pytest.raises(ValueError):
-        nn.batchnorm(x, bn, training=True)
-    nn.batchnorm(x, bn, training=False)  # inference is fine
+        nn.batchnorm(x, bn)
 
 
 def test_batchnorm_backward_finite_difference_4d():
@@ -275,10 +275,10 @@ def test_batchnorm_backward_finite_difference_4d():
     proj = r.normal(size=x.shape)
 
     def loss():
-        y, _ = nn.batchnorm(cl(x), bn, training=True)
+        y, _ = nn.batchnorm(cl(x), bn)
         return float((y * cl(proj)).sum())
 
-    y, cache = nn.batchnorm(cl(x), bn, training=True)
+    y, cache = nn.batchnorm(cl(x), bn)
     dx, dgamma, dbeta = nn.batchnorm_grad(cl(proj), cache)
     assert rel_err(dx, cl(fd_grad(loss, x))) < 1e-5
     assert rel_err(dgamma, fd_grad(loss, bn.gamma)) < 1e-6
@@ -293,10 +293,10 @@ def test_batchnorm_backward_finite_difference_2d():
     proj = r.normal(size=x.shape)
 
     def loss():
-        y, _ = nn.batchnorm(x, bn, training=True)
+        y, _ = nn.batchnorm(x, bn)
         return float((y * proj).sum())
 
-    y, cache = nn.batchnorm(x, bn, training=True)
+    y, cache = nn.batchnorm(x, bn)
     dx, dgamma, dbeta = nn.batchnorm_grad(proj, cache)
     assert rel_err(dx, fd_grad(loss, x)) < 1e-5
     assert rel_err(dgamma, fd_grad(loss, bn.gamma)) < 1e-6
@@ -323,7 +323,7 @@ def test_batchnorm_matches_float64_reference(dtype, tol, shape):
 
     bn = nn.BnState.create(c, momentum=0.25, dtype=dtype)
     bn.gamma, bn.beta = gamma.astype(dtype), beta.astype(dtype)
-    y, cache = nn.batchnorm(x.astype(dtype), bn, training=True)
+    y, cache = nn.batchnorm(x.astype(dtype), bn)
     got = (y,) + nn.batchnorm_grad(dy.astype(dtype), cache)
     want = ((gamma * xhat + beta).reshape(shape), dx.reshape(shape), dgamma,
             dbeta)
@@ -332,23 +332,6 @@ def test_batchnorm_matches_float64_reference(dtype, tol, shape):
         assert rel_err(a, b) < tol
     assert rel_err(bn.running_mean, 0.25 * mean) < tol
     assert rel_err(bn.running_var, 0.75 + 0.25 * var) < tol
-
-
-def test_batchnorm_backward_inference_mode():
-    r = np.random.default_rng(10)
-    x = r.normal(size=(3, 2, 4, 4))
-    bn = nn.BnState.create(2)
-    bn.running_mean = r.normal(size=2)
-    bn.running_var = np.abs(r.normal(size=2)) + 0.5
-    proj = r.normal(size=x.shape)
-
-    def loss():
-        y, _ = nn.batchnorm(cl(x), bn, training=False)
-        return float((y * cl(proj)).sum())
-
-    y, cache = nn.batchnorm(cl(x), bn, training=False)
-    dx, _, _ = nn.batchnorm_grad(cl(proj), cache)
-    assert rel_err(dx, cl(fd_grad(loss, x))) < 1e-6
 
 
 # ------------------------------------------------------------------- dense
