@@ -95,6 +95,18 @@ def _count(text):
     return value
 
 
+def _sizes(text):
+    """Integers >= 1 separated by commas, such as layer widths."""
+    try:
+        sizes = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        sizes = ()
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected integers >= 1 separated by commas, got {text!r}")
+    return sizes
+
+
 def _delta(text):
     """An input difference, recorded as 0xLLLL/0xRRRR."""
     try:
@@ -241,7 +253,7 @@ def cmd_train(args):
     cfg = ModelConfig(
         group_size=train_set.group_size, channels=o.channels,
         residual_blocks=o.residual_blocks,
-        dense_sizes=tuple(int(p) for p in o.dense_sizes.split(",")),
+        dense_sizes=o.dense_sizes,
         decision_threshold=o.threshold, hidden_activation=o.activation)
     quant = None if o.quant_stage == "fp" else QuantSchedule(
         o.warmup_epochs, o.weight_quant_epochs,
@@ -518,7 +530,7 @@ COMMANDS = {
         **_HYPER,
         "channels": (_count, ModelConfig.channels),
         "residual_blocks": (_count, ModelConfig.residual_blocks),
-        "dense_sizes": (str, ",".join(map(str, ModelConfig.dense_sizes))),
+        "dense_sizes": (_sizes, ModelConfig.dense_sizes),
         "threshold": (float, ModelConfig.decision_threshold),
         "activation": (str, ModelConfig.hidden_activation),
         "warmup_epochs": (_count, QuantSchedule.warmup_epochs),

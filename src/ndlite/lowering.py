@@ -11,13 +11,15 @@ compared against the decision threshold's log-odds; if the rows are not
 exact negations the fold is refused and both accumulators are compared
 directly. run_program compiles the program once per content into the
 model module's ExactLayers, GEMM matrices from the P/N lists and
-thresholds from the folds, and runs them through model.run_layers, the
-loop exact_bit_forward runs too, in blocks of model.block_samples(g)
-samples. Its float32 GEMM sums are exact while every channel's fan-in plus
-its skip bit stays below 2**24 (nn.F32_EXACT_LIMIT), which the compile
-checks. load_program reads a .bprog one line at a time, checks each index
-list on its skeleton (the text without its digits) and each layer's lists
-for a repeated entry with one sort once the layer is read.
+thresholds from the folds, with the table route's conv0 and res0.c1
+tables built from those (model.table_route), and runs them through
+model.run_layers, the loop exact_bit_forward runs too, in blocks of
+model.block_samples(g) samples. Its float32 sums are exact while every
+channel's fan-in plus its skip bit stays below 2**24 (nn.F32_EXACT_LIMIT),
+which the compile checks. load_program reads a .bprog one line at a
+time, checks each index list on its skeleton (the text without its
+digits) and each layer's lists for a repeated entry with one sort once
+the layer is read.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import nn
 from .model import (ExactLayer, Model, _frac, check_bits, content_key,
                     exact_bit_forward, exact_layers, exact_predicate,
                     layer_specs, named_planes, route_kernel, run_layers,
-                    same_content, sum_range)
+                    same_content, sum_range, table_route)
 from .quant import extract_ternary
 
 INPUT_CHANNEL_NAMES = ("C_l", "C_r", "C_l'", "C_r'")
@@ -349,7 +351,8 @@ def _codes(layer, reach=None):
 
 
 def _compile(prog):
-    """ExactLayer list for run_layers; checks the layer wiring on the way
+    """ExactLayer list for run_layers, with the table route's tables
+    (model.table_route); checks the layer wiring on the way
     and raises ValueError at the first layer that does not fit, its
     position in the program as the error's layer_index. Layers after a
     compare decision are not run."""
@@ -368,7 +371,7 @@ def _compile(prog):
         shapes[layer.name] = shape
     if not out or out[-1].decision is None:
         raise ValueError("program has no decision layer")
-    return out
+    return table_route(out)
 
 
 def _compile_layer(layer, shape, shapes):
@@ -414,8 +417,9 @@ def _compile_layer(layer, shape, shapes):
 
 
 def _compiled_layers(prog):
-    """The program's compiled layers, rebuilt whenever its content changed
-    since they were built (a layer's arrays may be edited in place)."""
+    """The program's compiled layers and their tables, rebuilt whenever
+    its content changed since they were built (a layer's arrays may be
+    edited in place)."""
     fields = prog.group_size, [lp._fields() for lp in prog.layers]
     arrays = [a for lp in prog.layers for a in lp._arrays()]
     if (prog._compiled is None or prog._compiled[0] != fields

@@ -26,12 +26,16 @@ compare. Nothing is taken from the lowering's folded thresholds.
 The integer network is one loop, run_layers over ExactLayers: float32 GEMM
 sums (nn.conv_sums, nn.matmul_rows), exact because every channel's fan-in
 plus its skip bit is checked to stay below nn.F32_EXACT_LIMIT, the skip
-bits, one compare per channel. It streams the samples through all layers
-in blocks of about SCORE_ROWS positions, as Model.scores does, so its
-memory does not grow with the batch. The lowering's run_program runs the
-same loop on layers compiled from a program; the two routes share it, the
-kernel routing (route_kernel) and the sum ranges (sum_range), never the
-codes or the thresholds.
+bits, one compare per channel. conv0 and the first residual conv take the
+table route (table_route): conv0's bits are a gather by the 4-bit symbol
+of a position's inputs, and res0.c1's sums gathers of per-tap-group
+partial sums keyed by the symbols it reads, tables built once per compiled
+layer list from its own layers. The loop streams the samples through all
+layers in blocks of about SCORE_ROWS positions, as Model.scores does, so
+its memory does not grow with the batch. The lowering's run_program runs
+the same loop on layers compiled from a program; the two routes share it,
+the kernel routing (route_kernel), the sum ranges (sum_range) and the
+table builder, never the codes or the thresholds.
 """
 
 from __future__ import annotations
@@ -535,6 +539,79 @@ class ExactLayer:
     t: np.ndarray  # float32, in [lo - 1, hi]
     first: np.ndarray  # bool
     decision: str | None = None  # last layer: "folded" | "compare"
+    # the table route's (table_route): layer 0's bits by input symbol,
+    # uint8 [16, O]; layer 1's sums, [(taps, float32 [17**len(taps), O])]
+    bit_table: np.ndarray | None = None
+    sum_tables: list | None = None
+
+
+# The table route keys a position by its symbol, the dot product of its 4
+# input bits with SYMBOL_BITS (b0 | b1<<1 | b2<<2 | b3<<3), and the zero
+# padding around a map by PAD_SYMBOL. A group of up to TAP_GROUP taps is
+# keyed by its symbols in radix 17, below 17**3 < 2**16.
+SYMBOL_BITS = np.array([1, 2, 4, 8], np.uint8)
+PAD_SYMBOL = 16
+TAP_GROUP = 3
+
+
+def table_route(layers):
+    """layers, with the table route's tables set on layers 0 and 1 when
+    layer 0 is a 1x1 conv over the 4 input channels and layer 1 a conv with
+    no skip and no decision, as on every model's and lowered program's
+    layers; otherwise unchanged. Each side builds its own, from its own
+    ExactLayers' kmat, t and first.
+
+    Layer 0's bits at a position depend only on its symbol: bit_table holds
+    ((patterns @ kmat) > t) ^ first for the 16 patterns. Layer 1's sums are
+    then a sum over its live taps in (u, v) order of what the symbol read
+    at each tap adds: per group of up to TAP_GROUP consecutive taps, a
+    float32 table of the group's sums keyed by its symbols in radix 17, the
+    first tap most significant, where PAD_SYMBOL adds 0. Each entry is an
+    integer partial sum of at most fan_in 0/1 x +-1 terms, so the
+    nn.check_f32_exact bound on fan_in holds for it and for the sum of the
+    groups' entries: they are exact in float32."""
+    if len(layers) < 2:
+        return layers
+    layer0, layer1 = layers[:2]
+    if (layer0.reach != (0, 0) or len(layer0.kmat) != 4
+            or layer0.decision is not None or layer1.reach is None
+            or layer1.skip_from is not None or layer1.decision is not None):
+        return layers
+    patterns = (np.arange(16)[:, None] & SYMBOL_BITS) > 0  # [16, 4]
+    bits = (patterns @ layer0.kmat > layer0.t) ^ layer0.first
+    layer0.bit_table = bits.astype(np.uint8)
+    rh, rw = layer1.reach
+    taps = [(u, v) for u in range(2 * rh + 1) for v in range(2 * rw + 1)]
+    width = layer1.kmat.shape[1]
+    per_tap = np.zeros((len(taps), PAD_SYMBOL + 1, width), np.float32)
+    per_tap[:, :PAD_SYMBOL] = bits.astype(np.float32) @ layer1.kmat.reshape(
+        len(taps), -1, width)
+    layer1.sum_tables = []
+    for i in range(0, len(taps), TAP_GROUP):
+        table = per_tap[i]
+        for tap in per_tap[i + 1:i + TAP_GROUP]:
+            table = (table[:, None] + tap).reshape(-1, width)
+        layer1.sum_tables.append((taps[i:i + TAP_GROUP], table))
+    return layers
+
+
+def _table_sums(tables, symp, keys, part, out):
+    """out [m, H, W, O] = the sums of table_route's sum_tables at every
+    position of the padded symbols symp [m, H + 2rh, W + 2rw]; keys [m, H,
+    W] uint16 and part (out's shape) are buffers. mode="clip" spares take a
+    buffered copy of out; every key is in range."""
+    hh, ww = out.shape[1:3]
+    for i, (taps, table) in enumerate(tables):
+        for j, (u, v) in enumerate(taps):
+            window = symp[:, u:u + hh, v:v + ww]
+            if j == 0:
+                np.copyto(keys, window)
+            else:
+                keys *= PAD_SYMBOL + 1
+                keys += window
+        np.take(table, keys, axis=0, out=part if i else out, mode="clip")
+        if i:
+            out += part
 
 
 def run_layers(layers, bits, return_planes=False):
@@ -542,7 +619,9 @@ def run_layers(layers, bits, return_planes=False):
     layers in blocks of block_samples(g) samples: per layer the sums
     (float32 GEMMs, exact while each fan_in < nn.F32_EXACT_LIMIT), the skip
     bits, one compare per channel, and an XOR only on a layer where some
-    channel has first set. Each layer's sums and bits go in buffers that
+    channel has first set. On the table route (table_route) layer 0's bits
+    are one gather of its bit_table by symbol, and layer 1's sums one
+    gather per tap group. Each layer's sums and bits go in buffers that
     are allocated once per call and reused by every block, so without
     return_planes the call holds one block at a time. Returns (labels,
     {name: channels-last bit plane, each allocated whole and written a block
@@ -564,13 +643,30 @@ def run_layers(layers, bits, return_planes=False):
     labels = np.empty(n, np.uint8)
     d = np.empty(n, np.int64) if compare else None
     xors = [bool(el.first.any()) for el in layers]
+    tabled = layers[0].bit_table is not None
+    if tabled:  # a block's symbols, and again inside a padding border
+        rh, rw = layers[1].reach
+        sym = np.empty((step, 16, g), np.uint8)
+        symp = np.full((step, 16 + 2 * rh, g + 2 * rw), PAD_SYMBOL, np.uint8)
+        keys = np.empty((step, 16, g), np.uint16)
+        part = np.empty_like(sums[1])
     for lo in range(0, n, step):
         m = min(step, n - lo)
         at = slice(lo, lo + m) if return_planes else slice(m)
         h = bits[lo:lo + m].transpose(0, 2, 3, 1)
+        if tabled:
+            np.einsum("mcp,c->mp", bits[lo:lo + m].reshape(m, 4, -1),
+                      SYMBOL_BITS, out=sym[:m].reshape(m, -1))
+            symp[:m, rh:rh + 16, rw:rw + g] = sym[:m]
         for el, s, xor in zip(layers, sums, xors):
             s = s[:m]
-            if el.reach is not None:
+            if el.bit_table is not None:
+                h = planes[el.name][at]
+                np.take(el.bit_table, sym[:m], axis=0, out=h, mode="clip")
+                continue
+            if el.sum_tables is not None:
+                _table_sums(el.sum_tables, symp[:m], keys[:m], part[:m], s)
+            elif el.reach is not None:
                 nn.conv_sums(h, el.reach, el.kmat, out=s)  # [m, 16, g, O]
             else:
                 x = x32[el.name][:m]
@@ -599,9 +695,10 @@ def named_planes(planes):
 
 
 def exact_layers(model: Model):
-    """The model's ExactLayers, built once per model content: they are
-    rebuilt whenever the config or any weight, delta or norm value has
-    changed since (Adam and hand edits work in place)."""
+    """The model's ExactLayers and their table_route tables, built once
+    per model content: they are rebuilt whenever the config or any weight,
+    delta or norm value has changed since (Adam and hand edits work in
+    place)."""
     if model.stage != "full":
         raise ValueError("exact evaluation requires the fully quantized stage")
     specs = layer_specs(model.cfg)
@@ -631,7 +728,7 @@ def exact_layers(model: Model):
         layers.append(ExactLayer(spec.name, spec.skip_from, reach, kmat,
                                  fan_in, lo, hi, t.astype(np.float32), first,
                                  "compare" if last else None))
-    model._exact = (cfg, content_key(arrays), layers)
+    model._exact = (cfg, content_key(arrays), table_route(layers))
     return layers
 
 

@@ -33,6 +33,9 @@ ORACLE = f"{MODEL}::test_exact_forward_matches_definition_oracle"
 PROGRAM_TESTS = [f"{LOWERING}::test_program_matches_exact_{case}" for case in (
     "model_folded", "model_compare_fallback", "two_blocks_wider_group")]
 PROOF = f"{CLI}::test_verify_proof_catches_mutation_without_trials"
+TABLE = f"{MODEL}::test_table_route_equals_gemm_route"
+EDITS = [f"{MODEL}::test_exact_forward_follows_in_place_edits",
+         f"{LOWERING}::test_run_program_sees_in_place_edits"]
 LOADER = [f"{LOWERING}::test_load_rejects_malformed",
           f"{LOWERING}::test_load_rejects_an_index_listed_twice",
           f"{LOWERING}::test_load_faults_keep_file_order",
@@ -61,13 +64,45 @@ MUTATIONS = [
      "fired = np.greater_equal(s, el.t, out=h.view(bool))", [ORACLE]),
     ("run_layers: first ignored", "model.py",
      "                fired ^= el.first\n", "                pass\n",
-     PROGRAM_TESTS),
+     PROGRAM_TESTS + [TABLE]),
     ("run_layers: dense rows channels-first", "model.py",
      "x[...] = h.reshape(m, -1)",
      "x[...] = np.moveaxis(h, -1, 1).reshape(m, -1)", [ORACLE]),
     ("run_layers: S0 - S1", "model.py",
      "d[lo:lo + m] = s[:, 1] - s[:, 0]",
      "d[lo:lo + m] = s[:, 0] - s[:, 1]", [ORACLE]),
+    # table_route, the integer routes' conv0 and first residual conv
+    ("table route: tap-group key in radix 16", "model.py",
+     "                keys *= PAD_SYMBOL + 1",
+     "                keys *= PAD_SYMBOL", [TABLE, ORACLE]),
+    ("table route: a group's taps keyed last tap first", "model.py",
+     "            table = (table[:, None] + tap).reshape(-1, width)",
+     "            table = (tap[:, None] + table).reshape(-1, width)",
+     [TABLE, ORACLE]),
+    ("table route: the padding symbol adds 1", "model.py",
+     "    per_tap = np.zeros((len(taps), PAD_SYMBOL + 1, width), np.float32)",
+     "    per_tap = np.ones((len(taps), PAD_SYMBOL + 1, width), np.float32)",
+     [TABLE, ORACLE]),
+    ("table route: conv0's table ignores first", "model.py",
+     "    bits = (patterns @ layer0.kmat > layer0.t) ^ layer0.first",
+     "    bits = patterns @ layer0.kmat > layer0.t", [TABLE, ORACLE]),
+    ("table route: a program's tables kept over an edit", "lowering.py",
+     "        prog._compiled = (fields, content_key(arrays), _compile(prog))"
+     "\n",
+     "        old = prog._compiled\n"
+     "        prog._compiled = (fields, content_key(arrays), _compile(prog))"
+     "\n"
+     "        for new, was in zip(prog._compiled[2], old[2] if old else []):"
+     "\n"
+     "            new.bit_table, new.sum_tables = was.bit_table, "
+     "was.sum_tables\n", EDITS),
+    ("table route: a model's tables kept over an edit", "model.py",
+     "    model._exact = (cfg, content_key(arrays), table_route(layers))\n",
+     "    old = model._exact\n"
+     "    model._exact = (cfg, content_key(arrays), table_route(layers))\n"
+     "    for new, was in zip(layers, old[2] if old else []):\n"
+     "        new.bit_table, new.sum_tables = was.bit_table, was.sum_tables\n",
+     EDITS),
     # sum_range
     ("sum_range: skip bit left out of hi", "model.py",
      "return lo.astype(np.int64), hi.astype(np.int64) + skip",
@@ -107,6 +142,10 @@ MUTATIONS = [
      "        if (lp.decision is not None) != (lp is prog.layers[-1]):",
      "        if False:", LOADER),
     # resolve, the CLI's flag > config file > default
+    ("sizes: a size of 0 accepted", "cli.py",
+     "    if not sizes or min(sizes) < 1:",
+     "    if not sizes or min(sizes) < 0:",
+     [f"{CLI}::test_bad_dense_sizes_exit_2_naming_the_option"]),
     ("resolve: config value beats the flag", "cli.py",
      "        if flag is not None:\n",
      "        if flag is not None and key not in config:\n",

@@ -137,7 +137,7 @@ def _parsed(argv):
 
 # two distinct texts of each option type; a choice takes its last and first
 _SAMPLES = {int: ("5", "6"), float: ("0.25", "0.75"), str: ("v.bin", "w.bin"),
-            ndlite.cli._count: ("3", "4"),
+            ndlite.cli._count: ("3", "4"), ndlite.cli._sizes: ("8,8", "6,5"),
             ndlite.cli._delta: ("0x1/0x2", "0x3/0x4"),
             ndlite.cli._boolean: ("false", "true")}
 
@@ -186,7 +186,7 @@ def test_defaults_are_the_library_defaults(monkeypatch):
     o, _ = ndlite.cli.resolve(_parsed(["train", "--data", "d.nds",
                                        "--val-data", "v.nds", "--out", "m"]))
     assert ModelConfig(channels=o.channels, residual_blocks=o.residual_blocks,
-                       dense_sizes=tuple(map(int, o.dense_sizes.split(","))),
+                       dense_sizes=o.dense_sizes,
                        decision_threshold=o.threshold,
                        hidden_activation=o.activation) == ModelConfig()
     assert TrainHyper(o.epochs, o.batch_size, o.lr, patience=o.patience,
@@ -226,6 +226,27 @@ def test_negative_count_exits_2_naming_its_key(tmp_path, monkeypatch, capsys,
         err = capsys.readouterr().err
         assert named in err and "integer >= 0" in err, err
     assert sorted(os.listdir(tmp_path)) == ["neg.cfg"]
+
+
+@pytest.mark.parametrize("bad", ["8,x", "8,0", "8,-1", "8,", ""])
+def test_bad_dense_sizes_exit_2_naming_the_option(tmp_path, monkeypatch,
+                                                 capsys, bad):
+    """dense_sizes that are not integers >= 1 separated by commas exit 2
+    before any work, as a flag and as a config line, and the message names
+    the option and the value."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"dense_sizes = {bad}\n")
+    argv = ["train", "--data", "d.nds", "--val-data", "v.nds", "--out",
+            "bad.ndwf"]
+    for extra, named in ((["--dense-sizes", bad], "--dense-sizes"),
+                         (["--config", cfg], f"dense_sizes = {bad}")):
+        capsys.readouterr()
+        assert run(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert named in err and f"got {bad!r}" in err, err
+        assert "invalid literal" not in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
 
 
 def test_count_and_eval_take_no_seed(quant_ckpt, tiny_data):

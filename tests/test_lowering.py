@@ -25,8 +25,8 @@ from ndlite.model import build_model, exact_bit_forward
 from ndlite.opcount import count_model
 from ndlite.quant import extract_ternary
 
-from test_model import (randomized_firing_model, randomized_quantized_model,
-                        small_cfg)
+from test_model import (_ref_conv, randomized_firing_model,
+                        randomized_quantized_model, small_cfg)
 
 F = Fraction
 
@@ -492,7 +492,14 @@ def _drop_skip(prog):
     prog.layer("res0.c2").skip_from = None
 
 
-@pytest.mark.parametrize("edit", [_raise_theta, _drop_p_index, _drop_skip])
+def _flip_res0_c1(prog):
+    layer = prog.layer("res0.c1")
+    assert layer.const[0] < 0
+    set_channel(layer, 0, flip=not layer.flip[0])
+
+
+@pytest.mark.parametrize("edit", [_raise_theta, _drop_p_index, _drop_skip,
+                                  _flip_res0_c1])
 def test_run_program_sees_in_place_edits(edit):
     m = _planted_skip_model()
     bits = np.random.default_rng(12).integers(0, 2, size=(200, 4, 16, 1),
@@ -512,6 +519,83 @@ def test_run_program_sees_in_place_edits(edit):
                for (_, a), (_, b) in zip(planes, before))
     rep = verify_equivalence(prog, m, trials=200, exhaustive_width=0)
     assert not rep.passed
+
+
+def ref_program(prog, bits):
+    """(labels, {name: plane}) of a program with a folded decision, from
+    the definitions: each channel's P and N lists as a +-1 kernel, its sum
+    S as a float64 'same' conv or dense product over the bits before it
+    plus the skip bits, its bit (S > theta) ^ flip or its constant. Maps
+    are [N, C, 16, g], as run_program names them."""
+    h, planes = np.asarray(bits, np.float64), {}
+    for layer in prog.layers:
+        dims = (layer.in_width,) + tuple(layer.kernel or ())
+        k = np.zeros((len(layer.channels),) + dims)
+        for c, cp in enumerate(layer.channels):
+            for entry in cp.p:
+                k[(c,) + tuple(np.atleast_1d(entry))] += 1
+            for entry in cp.n:
+                k[(c,) + tuple(np.atleast_1d(entry))] -= 1
+        s = (_ref_conv(h, k) if layer.kind == "conv"
+             else h.reshape(len(h), -1) @ k.T)
+        if layer.skip_from is not None:
+            s = s + planes[layer.skip_from]
+        col = (slice(None),) + (None,) * (s.ndim - 2)
+        theta = np.array([float(t) for t in layer.theta])[col]
+        fired = (s > theta) ^ layer.flip[col]
+        fired = np.where(layer.const[col] >= 0, layer.const[col], fired)
+        planes[layer.name] = h = fired.astype(np.uint8)
+    return h[:, 0], planes
+
+
+def _hand_program(kernel0, skip, g, seed):
+    """Layers a (4 -> 3 channels, kernel0) and b (3x3, 3 -> 3, its sums
+    taking a's bits when skip) with random codes and batchnorm folds, then
+    a folded dense decision."""
+    r = np.random.default_rng(seed)
+
+    def conv(name, c_in, kernel, skip_from=None):
+        codes = r.integers(-1, 2, size=(3, c_in) + kernel)
+        bn = make_bn(r.choice([-1.0, 1.0], 3), np.zeros(3),
+                     r.normal(scale=2.0, size=3), np.ones(3))
+        return lower_layer(ternary_from_codes(codes, 1.0), bn=bn, name=name,
+                           skip_from=skip_from)
+
+    codes = r.integers(-1, 2, size=3 * 16 * g)
+    out = ChannelProgram(tuple(np.flatnonzero(codes > 0).tolist()),
+                         tuple(np.flatnonzero(codes < 0).tolist()))
+    return BooleanProgram(group_size=g, layers=[
+        conv("a", 4, kernel0), conv("b", 3, (3, 3), "a" if skip else None),
+        LayerProgram.from_channels("out", "dense", 3 * 16 * g, None, [out],
+                                   decision="folded")])
+
+
+@pytest.mark.parametrize("kernel0, skip", [((3, 3), False), ((1, 1), True)],
+                         ids=["3x3_first_layer", "skip_on_second_layer"])
+def test_program_off_the_table_route_runs_gemms(monkeypatch, kernel0, skip):
+    """A program whose first layer is no 1x1 conv, or whose second takes a
+    skip, gets no tables: both its convs run through conv_sums, and its
+    labels and planes are those of the definitions."""
+    prog = _hand_program(kernel0, skip, g=2, seed=5)
+    layers = lowering._compiled_layers(prog)
+    assert all(el.bit_table is None and el.sum_tables is None
+               for el in layers)
+    calls = []
+    conv_sums = nn.conv_sums
+    monkeypatch.setattr(nn, "conv_sums", lambda *a, **kw: calls.append(
+        a[1]) or conv_sums(*a, **kw))
+    bits = np.random.default_rng(5).integers(0, 2, size=(600, 4, 16, 2),
+                                             dtype=np.uint8)
+    labels, planes = run_program(prog, bits, return_planes=True)
+    assert model_module.block_samples(2) == 256  # blocks of 256, 256, 88
+    assert calls == [nn._live_taps(*nn._same_pad(*kernel0), 16, 2)[0],
+                     (1, 1)] * 3
+    want_labels, want = ref_program(prog, bits)
+    assert np.array_equal(labels, want_labels)
+    assert set(labels.tolist()) == {0, 1}
+    for name, plane in planes:
+        assert np.array_equal(plane, want[name]), name
+        assert 0 < plane.mean() < 1, name
 
 
 def test_run_program_clamps_out_of_range_thresholds():

@@ -7,6 +7,7 @@ stand-ins for sqrt(var+eps) and log(t/(1-t)) with the implementation,
 because those pins ARE the semantics.
 """
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -23,8 +24,8 @@ from ndlite.dataset import gen_dataset
 from ndlite.model import (ExactPredicate, Model, ModelConfig, TrainHyper,
                           _bias_predicate, _bn_predicate, build_model,
                           classify, evaluate, exact_bit_forward,
-                          layer_specs, load_model, save_model, sum_range,
-                          train)
+                          exact_layers, layer_specs, load_model, run_layers,
+                          save_model, sum_range, train)
 from ndlite.quant import QuantSchedule, extract_ternary
 
 from exact_reference import channel_lut_bits
@@ -542,6 +543,51 @@ def test_empty_batch_gives_empty_outputs(route):
         assert got.shape == (0,) + want.shape[1:], name
 
 
+def without_tables(layers):
+    """Copies of ExactLayers that run_layers runs through its GEMMs."""
+    return [dataclasses.replace(el, bit_table=None, sum_tables=None)
+            for el in layers]
+
+
+@pytest.mark.parametrize("cfg", [small_cfg(), small_cfg(group_size=2),
+                                 small_cfg(group_size=8),
+                                 small_cfg(residual_blocks=2)],
+                         ids=["g1", "g2", "g8", "two_blocks"])
+@pytest.mark.parametrize("make", [randomized_quantized_model,
+                                  randomized_firing_model])
+def test_table_route_equals_gemm_route(cfg, make):
+    """The table route (layer 0 by symbol, layer 1 by tap-group gathers) of
+    a model's and of its program's layers gives the labels, every plane and
+    S1 - S0 that the same layers give through the GEMMs, on 0, 1 and three
+    blocks of samples."""
+    m = make(4, cfg)
+    sides = {"model": exact_layers(m),
+             "program": lowering._compiled_layers(lowering.lower_model(m))}
+    g = cfg.group_size
+    n = 2 * model_module.block_samples(g) + 7
+    bits = np.random.default_rng(4).integers(0, 2, size=(n, 4, 16, g),
+                                             dtype=np.uint8)
+    for side, layers in sides.items():
+        assert layers[0].bit_table is not None, side
+        assert layers[1].sum_tables is not None, side
+        assert all(el.bit_table is None and el.sum_tables is None
+                   for el in layers[2:]), side
+        for k in (0, 1, n):
+            got = run_layers(layers, bits[:k], return_planes=True)
+            want = run_layers(without_tables(layers), bits[:k],
+                              return_planes=True)
+            assert np.array_equal(got[0], want[0]), (side, k)
+            assert got[1].keys() == want[1].keys()
+            for name in want[1]:
+                assert np.array_equal(got[1][name], want[1][name]), (
+                    side, k, name)
+            assert (got[2] is None) == (want[2] is None)
+            if want[2] is not None:
+                assert np.array_equal(got[2], want[2]), (side, k)
+    # conv0's XOR is in its table: some channel of it has first set
+    assert sides["model"][0].first.any()
+
+
 def test_exact_forward_guards():
     m = build_model(small_cfg(), seed=0)
     bits = np.zeros((2, 4, 16, 1), dtype=np.uint8)
@@ -722,12 +768,16 @@ def _negate_weight(m):
     m.weights["res0.c1"][0] *= -1.0
 
 
+def _negate_conv0_weight(m):
+    m.weights["conv0"][0] *= -1.0
+
+
 @pytest.mark.parametrize("edit", [_scale_gamma, _scale_delta, _negate_weight,
-                                  _adam_step])
+                                  _negate_conv0_weight, _adam_step])
 def test_exact_forward_follows_in_place_edits(tmp_path, monkeypatch, edit):
-    """The cached switch points and GEMM matrices are rebuilt after an
-    in-place edit, and give what a freshly loaded model gives; no rebuild
-    reaches the lowering's folds."""
+    """The cached switch points, GEMM matrices and the table route's tables
+    are rebuilt after an in-place edit, and give what a freshly loaded model
+    gives; no rebuild reaches the lowering's folds."""
     for name in ("fold_batchnorm", "fold_bias", "fold_output_pair",
                  "_compare_theta"):
         monkeypatch.setattr(lowering, name, None)
