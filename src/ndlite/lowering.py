@@ -843,13 +843,23 @@ def _first_listed_twice(lp):
 
 
 def _parse_kv(parts):
+    """{key: value} of a line's key=value fields, each key at most once."""
     kv = {}
     for part in parts:
         key, eq, value = part.partition("=")
         if not eq:
             raise ValueError(f"expected key=value, got {part!r}")
+        if key in kv:
+            raise ValueError(f"{key}= appears twice")
         kv[key] = value
     return kv
+
+
+def _check_keys(kv, allowed, line):
+    """Raises at the first key of kv that is not one of allowed."""
+    for key in kv:
+        if key not in allowed:
+            raise ValueError(f"{line} takes no {key}=")
 
 
 def _need(kv, key):
@@ -867,6 +877,7 @@ def _bit(text, key):
 def _header_line(ln):
     """(empty BooleanProgram, declared layer count) of the BPROG line."""
     header = _parse_kv(ln.split()[2:])
+    _check_keys(header, ("layout", "layers"), "the BPROG line")
     layout = _need(header, "layout")
     dims = layout.split("x")
     if dims[:2] != ["4", "16"] or len(dims) != 3:
@@ -876,13 +887,23 @@ def _header_line(ln):
             _number(_need(header, "layers"), "layers"))
 
 
-def _channel_line(kv, kind):
-    """ChannelProgram of a channel line, its P and N as _index_list gives
-    them; an entry listed twice is found when the layer is complete
-    (_first_listed_twice)."""
-    if "const" in kv:
+def _channel_line(kv, line_kind, layer_kind, index):
+    """ChannelProgram of the IND or ACC line of channel index of its layer,
+    its P and N as _index_list gives them; an entry listed twice is found
+    when the layer is complete (_first_listed_twice)."""
+    const = line_kind == "IND" and "const" in kv
+    if const:
+        _check_keys(kv, ("ch", "const"), "an IND line with const=")
+    else:
+        _check_keys(kv, ("ch", "theta", "flip", "P", "N")
+                    if line_kind == "IND" else ("ch", "P", "N"),
+                    f"an {line_kind} line")
+    if _need(kv, "ch") != str(index):
+        raise ValueError(f"ch={kv['ch']} but the line is channel {index} of "
+                         f"its layer")
+    if const:
         return ChannelProgram((), (), const=_bit(kv["const"], "const"))
-    p, n = (_index_list(_need(kv, key), kind) for key in ("P", "N"))
+    p, n = (_index_list(_need(kv, key), layer_kind) for key in ("P", "N"))
     theta = _number(kv.get("theta", "0"), "theta", signed=True)
     flip = bool(_bit(kv.get("flip", "0"), "flip"))
     return ChannelProgram(p, n, theta, flip)
@@ -891,6 +912,8 @@ def _channel_line(kv, kind):
 def _layer_line(kv, names):
     """LayerProgram.from_channels arguments of a LAYER line after layers of
     the given names, and the channel count it declares."""
+    _check_keys(kv, ("name", "kind", "in", "channels", "kernel", "skip",
+                     "decision", "compare_theta"), "a LAYER line")
     kernel = None
     if "kernel" in kv:
         kh, _, kw = kv["kernel"].partition("x")
@@ -901,6 +924,8 @@ def _layer_line(kv, names):
         raise ValueError(f"kind={layer_kind} is not conv or dense")
     if decision not in (None, "folded", "compare"):
         raise ValueError(f"decision={decision} is not folded or compare")
+    if decision != "compare" and "compare_theta" in kv:
+        raise ValueError("compare_theta= needs decision=compare")
     if layer_kind == "conv" and kernel is None:
         raise ValueError("missing kernel=")
     if layer_kind == "dense" and kernel is not None:
@@ -919,15 +944,16 @@ def _layer_line(kv, names):
 
 def load_program(path) -> BooleanProgram:
     """Reads a .bprog file one line at a time; a line that is not UTF-8 or
-    is malformed, a header count that does not match the body, a decision
-    anywhere but on the last layer, or a layer that does not fit its input
-    (an index outside it, a skip source of another shape) raises ValueError
-    naming the file and line. An index list is checked on its own line
-    (_index_list); an entry listed twice in one channel is found by one
-    sort per layer when the layer's lines are all read, or when a later
-    line of it is faulty, so that it is named before a fault on any later
-    line. The wiring is checked by compiling the program for run_program,
-    which then reuses it."""
+    is malformed (a key its kind does not take, a key twice, a ch= that is
+    not the channel's index), a header count that does not match the
+    body, a decision anywhere but on the last layer, or a layer that does
+    not fit its input (an index outside it, a skip source of another
+    shape) raises ValueError naming the file and line. An index list is
+    checked on its own line (_index_list); an entry listed twice in one
+    channel is found by one sort per layer when the layer's lines are all
+    read, or when a later line of it is faulty, so that it is named before
+    a fault on any later line. The wiring is checked by compiling the
+    program for run_program, which then reuses it."""
     with open(path, "rb") as f:
         lines = f.read().splitlines()  # the newlines of text mode
     if not lines or not lines[0].startswith(b"BPROG v1 "):
@@ -966,7 +992,9 @@ def load_program(path) -> BooleanProgram:
             elif kind in ("IND", "ACC"):
                 if not heads:
                     raise ValueError("channel line before any LAYER")
-                channel = _channel_line(kv, heads[-1][1]["kind"])
+                layer = heads[-1][1]
+                channel = _channel_line(kv, kind, layer["kind"],
+                                        len(layer["channels"]))
             else:
                 raise ValueError(f"unknown line kind {kind!r}")
         except ValueError as e:

@@ -208,7 +208,10 @@ class Model:
             np.maximum(d, 1e-8, out=d)
 
     def clone(self):
-        return copy.deepcopy(self)
+        """A deep copy that shares exact_layers' cache: the cache is keyed
+        by content and replaced, never edited, so a clone edited later
+        builds its own."""
+        return copy.deepcopy(self, {id(self._exact): self._exact})
 
     # ------------------------------------------------------------- forward
 
@@ -800,9 +803,6 @@ class TrainHyper:
     epochs: int = 20
     batch_size: int = 512
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     patience: int = 5
     seed: int = 0
 
@@ -836,8 +836,7 @@ def train(model: Model, train_set: Dataset, val_set: Dataset,
         return model, report
 
     x_all, y_all = train_set.float_inputs()
-    opt = nn.Adam(lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2,
-                  eps=hyper.adam_eps)
+    opt = nn.Adam(lr=hyper.lr)
     shuffle = np.random.default_rng(hyper.seed)
     final_stage = quant.stage_at(epochs - 1) if quant is not None else model.stage
     best_acc, best_state, best_epoch = -1.0, None, -1

@@ -12,61 +12,48 @@ head figures that counted every channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, fields, replace
 
 from .lowering import BooleanProgram
-from .model import Model, ModelConfig, layer_specs
+from .model import LayerSpec, Model, ModelConfig, layer_specs
 
 
 @dataclass(frozen=True)
 class OpCounts:
+    """One count per column; these fields are the count columns of every
+    sum, table and CSV."""
     mults: int = 0
     adds: int = 0
     bools: int = 0
     indicators: int = 0
 
     def __post_init__(self):
-        for name in ("mults", "adds", "bools", "indicators"):
-            v = getattr(self, name)
+        for name, v in zip(_COLUMNS[1:], self):
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
 
+    def __iter__(self):
+        return iter(_counts_of(self))
+
     def __add__(self, other):
-        return OpCounts(self.mults + other.mults, self.adds + other.adds,
-                        self.bools + other.bools,
-                        self.indicators + other.indicators)
+        return OpCounts(*map(operator.add, self, other))
 
     @property
     def total(self):
-        return self.mults + self.adds + self.bools + self.indicators
+        return sum(self)
 
 
-@dataclass(frozen=True)
-class LayerShape:
-    kind: str  # "conv" | "dense"
-    in_ch: int
-    out_ch: int
-    kernel: tuple | None = None  # (kh, kw) for conv
-    d: int = 1  # output feature dimension; 1 for dense
-
-    def __post_init__(self):
-        if self.kind not in ("conv", "dense"):
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "conv" and self.kernel is None:
-            raise ValueError("conv shapes need a kernel")
-        if self.in_ch < 1 or self.out_ch < 1 or self.d < 1:
-            raise ValueError("in_ch, out_ch and d must be positive")
-
-    @property
-    def weight_count(self):
-        k = self.kernel[0] * self.kernel[1] if self.kind == "conv" else 1
-        return self.in_ch * self.out_ch * k
+_COLUMNS = ("component", *(f.name for f in fields(OpCounts)))
+_counts_of = operator.attrgetter(*_COLUMNS[1:])
 
 
-def count_dense_layer(shape: LayerShape) -> OpCounts:
-    """Multiply/accumulate cost of one float layer; bias adds excluded."""
-    wc = shape.weight_count
-    return OpCounts(mults=wc * shape.d, adds=(wc - shape.out_ch) * shape.d)
+def count_dense_layer(spec: LayerSpec, d=1) -> OpCounts:
+    """Multiply/accumulate cost of one float layer of the layer table at d
+    output positions; bias adds excluded."""
+    wc = math.prod(spec.weight_shape)
+    return OpCounts(mults=wc * d, adds=(wc - spec.out_width) * d)
 
 
 def count_lightweight_layer(fan_in, d, count_dead_indicators=False) -> OpCounts:
@@ -105,9 +92,7 @@ def _by_component(counts):
 def _dense_model_rows(cfg: ModelConfig):
     d_conv = 16 * cfg.group_size
     return _by_component(
-        (s.name, count_dense_layer(LayerShape(
-            s.kind, s.in_width, s.out_width, s.kernel,
-            d_conv if s.kind == "conv" else 1)))
+        (s.name, count_dense_layer(s, d_conv if s.kind == "conv" else 1))
         for s in layer_specs(cfg))
 
 
@@ -116,13 +101,10 @@ def _program_rows(prog: BooleanProgram, count_dead_indicators):
     counts = []
     for layer in prog.layers:
         d = d_conv if layer.kind == "conv" else 1
+        cnt = count_lightweight_layer(layer.fan_in, d, count_dead_indicators)
         if layer.decision == "compare":
             # two raw accumulators, one difference add, one threshold gate
-            base = count_lightweight_layer(layer.fan_in, d)
-            cnt = OpCounts(bools=base.bools, adds=base.adds + 1, indicators=1)
-        else:
-            cnt = count_lightweight_layer(layer.fan_in, d,
-                                          count_dead_indicators)
+            cnt = replace(cnt, adds=cnt.adds + 1, indicators=1)
         counts.append((layer.name, cnt))
     return _by_component(counts)
 
@@ -130,18 +112,15 @@ def _program_rows(prog: BooleanProgram, count_dead_indicators):
 def count_model(obj, count_dead_indicators=False):
     """(total OpCounts, [(component, OpCounts), ...]) for a model, a model
     config, or a lowered program."""
+    if isinstance(obj, Model):
+        obj = obj.cfg
     if isinstance(obj, BooleanProgram):
         rows = _program_rows(obj, count_dead_indicators)
-    elif isinstance(obj, Model):
-        rows = _dense_model_rows(obj.cfg)
     elif isinstance(obj, ModelConfig):
         rows = _dense_model_rows(obj)
     else:
         raise TypeError(f"cannot count {type(obj).__name__}")
-    total = OpCounts()
-    for _, cnt in rows:
-        total = total + cnt
-    return total, rows
+    return sum((cnt for _, cnt in rows), OpCounts()), rows
 
 
 def op_ratio(light: OpCounts, dense: OpCounts):
@@ -151,32 +130,25 @@ def op_ratio(light: OpCounts, dense: OpCounts):
     return light.total / dense.total
 
 
-_COLUMNS = ("component", "mults", "adds", "bools", "indicators")
+def _text_rows(rows, total):
+    """The header, then one row of strings per (component, OpCounts) row
+    and for the total, if given."""
+    if total is not None:
+        rows = [*rows, ("total", total)]
+    return [_COLUMNS] + [(name, *map(str, c)) for name, c in rows]
 
 
 def format_table(rows, total=None):
-    """Aligned text table over (component, OpCounts) rows."""
-    body = [(name, str(c.mults), str(c.adds), str(c.bools),
-             str(c.indicators)) for name, c in rows]
-    if total is not None:
-        body.append(("total", str(total.mults), str(total.adds),
-                     str(total.bools), str(total.indicators)))
-    widths = [max(len(r[i]) for r in [_COLUMNS] + body)
-              for i in range(len(_COLUMNS))]
-    lines = ["  ".join(_COLUMNS[i].ljust(widths[i])
-                       for i in range(len(_COLUMNS)))]
-    for r in body:
-        lines.append("  ".join(
-            r[0].ljust(widths[0]) if i == 0 else r[i].rjust(widths[i])
-            for i in range(len(_COLUMNS))))
+    """Aligned text table over (component, OpCounts) rows: names left,
+    counts right."""
+    head, *body = _text_rows(rows, total)
+    widths = [max(map(len, column)) for column in zip(head, *body)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(head, widths))]
+    for name, *cells in body:
+        lines.append("  ".join([name.ljust(widths[0])] + [
+            c.rjust(w) for c, w in zip(cells, widths[1:])]))
     return "\n".join(lines)
 
 
 def format_csv(rows, total=None):
-    lines = [",".join(_COLUMNS)]
-    for name, c in rows:
-        lines.append(f"{name},{c.mults},{c.adds},{c.bools},{c.indicators}")
-    if total is not None:
-        lines.append(f"total,{total.mults},{total.adds},{total.bools},"
-                     f"{total.indicators}")
-    return "\n".join(lines)
+    return "\n".join(map(",".join, _text_rows(rows, total)))

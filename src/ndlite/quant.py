@@ -50,11 +50,6 @@ def step_size_grad(w, delta, grad_wrt_quantized):
 class TernaryLayer:
     codes: np.ndarray  # int8, values in {-1, 0, +1}
     delta: float
-    dead: bool  # every code is zero
-
-    @property
-    def nonzeros(self):
-        return int(np.count_nonzero(self.codes))
 
 
 def extract_ternary(w, delta) -> TernaryLayer:
@@ -63,7 +58,7 @@ def extract_ternary(w, delta) -> TernaryLayer:
         raise ValueError("layer has no positive step size; quantize it first")
     codes = np.clip(round_half_away(np.asarray(w, dtype=np.float64) / delta),
                     -1, 1).astype(np.int8)
-    return TernaryLayer(codes=codes, delta=float(delta), dead=not codes.any())
+    return TernaryLayer(codes=codes, delta=float(delta))
 
 
 def binarize_activation(x):

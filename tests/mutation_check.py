@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODEL = "tests/test_model.py"
 LOWERING = "tests/test_lowering.py"
 CLI = "tests/test_cli.py"
+OPCOUNT = "tests/test_opcount.py"
 FOLD_TEST = f"{MODEL}::test_folded_float_route_matches_unfused_reference"
 ORACLE = f"{MODEL}::test_exact_forward_matches_definition_oracle"
 PROGRAM_TESTS = [f"{LOWERING}::test_program_matches_exact_{case}" for case in (
@@ -141,6 +142,17 @@ MUTATIONS = [
     ("loader: a decision allowed on any layer", "lowering.py",
      "        if (lp.decision is not None) != (lp is prog.layers[-1]):",
      "        if False:", LOADER),
+    ("loader: an unknown key accepted", "lowering.py",
+     '            raise ValueError(f"{line} takes no {key}=")',
+     "            pass", LOADER),
+    # opcount, the dense and lightweight operation counts
+    ("opcount: a sum drops the last column", "opcount.py",
+     "OpCounts(*map(operator.add, self, other))",
+     "OpCounts(*list(map(operator.add, self, other))[:-1])",
+     [f"{OPCOUNT}::test_fixture_program_totals_and_ratio"]),
+    ("opcount: a dense layer bills one add per weight", "opcount.py",
+     "adds=(wc - spec.out_width) * d", "adds=wc * d",
+     [f"{OPCOUNT}::test_dense_layer_published_examples"]),
     # resolve, the CLI's flag > config file > default
     ("sizes: a size of 0 accepted", "cli.py",
      "    if not sizes or min(sizes) < 1:",

@@ -776,6 +776,16 @@ def _set_p_list(layer_prefix, text):
     return edit
 
 
+def _sub_in(prefix, pattern, repl):
+    """Edit: the first match of pattern on the first line starting with
+    prefix replaced by repl."""
+    def edit(lines):
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[idx] = re.sub(pattern, repl, lines[idx], count=1)
+        return idx
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("bad-kind", _set_value("kind", "foo", "LAYER "),
      "kind=foo is not conv or dense"),
@@ -819,6 +829,26 @@ def _set_p_list(layer_prefix, text):
     ("conv-index-twice", _set_p_list("LAYER name=conv0 ",
                                      "[(99,0,0),(99,0,0)]"),
      "index (99,0,0) listed twice"),
+    ("key-typo", _sub_in("IND ch=0 theta=", r" theta=\S+", " thetaa=720"),
+     "an IND line takes no thetaa="),
+    ("unknown-key", _sub_in("LAYER name=conv0 ", "$", " colour=red"),
+     "a LAYER line takes no colour="),
+    ("skip-typo", _sub_in("LAYER name=res0.c2 ", " skip=", " skp="),
+     "a LAYER line takes no skp="),
+    ("header-key", _sub_in("BPROG ", "$", " colour=red"),
+     "the BPROG line takes no colour="),
+    ("theta-twice", _sub_in("IND ch=0 theta=", r" theta=\S+",
+                            " theta=5 theta=720"), "theta= appears twice"),
+    ("const-beside-lists", _sub_in("IND ch=0 const=", "$", " P=[] N=[]"),
+     "an IND line with const= takes no P="),
+    ("const-on-acc", _sub_in("ACC ch=0 ", r" P=.*", " const=1"),
+     "an ACC line takes no const="),
+    ("compare-theta-unused", _sub_in("LAYER name=dense1 ", "$",
+                                     " compare_theta=0"),
+     "compare_theta= needs decision=compare"),
+    ("ch-7", _set_value("ch", "7", "IND ch=0 "),
+     "ch=7 but the line is channel 0 of its layer"),
+    ("no-ch", _drop_key("ch", "IND ch=0 "), "missing ch="),
 ])
 def test_malformed_program_exits_2(work, quant_ckpt, lowered, tiny_data,
                                    capsys, name, edit, message):

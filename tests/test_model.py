@@ -798,6 +798,25 @@ def test_exact_forward_follows_in_place_edits(tmp_path, monkeypatch, edit):
                                                                    before))
 
 
+def test_clone_shares_the_exact_cache_until_edited():
+    """A clone shares the original's compiled layers rather than copying
+    them; an in-place edit of the clone rebuilds the clone's own, and the
+    original keeps its cache and its labels."""
+    m = randomized_firing_model(17)
+    bits = np.random.default_rng(6).integers(0, 2, size=(200, 4, 16, 1),
+                                             dtype=np.uint8)
+    want = exact_bit_forward(m, bits)[0]
+    cache = m._exact
+    twin = m.clone()
+    assert twin._exact is cache
+    assert twin.weights["res0.c1"] is not m.weights["res0.c1"]
+    _negate_weight(twin)
+    assert not np.array_equal(exact_bit_forward(twin, bits)[0], want)
+    assert twin._exact is not cache
+    assert np.array_equal(exact_bit_forward(m, bits)[0], want)
+    assert m._exact is cache
+
+
 def test_exact_forward_on_unchanged_model_builds_no_fraction(monkeypatch):
     m = randomized_quantized_model(12)
     bits = np.random.default_rng(3).integers(0, 2, size=(50, 4, 16, 1),

@@ -5,8 +5,8 @@ import pytest
 
 from ndlite.lowering import (BooleanProgram, ChannelProgram, LayerProgram,
                              lower_model)
-from ndlite.model import ModelConfig, build_model
-from ndlite.opcount import (LayerShape, OpCounts, count_dense_layer,
+from ndlite.model import ModelConfig, build_model, layer_specs
+from ndlite.opcount import (OpCounts, count_dense_layer,
                             count_lightweight_layer, count_model, format_csv,
                             format_table, op_ratio)
 from ndlite.quant import extract_ternary
@@ -58,14 +58,14 @@ def table4_fixture_program():
 # -------------------------------------------------------------- dense rules
 
 def test_dense_layer_published_examples():
-    c0 = count_dense_layer(LayerShape("conv", 4, 32, (1, 1), 128))
+    specs = {s.name: s for s in layer_specs(ModelConfig())}
+    c0 = count_dense_layer(specs["conv0"], 128)
     assert (c0.mults, c0.adds) == (16384, 12288)
-    rc = count_dense_layer(LayerShape("conv", 32, 32, (3, 3), 128))
+    rc = count_dense_layer(specs["res0.c1"], 128)
     assert (rc.mults, rc.adds) == (1179648, 1175552)
-    h = (count_dense_layer(LayerShape("dense", 4096, 64))
-         + count_dense_layer(LayerShape("dense", 64, 64)))
+    h = count_dense_layer(specs["dense1"]) + count_dense_layer(specs["dense2"])
     assert (h.mults, h.adds) == (266240, 266112)
-    out = count_dense_layer(LayerShape("dense", 64, 2))
+    out = count_dense_layer(specs["out"])
     assert (out.mults, out.adds) == (128, 126)
     assert c0.bools == c0.indicators == 0
 
@@ -88,15 +88,11 @@ def test_dense_model_instance_matches_config():
     t1, r1 = count_model(m)
     t2, r2 = count_model(m.cfg)
     assert t1 == t2 and r1 == r2
+    with pytest.raises(TypeError, match="cannot count dict"):
+        count_model(m.weights)
 
 
 def test_layer_shape_validation():
-    with pytest.raises(ValueError):
-        LayerShape("conv", 4, 32, None, 128)  # conv needs a kernel
-    with pytest.raises(ValueError):
-        LayerShape("dense", 0, 2)
-    with pytest.raises(ValueError):
-        LayerShape("blob", 4, 4)
     with pytest.raises(ValueError):
         count_lightweight_layer([], 0)
 
