@@ -135,8 +135,14 @@ def _config_value(key, kind, text):
 def resolve(args):
     """(o, report): every option of args' command, flag > config file >
     default, as the namespace o, and the command's Report, which records
-    them. A set ND_SEED sits between --seed and the config file's seed."""
+    them. A set ND_SEED sits between --seed and the config file's seed. A
+    config-file key that no command takes is an error; one that another
+    command takes is ignored, so commands can share one file."""
     config, text = read_config(args.config) if args.config else ({}, None)
+    for key in config:
+        if not any(key in options for *_, options in COMMANDS.values()):
+            raise CliError(EXIT_VALIDATION,
+                           f"config file: no command takes {key}")
     o = argparse.Namespace()
     for key, (kind, default, *_) in args.options.items():
         flag = getattr(args, key)
@@ -401,27 +407,17 @@ def cmd_count(args):
     report.add_input(o.path)
     report.start()
 
-    kind = _detect_kind(o.path)
-    dead = o.count_dead_indicators
-    sections = []
-    if kind == "checkpoint":
+    if _detect_kind(o.path) == "checkpoint":
         model = load_model(o.path)
-        dense_total, dense_rows = count_model(model)
-        sections.append(("dense", dense_total, dense_rows))
-        if model.stage == "full":
-            prog = lower_model(model)
-            light_total, light_rows = count_model(
-                prog, count_dead_indicators=dead)
-            sections.append(("lightweight", light_total, light_rows))
+        cfg = model.cfg
+        prog = lower_model(model) if model.stage == "full" else None
     else:
         prog = load_program(o.path)
-        light_total, light_rows = count_model(prog,
-                                              count_dead_indicators=dead)
-        sections.append(("lightweight", light_total, light_rows))
-        implied = _implied_config(prog)
-        if implied is not None:
-            dense_total, dense_rows = count_model(implied)
-            sections.insert(0, ("dense", dense_total, dense_rows))
+        cfg = _implied_config(prog)
+    sections = [(name, *count_model(
+                    obj, count_dead_indicators=o.count_dead_indicators))
+                for name, obj in (("dense", cfg), ("lightweight", prog))
+                if obj is not None]
 
     results = {}
     csv_parts = []

@@ -626,23 +626,10 @@ def verify_equivalence(prog: BooleanProgram, model: Model, trials=10_000,
 
 # ------------------------------------------------------------- expressions
 
-@dataclass
-class BooleanExpr:
-    variables: tuple  # literal names, P entries first, then N entries
-    terms: tuple  # tuple of products; each product is ((var, polarity), ...)
-    formula: str  # rendered two-level form
-
-    def evaluate(self, assignment):
-        if self.formula == "1":
-            return 1
-        for term in self.terms:
-            if all(assignment[v] == int(pol) for v, pol in term):
-                return 1
-        return 0
-
-
 def synthesize_expression(cp: ChannelProgram, names=None):
-    """Minimal two-level formula of one channel, in closed form.
+    """Minimal two-level formula of one channel, in closed form: "0", "1",
+    or its products joined by " | ", each product's literals by " & ", a
+    negated literal written ~name.
 
     Take each P entry as a literal and each N entry negated, both swapped
     under flip: the channel fires iff at least k of its n literals hold,
@@ -650,8 +637,7 @@ def synthesize_expression(cp: ChannelProgram, names=None):
     unate, so its minimum sum of products is unique: every k-subset of the
     literals, each one a prime implicant and essential."""
     if cp.const is not None:
-        return BooleanExpr(variables=(), terms=(),
-                           formula=str(cp.const))
+        return str(cp.const)
     n, npos = cp.fan_in, len(cp.p)
     if n > MAX_LITERALS:
         raise ValueError(f"fan-in {n} exceeds the {MAX_LITERALS}-literal limit")
@@ -661,16 +647,13 @@ def synthesize_expression(cp: ChannelProgram, names=None):
         raise ValueError("need one name per P then N entry")
     k = npos - cp.theta if cp.flip else cp.theta + n - npos + 1
     if k > n:
-        return BooleanExpr(variables=tuple(names), terms=(), formula="0")
+        return "0"
     if k <= 0:
-        return BooleanExpr(variables=tuple(names), terms=((),), formula="1")
+        return "1"
     literals = [(v, (i < npos) != cp.flip) for i, v in enumerate(names)]
-    terms = sorted(itertools.combinations(literals, k))
-    rendered = " | ".join(
+    return " | ".join(
         " & ".join(("" if pol else "~") + v for v, pol in term)
-        for term in terms)
-    return BooleanExpr(variables=tuple(names), terms=tuple(terms),
-                       formula=rendered)
+        for term in sorted(itertools.combinations(literals, k)))
 
 
 def conv0_literal_names(cp: ChannelProgram):
@@ -694,8 +677,8 @@ def program_expressions(prog: BooleanProgram):
                 names = conv0_literal_names(cp)
             else:
                 names = None
-            expr = synthesize_expression(cp, names=names)
-            out.append((layer.name, ci, expr.formula))
+            out.append((layer.name, ci,
+                        synthesize_expression(cp, names=names)))
     return out
 
 
@@ -904,9 +887,10 @@ def _channel_line(kv, line_kind, layer_kind, index):
     if const:
         return ChannelProgram((), (), const=_bit(kv["const"], "const"))
     p, n = (_index_list(_need(kv, key), layer_kind) for key in ("P", "N"))
-    theta = _number(kv.get("theta", "0"), "theta", signed=True)
-    flip = bool(_bit(kv.get("flip", "0"), "flip"))
-    return ChannelProgram(p, n, theta, flip)
+    if line_kind == "ACC":
+        return ChannelProgram(p, n)
+    theta = _number(_need(kv, "theta"), "theta", signed=True)
+    return ChannelProgram(p, n, theta, bool(_bit(_need(kv, "flip"), "flip")))
 
 
 def _layer_line(kv, names):

@@ -37,6 +37,7 @@ PROOF = f"{CLI}::test_verify_proof_catches_mutation_without_trials"
 TABLE = f"{MODEL}::test_table_route_equals_gemm_route"
 EDITS = [f"{MODEL}::test_exact_forward_follows_in_place_edits",
          f"{LOWERING}::test_run_program_sees_in_place_edits"]
+BACKWARD = [f"{MODEL}::test_backward_matches_finite_differences"]
 LOADER = [f"{LOWERING}::test_load_rejects_malformed",
           f"{LOWERING}::test_load_rejects_an_index_listed_twice",
           f"{LOWERING}::test_load_faults_keep_file_order",
@@ -145,6 +146,22 @@ MUTATIONS = [
     ("loader: an unknown key accepted", "lowering.py",
      '            raise ValueError(f"{line} takes no {key}=")',
      "            pass", LOADER),
+    ("loader: an IND line's theta= defaults to 0", "lowering.py",
+     '_number(_need(kv, "theta"), "theta", signed=True)',
+     '_number(kv.get("theta", "0"), "theta", signed=True)', LOADER),
+    ("loader: an IND line's flip= defaults to 0", "lowering.py",
+     '_bit(_need(kv, "flip"), "flip")', '_bit(kv.get("flip", "0"), "flip")',
+     LOADER),
+    # Model.backward
+    ("backward: dense1's rows left channels-last", "model.py",
+     "                    dw = nn.channels_first_rows(dw, c, hh, ww)\n",
+     "                    pass\n", BACKWARD),
+    ("backward: the sigmoid's gradient without 1 - y", "nn.py",
+     "    return dy * cache * (1.0 - cache)", "    return dy * cache",
+     BACKWARD),
+    ("backward: the skip gradient dropped", "model.py",
+     "skip_grads[spec.skip_from] = lam * dy",
+     "skip_grads[spec.skip_from] = 0 * dy", BACKWARD),
     # opcount, the dense and lightweight operation counts
     ("opcount: a sum drops the last column", "opcount.py",
      "OpCounts(*map(operator.add, self, other))",
@@ -162,6 +179,10 @@ MUTATIONS = [
      "        if flag is not None:\n",
      "        if flag is not None and key not in config:\n",
      [f"{CLI}::test_every_option_as_flag_or_config_line"]),
+    ("resolve: a config key no command takes ignored", "cli.py",
+     "        if not any(key in options for *_, options in COMMANDS.values()):",
+     "        if False:",
+     [f"{CLI}::test_config_key_no_command_takes_exits_2"]),
 ]
 
 

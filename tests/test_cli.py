@@ -129,6 +129,20 @@ def test_config_file_with_flag_override(work):
     assert "n_per_class = 30" in rep["config_text"]
 
 
+def test_config_key_no_command_takes_exits_2(tmp_path, quant_ckpt, capsys):
+    """A config-file key that no command takes exits 2 naming it, before
+    the report is written; a key of another command is ignored."""
+    cfg, rpt = tmp_path / "typo.cfg", tmp_path / "count.json"
+    cfg.write_text("epocs = 3\n")
+    capsys.readouterr()
+    assert run(["count", quant_ckpt, "--config", cfg, "--report", rpt]) == 2
+    err = capsys.readouterr().err
+    assert "no command takes epocs" in err and "Traceback" not in err
+    assert not rpt.exists()
+    cfg.write_text("epochs = 3\n")
+    assert run(["count", quant_ckpt, "--config", cfg, "--report", rpt]) == 0
+
+
 # ------------------------------------------------------------------ options
 
 def _parsed(argv):
@@ -327,6 +341,16 @@ def test_quantize_stage_transition(work, fp_ckpt):
     assert load_model(out).stage == "full"
     rep = read_report(f"{out}.report.json")
     assert rep["inputs"][str(fp_ckpt)] == sha256_file(fp_ckpt)
+
+
+def test_quantize_fine_tune_needs_val_data(work, tiny_data, fp_ckpt, capsys):
+    out = work / "no-val.ndwf"
+    capsys.readouterr()
+    assert run(["quantize", "--checkpoint", fp_ckpt, "--out", out,
+                "--data", tiny_data["train"], "--epochs", 1]) == 2
+    err = capsys.readouterr().err
+    assert "fine-tuning needs val_data alongside data" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 # ------------------------------------------------------- lower/verify/eval
@@ -849,6 +873,12 @@ def _sub_in(prefix, pattern, repl):
     ("ch-7", _set_value("ch", "7", "IND ch=0 "),
      "ch=7 but the line is channel 0 of its layer"),
     ("no-ch", _drop_key("ch", "IND ch=0 "), "missing ch="),
+    ("no-theta", _drop_key("theta", "IND ch=0 theta="), "missing theta="),
+    ("no-flip", _drop_key("flip", "IND ch=0 theta="), "missing flip="),
+    ("dense-kernel", _sub_in("LAYER name=dense1 ", "$", " kernel=1x1"),
+     "a dense layer takes no kernel="),
+    ("conv-in-9", _set_value("in", "9", "LAYER name=res0.c1 "),
+     "res0.c1: expected 9 input channels"),
 ])
 def test_malformed_program_exits_2(work, quant_ckpt, lowered, tiny_data,
                                    capsys, name, edit, message):

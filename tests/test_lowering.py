@@ -770,8 +770,18 @@ def test_table_pattern_expressions():
              (((3, 0, 0),), ((1, 0, 0),), "C_r' & ~C_r")]
     for p, n, want in pairs:
         cp = ChannelProgram(p=p, n=n, theta=0)
-        expr = synthesize_expression(cp, names=conv0_literal_names(cp))
-        assert expr.formula == want
+        assert synthesize_expression(
+            cp, names=conv0_literal_names(cp)) == want
+
+
+def _products(formula):
+    """The products of an EXPR formula, each a tuple of (name, polarity):
+    none for "0", one empty product for "1"."""
+    if formula in ("0", "1"):
+        return [()] * int(formula)
+    return [tuple((lit.lstrip("~"), not lit.startswith("~"))
+                  for lit in term.split(" & "))
+            for term in formula.split(" | ")]
 
 
 def test_expression_matches_indicator_truth_table():
@@ -788,22 +798,23 @@ def test_expression_matches_indicator_truth_table():
                             n=tuple(int(i) for i in idx[cut:]),
                             theta=int(r.integers(-n - 1, n + 1)),
                             flip=bool(r.integers(2)))
-        expr = synthesize_expression(cp)
+        terms = _products(synthesize_expression(cp))
+        assert terms == sorted(terms)
         table = np.array(list(itertools.product((0, 1), repeat=n)))
         fires = np.array([apply_channel(cp, sum(bits[:cut]) - sum(bits[cut:]))
                           for bits in table.tolist()])
         for bits, want in zip(table.tolist(), fires):
-            assign = {f"x{i}": bits[i] for i in range(n)}
-            assert expr.evaluate(assign) == want
+            assert any(all(bits[int(v[1:])] == pol for v, pol in term)
+                       for term in terms) == want
         literals = [(f"x{i}", (i < cut) != cp.flip) for i in range(n)]
         true_literals = (table == [pol for _, pol in literals]).sum(axis=1)
         if not fires.any():
-            assert expr.terms == ()
+            assert terms == []
             continue
         k = int(true_literals[fires == 1].min())
-        assert set(expr.terms) == set(itertools.combinations(literals, k))
-        assert len(expr.terms) == math.comb(n, k)
-        for term in expr.terms:
+        assert set(terms) == set(itertools.combinations(literals, k))
+        assert len(terms) == math.comb(n, k)
+        for term in terms:
             cols = [int(v[1:]) for v, _ in term]
             holds = table[:, cols] == [pol for _, pol in term]
             for j in range(len(term)):
@@ -812,11 +823,11 @@ def test_expression_matches_indicator_truth_table():
 
 
 def test_expression_constants_and_limits():
-    assert synthesize_expression(ChannelProgram(p=(), n=(), const=0)).formula == "0"
-    assert synthesize_expression(ChannelProgram(p=(), n=(), const=1)).formula == "1"
+    assert synthesize_expression(ChannelProgram(p=(), n=(), const=0)) == "0"
+    assert synthesize_expression(ChannelProgram(p=(), n=(), const=1)) == "1"
     # theta at or above fan-in: never fires; below -|N|: always fires
-    assert synthesize_expression(ChannelProgram(p=(0,), n=(), theta=1)).formula == "0"
-    assert synthesize_expression(ChannelProgram(p=(0,), n=(1,), theta=-2)).formula == "1"
+    assert synthesize_expression(ChannelProgram(p=(0,), n=(), theta=1)) == "0"
+    assert synthesize_expression(ChannelProgram(p=(0,), n=(1,), theta=-2)) == "1"
     with pytest.raises(ValueError):
         synthesize_expression(ChannelProgram(p=tuple(range(5)),
                                              n=tuple(range(5, 9))))
@@ -824,14 +835,12 @@ def test_expression_constants_and_limits():
 
 def test_expression_majority_minimal():
     cp = ChannelProgram(p=(0, 1, 2), n=(), theta=1)
-    expr = synthesize_expression(cp)
-    assert expr.formula == "x0 & x1 | x0 & x2 | x1 & x2"
+    assert synthesize_expression(cp) == "x0 & x1 | x0 & x2 | x1 & x2"
 
 
 def test_expression_flip_demorgan():
     cp = ChannelProgram(p=(0,), n=(1,), theta=0, flip=True)
-    expr = synthesize_expression(cp)
-    assert set(expr.terms) == {(("x0", False),), (("x1", True),)}  # ~x0 | x1
+    assert synthesize_expression(cp) == "~x0 | x1"
 
 
 def test_program_expressions_listing():
@@ -861,14 +870,11 @@ def _formula_plane(formula, layer, cp, inputs, shape):
     else:
         names = [f"x{i}" for i in range(len(entries))]
     values = {name: lit.astype(bool) for name, lit in zip(names, lits)}
-    if formula in ("0", "1"):
-        return np.full(shape, int(formula), dtype=np.uint8)
     out = np.zeros(shape, dtype=bool)
-    for term in formula.split(" | "):
+    for term in _products(formula):
         t = np.ones(shape, dtype=bool)
-        for lit in term.split(" & "):
-            v = values[lit.lstrip("~")]
-            t &= ~v if lit.startswith("~") else v
+        for v, pol in term:
+            t &= values[v] if pol else ~values[v]
         out |= t
     return out.astype(np.uint8)
 

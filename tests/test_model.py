@@ -112,6 +112,48 @@ def test_residual_block_is_identity_when_zeroed():
     assert np.array_equal(l1, l2)
 
 
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+def test_backward_matches_finite_differences(activation):
+    """Model.backward as a whole, in float64 at the fp stage, against
+    central differences of a projected loss: the skip path (res0.c2),
+    dense1's channels-last row order, a batchnorm and a bias."""
+    m = build_model(small_cfg(hidden_activation=activation), seed=5)
+    for name, w in m.weights.items():
+        m.weights[name] = w.astype(np.float64)
+    r = np.random.default_rng(6)
+    for name, norm in m.norms.items():
+        if isinstance(norm, nn.BnState):
+            m.norms[name] = dataclasses.replace(norm, **{
+                key: getattr(norm, key).astype(np.float64)
+                for key in ("gamma", "beta", "running_mean", "running_var")})
+            m.norms[name].gamma[:] = r.uniform(0.5, 1.5, norm.gamma.shape)
+        else:
+            m.norms[name] = r.normal(0.0, 0.1, norm.shape)
+    x = r.integers(0, 2, size=(6, 4, 16, 1)).astype(np.float64)
+    proj = r.normal(size=(6, 2))
+
+    def loss():
+        return float((m.forward(x, training=True)[0] * proj).sum())
+
+    grads = m.backward(proj, m.forward(x, training=True)[1])
+    params = m.param_dict()
+    eps = 1e-6
+    for key in ("conv0.w", "res0.c1.w", "res0.c2.w", "dense1.w",
+                "res0.bn2.gamma", "out.b"):
+        p, g = params[key], grads[key]
+        assert g.shape == p.shape and g.dtype == np.float64, key
+        for flat in r.choice(p.size, size=min(6, p.size), replace=False):
+            i = np.unravel_index(flat, p.shape)
+            old = p[i]
+            p[i] = old + eps
+            hi = loss()
+            p[i] = old - eps
+            lo = loss()
+            p[i] = old
+            fd = (hi - lo) / (2 * eps)
+            assert abs(fd - g[i]) <= 1e-6 * np.abs(g).max(), (key, i)
+
+
 # ------------------------------------------------------------- stage logic
 
 def test_set_stage_initializes_deltas():
