@@ -295,16 +295,17 @@ def cmd_train(args):
 
 def cmd_quantize(args):
     o, report = resolve(args)
+    fine_tune = o.data is not None and o.epochs > 0
+    if fine_tune and o.val_data is None:
+        raise CliError(EXIT_VALIDATION,
+                       "fine-tuning needs val_data alongside data")
     report.add_input(o.checkpoint)
     report.start()
 
     model = load_model(o.checkpoint)
     model.set_stage(o.stage)
     results = {"stage": o.stage, "fine_tune_epochs": 0}
-    if o.data is not None and o.epochs > 0:
-        if o.val_data is None:
-            raise CliError(EXIT_VALIDATION,
-                           "fine-tuning needs val_data alongside data")
+    if fine_tune:
         train_set = load_dataset(o.data)
         val_set = load_dataset(o.val_data)
         report.add_input(o.data)

@@ -46,9 +46,11 @@ class Dataset:
 
 
 def _pair_words_to_bits(c0l, c0r, c1l, c1r):
-    words = np.stack([c0l, c0r, c1l, c1r], axis=1).astype(np.uint32)  # [n, 4]
-    shifts = np.arange(15, -1, -1, dtype=np.uint32)
-    return ((words[:, :, None] >> shifts[None, None, :]) & 1).astype(np.uint8)
+    """[n, 4, 16] uint8 bits of four 16-bit word arrays, MSB first: each
+    word is stored big-endian, so unpacking its two bytes gives its bits in
+    order."""
+    words = np.stack([c0l, c0r, c1l, c1r], axis=1).astype(">u2")  # [n, 4]
+    return np.unpackbits(words.view(np.uint8), axis=1).reshape(-1, 4, 16)
 
 
 def gen_dataset(n_per_class, rounds, delta=DEFAULT_DELTA, group_size=8, seed=0):

@@ -271,11 +271,11 @@ class Model:
 
     def _forward(self, x, training, kernels):
         """forward, with kernels from _layer_kernels(training). Feature maps
-        run channels-last, [N, 16, g, C]. Training convs keep their window
-        rows for backward (nn.conv2d), and training normalizes with
-        nn.batchnorm. Inference runs per layer the GEMM (nn.conv_sums,
-        nn.matmul_rows) of the folded kernel, the scaled skip add, the shift
-        add and the activation in place."""
+        run channels-last, [N, 16, g, C]. Training convs keep their input
+        and one block's window buffer for backward (nn.conv2d), and
+        training normalizes with nn.batchnorm. Inference runs per layer the
+        GEMM (nn.conv_sums, nn.matmul_rows) of the folded kernel, the scaled
+        skip add, the shift add and the activation in place."""
         check_layout(x, self.cfg.group_size)
         specs = layer_specs(self.cfg)
         # Skip sources' outputs stay referenced until the pass returns, like

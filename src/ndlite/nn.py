@@ -5,15 +5,19 @@ W=group depth); dense inputs are [N, F]. Forward functions return (output,
 cache); the matching *_grad function consumes the cache. Effective weights
 are passed in by the caller, so quantization-aware training can substitute
 fake-quantized tensors without the kernels knowing. Per-channel sums
-(batchnorm, bias gradients) run on the [rows, C] view (channel_sums).
-Training normalizes through batchnorm; inference folds a batchnorm into
-the layer before it as the per-channel affine map of bn_affine.
+(batchnorm, bias gradients) run on the [rows, C] view (channel_sums, or
+one einsum pass for a sum of products). Training normalizes through
+batchnorm; inference folds a batchnorm into the layer before it as the
+per-channel affine map of bn_affine.
 
 A 'same' conv is a GEMM of window rows [N*H*W, live_taps*C] with the kernel
 matrix of tap_matrix, over the taps that can read data (at group depth 1,
-3 of a 3x3 kernel's 9). Training's conv2d keeps the batch's window rows for
-conv2d_grad's dw, one cols^T . dY GEMM. conv_sums runs every inference
-route and conv2d_grad's dx, in GEMM_ROWS blocks through reused window
+3 of a 3x3 kernel's 9), one block of about GEMM_ROWS output positions at a
+time through a reused window buffer. Training's conv2d keeps that one
+buffer and its input, not the batch's window rows: conv2d_grad builds each
+block's windows again (_im2col) and sums dw = cols^T . dY over the blocks,
+so training memory stays bounded at the price of a second window copy.
+conv_sums runs every inference route and conv2d_grad's dx with its own
 buffers; on 0/1 inputs times +-1 codes its sums are exact integers under
 F32_EXACT_LIMIT.
 """
@@ -92,16 +96,23 @@ def _windows(xp, reach):
         (sn, sh, sw, sh, sw, sc), writeable=False)
 
 
-def _im2col(x, kh, kw, ph, pw):
-    """Window rows [N*H*W, live_taps*C] of a channels-last map x [N, H, W, C]:
-    row (n, i, j) holds, tap by tap, the C inputs that output position
-    reads. Only the live taps are built (see _live_taps)."""
+def _im2col(x, kh, kw, ph, pw, *, out):
+    """Window rows [N*H*W, live_taps*C] of a channels-last map x [N, H, W, C],
+    written into the first N*H*W rows of out (C-contiguous, live_taps*C
+    columns) and returned as that view: row (n, i, j) holds, tap by tap, the
+    C inputs that output position reads. Only the live taps are built (see
+    _live_taps)."""
     n, h, w, c = x.shape
     reach, _ = _live_taps(ph, pw, h, w)
     rh, rw = reach
-    xp = np.zeros((n, h + 2 * rh, w + 2 * rw, c), dtype=x.dtype)
-    xp[:, rh:rh + h, rw:rw + w] = x
-    return _windows(xp, reach).reshape(n * h * w, -1)
+    xp = x
+    if rh or rw:
+        xp = np.zeros((n, h + 2 * rh, w + 2 * rw, c), dtype=x.dtype)
+        xp[:, rh:rh + h, rw:rw + w] = x
+    win = _windows(xp, reach)
+    rows = out[:n * h * w]
+    rows.reshape(win.shape)[...] = win
+    return rows
 
 
 def tap_matrix(k, hh, ww):
@@ -117,33 +128,51 @@ def tap_matrix(k, hh, ww):
 
 def conv2d(x, w, b=None):
     """Stride-1 'same' convolution of channels-last x [N,H,W,C] with
-    w [O,C,kh,kw] and b [O], to y [N,H,W,O]. Window rows on the live taps
-    times the kernel matrix (matmul_rows)."""
+    w [O,C,kh,kw] and b [O], to y [N,H,W,O]. Per block of about GEMM_ROWS
+    output positions, the block's window rows on the live taps (_im2col,
+    into one buffer every block reuses) times the kernel matrix
+    (matmul_rows). The cache keeps that buffer and x, not the batch's
+    window rows: conv2d_grad builds them again block by block, so x must
+    not change in between."""
     n, h, wd, c = x.shape
     out_ch, c_in, kh, kw = w.shape
     if c_in != c:
         raise ValueError(f"input has {c} channels, kernel expects {c_in}")
     ph, pw = _same_pad(kh, kw)
-    cols = _im2col(x, kh, kw, ph, pw)
     _, kmat = tap_matrix(w, h, wd)
-    y = matmul_rows(cols, kmat)
+    step = max(1, GEMM_ROWS // (h * wd))  # samples per block
+    cols = np.empty((min(n, step) * h * wd, len(kmat)), x.dtype)
+    y = np.empty((n, h, wd, out_ch), np.result_type(x, kmat))
+    for lo in range(0, n, step):
+        xb = x[lo:lo + step]
+        matmul_rows(_im2col(xb, kh, kw, ph, pw, out=cols), kmat,
+                    out=y[lo:lo + len(xb)].reshape(-1, out_ch))
     if b is not None:
-        y = y + b
-    return y.reshape(n, h, wd, out_ch), (cols, w, x.shape, b is not None)
+        y += b
+    return y, (cols, w, x, b is not None)
 
 
 def conv2d_grad(dy, cache):
     """Returns (dx, dw, db), dx and dy channels-last; db is None when the
-    layer had no bias. dw is one cols^T . dY GEMM (taps that only read
-    padding get an exact zero); dx is the 'same' conv of dY with the kernel
-    flipped and its channel axes swapped (conv_sums)."""
-    cols, w, (_, h, wd, c), has_b = cache
+    layer had no bias. dw sums cols^T . dY over the forward's blocks, each
+    block's window rows built again into the cached buffer (taps that only
+    read padding get an exact zero); dx is the 'same' conv of dY with the
+    kernel flipped and its channel axes swapped (conv_sums)."""
+    cols, w, x, has_b = cache
+    n, h, wd, c = x.shape
     out_ch, _, kh, kw = w.shape
-    _, live = _live_taps(*_same_pad(kh, kw), h, wd)
+    ph, pw = _same_pad(kh, kw)
+    _, live = _live_taps(ph, pw, h, wd)
     rows = dy.reshape(-1, out_ch)
-    dw = np.zeros(w.shape, np.result_type(cols, dy))
+    step = max(1, len(cols) // (h * wd))  # the forward's samples per block
+    dwm = np.zeros((cols.shape[1], out_ch), np.result_type(cols, dy))
+    for lo in range(0, n, step):
+        xb = x[lo:lo + step]
+        block = _im2col(xb, kh, kw, ph, pw, out=cols)
+        dwm += block.T @ rows[lo * h * wd:(lo + len(xb)) * h * wd]
+    dw = np.zeros(w.shape, dwm.dtype)
     taps = dw[live].shape[2:]
-    dw[live] = (cols.T @ rows).reshape(*taps, c, out_ch).transpose(3, 2, 0, 1)
+    dw[live] = dwm.reshape(*taps, c, out_ch).transpose(3, 2, 0, 1)
     dx = conv_sums(dy, *tap_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
                                    h, wd))
     return dx, dw, channel_sums(rows) if has_b else None
@@ -259,34 +288,37 @@ def bn_affine(bn: BnState):
 def batchnorm(x, bn: BnState):
     """Training-mode batchnorm: normalize per channel over every leading
     axis of a channels-last x [..., C] by the batch's statistics, and
-    update the running stats in place. Inference folds bn_affine into the
-    layer before instead."""
+    update the running stats in place. The variance is taken over the
+    centred rows, which the cache keeps with inv_std and the folded scale
+    gamma * inv_std. Inference folds bn_affine into the layer before
+    instead."""
     if x.shape[0] < 2:
         raise ValueError("batchnorm training requires batch size >= 2")
     rows = x.reshape(-1, x.shape[-1])
     mean = channel_sums(rows) / len(rows)
-    xhat = rows - mean
-    var = channel_sums(np.square(xhat)) / len(rows)
+    xc = rows - mean
+    var = np.einsum("ij,ij->j", xc, xc) / len(rows)
     bn.running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
     bn.running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var
     inv_std = 1.0 / np.sqrt(var + bn.eps)
-    xhat *= inv_std
-    y = bn.gamma * xhat
+    scale = bn.gamma * inv_std
+    y = xc * scale
     y += bn.beta
-    return y.reshape(x.shape), (xhat, inv_std, bn.gamma)
+    return y.reshape(x.shape), (xc, inv_std, scale)
 
 
 def batchnorm_grad(dy, cache):
-    """Returns (dx, dgamma, dbeta), with
-    dx = g * (dy - dbeta/m - xhat * dgamma/m), g = gamma * inv_std."""
-    xhat, inv_std, gamma = cache
-    rows = dy.reshape(xhat.shape)
-    dx = rows * xhat
-    dgamma, dbeta = channel_sums(dx), channel_sums(rows)
-    np.multiply(xhat, dgamma / len(rows), out=dx)
-    np.subtract(rows, dx, out=dx)
-    dx -= dbeta / len(rows)
-    dx *= gamma * inv_std
+    """Returns (dx, dgamma, dbeta), with xhat = xc * inv_std and
+    dx = scale * (dy - dbeta/m - xhat * dgamma/m), scale = gamma * inv_std."""
+    xc, inv_std, scale = cache
+    rows = dy.reshape(xc.shape)
+    m = len(rows)
+    dgamma = np.einsum("ij,ij->j", rows, xc) * inv_std
+    dbeta = channel_sums(rows)
+    dx = np.multiply(xc, inv_std * dgamma / -m)
+    dx += rows
+    dx -= dbeta / m
+    dx *= scale
     return dx.reshape(dy.shape), dgamma, dbeta
 
 

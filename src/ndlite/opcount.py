@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, fields, replace
 
 from .lowering import BooleanProgram
-from .model import LayerSpec, Model, ModelConfig, layer_specs
+from .model import LayerSpec, ModelConfig, layer_specs
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,8 @@ def _program_rows(prog: BooleanProgram, count_dead_indicators):
 
 
 def count_model(obj, count_dead_indicators=False):
-    """(total OpCounts, [(component, OpCounts), ...]) for a model, a model
-    config, or a lowered program."""
-    if isinstance(obj, Model):
-        obj = obj.cfg
+    """(total OpCounts, [(component, OpCounts), ...]) for a model config
+    or a lowered program."""
     if isinstance(obj, BooleanProgram):
         rows = _program_rows(obj, count_dead_indicators)
     elif isinstance(obj, ModelConfig):

@@ -29,6 +29,7 @@ MODEL = "tests/test_model.py"
 LOWERING = "tests/test_lowering.py"
 CLI = "tests/test_cli.py"
 OPCOUNT = "tests/test_opcount.py"
+NN = "tests/test_nn.py"
 FOLD_TEST = f"{MODEL}::test_folded_float_route_matches_unfused_reference"
 ORACLE = f"{MODEL}::test_exact_forward_matches_definition_oracle"
 PROGRAM_TESTS = [f"{LOWERING}::test_program_matches_exact_{case}" for case in (
@@ -162,6 +163,20 @@ MUTATIONS = [
     ("backward: the skip gradient dropped", "model.py",
      "skip_grads[spec.skip_from] = lam * dy",
      "skip_grads[spec.skip_from] = 0 * dy", BACKWARD),
+    # the training kernels
+    ("conv2d_grad: dw drops the remainder block", "nn.py",
+     "        dwm += block.T @ rows[lo * h * wd:(lo + len(xb)) * h * wd]\n",
+     "        if len(xb) == step:\n"
+     "            dwm += block.T @ rows[lo * h * wd:(lo + len(xb)) * h * wd]"
+     "\n", [f"{NN}::test_conv_gemm_blocks_agree"]),
+    ("conv2d: the forward reuses the first block's windows", "nn.py",
+     "matmul_rows(_im2col(xb, kh, kw, ph, pw, out=cols), kmat,",
+     "matmul_rows(cols[:len(xb) * h * wd] if lo else "
+     "_im2col(xb, kh, kw, ph, pw, out=cols), kmat,",
+     [f"{NN}::test_conv_gemm_blocks_agree"]),
+    ("batchnorm_grad: dx without the dbeta/m term", "nn.py",
+     "    dx -= dbeta / m\n", "    pass\n",
+     [f"{NN}::test_batchnorm_matches_float64_reference"]),
     # opcount, the dense and lightweight operation counts
     ("opcount: a sum drops the last column", "opcount.py",
      "OpCounts(*map(operator.add, self, other))",

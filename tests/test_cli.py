@@ -351,6 +351,7 @@ def test_quantize_fine_tune_needs_val_data(work, tiny_data, fp_ckpt, capsys):
     err = capsys.readouterr().err
     assert "fine-tuning needs val_data alongside data" in err
     assert "Traceback" not in err and not out.exists()
+    assert not Path(f"{out}.report.json").exists()
 
 
 # ------------------------------------------------------- lower/verify/eval

@@ -162,6 +162,20 @@ def test_gen_matches_scalar_path():
         assert np.array_equal(ds.bits[s], encode_input(pairs))
 
 
+@pytest.mark.parametrize("n_per_class, rounds, g, seed, digest", [
+    (4096, 3, 1, 1,
+     "a191f7be75b865637bcd2da2bfb80dee168f56753615f277eeda3b943ed602d6"),
+    (512, 5, 8, 2,
+     "0a699bc4131192904fd95fc6c3ef7c21593afbcf12729382a22dd64822c329ff"),
+], ids=["g1", "g8"])
+def test_gen_bits_are_pinned(n_per_class, rounds, g, seed, digest):
+    # Digests from a shift-and-mask encoder, a reference independent of
+    # the np.unpackbits one.
+    ds = gen_dataset(n_per_class, rounds, group_size=g, seed=seed)
+    assert ds.bits.dtype == np.uint8
+    assert hashlib.sha256(ds.bits.tobytes()).hexdigest() == digest
+
+
 def test_gen_label_soundness_from_recorded_inputs():
     seed, g = 2, 8
     ds = gen_dataset(n_per_class=32, rounds=4, group_size=g, seed=seed)

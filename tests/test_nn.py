@@ -163,21 +163,52 @@ def test_conv_backward_kernel_wider_than_map(dtype, tol):
     assert np.all(dw[:, :, :, [0, 4]] == 0.0)
 
 
-def test_conv_gemm_blocks_agree(monkeypatch):
+@pytest.mark.parametrize("n, h, width, kernel", [
+    (7, 5, 4, (3, 3)), (5, 16, 1, (1, 1)), (5, 16, 1, (3, 3)),
+    (5, 16, 3, (3, 3))], ids=["3x3-h5-w4", "1x1-w1", "3x3-w1", "3x3-w3"])
+def test_conv_gemm_blocks_agree(monkeypatch, n, h, width, kernel):
+    # Blocks of 2 samples, the last a remainder: the forward and dw build
+    # each block's windows into the one buffer the cache keeps.
     r = np.random.default_rng(7)
-    x = r.normal(size=(7, 3, 5, 4))
-    w = r.normal(size=(4, 3, 3, 3))
+    x = r.normal(size=(n, 3, h, width))
+    w = r.normal(size=(4, 3) + kernel)
     b = r.normal(size=4)
-    proj = r.normal(size=(7, 4, 5, 4))
+    proj = r.normal(size=(n, 4, h, width))
     y, cache = nn.conv2d(cl(x), w, b)
     whole = (y,) + nn.conv2d_grad(cl(proj), cache)
-    monkeypatch.setattr(nn, "GEMM_ROWS", 2 * 5 * 4)  # blocks of 2 samples
+    monkeypatch.setattr(nn, "GEMM_ROWS", 2 * h * width)
     y, cache = nn.conv2d(cl(x), w, b)
+    taps = ((2 * min(kernel[0] // 2, h - 1) + 1)
+            * (2 * min(kernel[1] // 2, width - 1) + 1))
+    assert cache[0].shape == (2 * h * width, taps * 3)
     blocked = (y,) + nn.conv2d_grad(cl(proj), cache)
     for a, c in zip(whole, blocked):
-        assert a.shape == c.shape
-        assert rel_err(a, c) < 1e-12
+        assert a.dtype == c.dtype == np.float64 and a.shape == c.shape
+        assert rel_err(c, a) < 1e-12
     assert rel_err(blocked[0], cl(naive_conv2d(x, w, b))) < 1e-12
+
+
+def test_conv_training_memory_does_not_grow_with_blocks(monkeypatch):
+    # The cache keeps one block's window buffer, not the batch's window
+    # rows, so past y and dx (x and dy are made before tracing) conv2d and
+    # conv2d_grad over 16 blocks at g=8 peak no higher than over one.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    monkeypatch.setattr(nn, "GEMM_ROWS", 2 * 16 * 8)  # 2-sample blocks
+    r = np.random.default_rng(17)
+    w = r.normal(size=(16, 16, 3, 3)).astype(np.float32)
+    x, dy = r.normal(size=(2, 32, 16, 8, 16)).astype(np.float32)
+    nn.conv2d_grad(dy[:2], nn.conv2d(x[:2], w)[1])
+    extra = []
+    for n in (2, 32):
+        tracemalloc.start()
+        try:
+            y, cache = nn.conv2d(x[:n], w)
+            dx, _, _ = nn.conv2d_grad(dy[:n], cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - y.nbytes - dx.nbytes)
+    assert extra[1] <= 1.25 * extra[0], extra
 
 
 @pytest.mark.parametrize("m", [0, 5, 24, 29])

@@ -83,13 +83,14 @@ def test_dense_model_totals_and_breakdown():
 
 
 def test_dense_model_instance_matches_config():
-    m = build_model(ModelConfig(group_size=1, channels=8, dense_sizes=(16, 8)),
-                    seed=0)
-    t1, r1 = count_model(m)
+    cfg = ModelConfig(group_size=1, channels=8, dense_sizes=(16, 8))
+    m = build_model(cfg, seed=0)
+    t1, r1 = count_model(cfg)
     t2, r2 = count_model(m.cfg)
     assert t1 == t2 and r1 == r2
-    with pytest.raises(TypeError, match="cannot count dict"):
-        count_model(m.weights)
+    for obj, name in ((m.weights, "dict"), (m, "Model")):
+        with pytest.raises(TypeError, match=f"cannot count {name}"):
+            count_model(obj)
 
 
 def test_layer_shape_validation():
