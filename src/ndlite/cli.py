@@ -18,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import resource
 import sys
@@ -95,6 +96,30 @@ def _count(text):
     return value
 
 
+def _rate(text):
+    """A finite number > 0, such as a learning rate."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _number(text):
+    """Any number but NaN; -inf and inf included."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a number other than NaN, got {text!r}")
+    return value
+
+
 def _sizes(text):
     """Integers >= 1 separated by commas, such as layer widths."""
     try:
@@ -132,6 +157,15 @@ def _config_value(key, kind, text):
                        f"config file: {key} = {text}: {e}") from None
 
 
+def _seed_env(text):
+    """The seed that ND_SEED holds: an integer, in any base Python reads."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise CliError(EXIT_VALIDATION, f"ND_SEED = {text}: expected an "
+                       "integer seed") from None
+
+
 def resolve(args):
     """(o, report): every option of args' command, flag > config file >
     default, as the namespace o, and the command's Report, which records
@@ -149,7 +183,7 @@ def resolve(args):
         if flag is not None:
             value, source = flag, "flag"
         elif key == "seed" and os.environ.get("ND_SEED"):
-            value, source = int(os.environ["ND_SEED"], 0), "ND_SEED"
+            value, source = _seed_env(os.environ["ND_SEED"]), "ND_SEED"
         elif key in config:
             value, source = _config_value(key, kind, config[key]), "config"
         elif default is REQUIRED:
@@ -367,8 +401,7 @@ def cmd_lower(args):
     report.start()
 
     model = load_model(o.checkpoint)
-    prog = lower_model(model, theta_mode=o.theta_mode,
-                       fold_output=o.fold_output, output_mode=o.output_mode)
+    prog = lower_model(model)
     save_program(prog, o.out)
     report.add_output(o.out)
     for line in _sparsity_lines(prog):
@@ -497,7 +530,7 @@ def cmd_verify(args):
 _SEED = {"seed": (int, TrainHyper.seed, "RNG seed (beats ND_SEED)")}
 _HYPER = {"epochs": (_count, TrainHyper.epochs),
           "batch_size": (_count, TrainHyper.batch_size),
-          "lr": (float, TrainHyper.lr),
+          "lr": (_rate, TrainHyper.lr),
           "patience": (_count, TrainHyper.patience)}
 _VERIFY = {"trials": (_count, 10_000, "random whole-network trials"),
            "width": (_count, 9, "enumerate every sum of channels with at "
@@ -546,9 +579,6 @@ COMMANDS = {
     "lower": (cmd_lower, "compile a quantized checkpoint to a program", {
         "checkpoint": (str, REQUIRED),
         "out": (str, REQUIRED),
-        "theta_mode": (("folded", "zero"), "folded"),
-        "fold_output": (_boolean, True),
-        "output_mode": (("threshold", "argmax"), "threshold"),
         **_VERIFY,
         **_SEED}),
     "count": (cmd_count, "operation-count report", {
@@ -559,7 +589,7 @@ COMMANDS = {
     "eval": (cmd_eval, "accuracy of a checkpoint or program", {
         **_PATH,
         "data": (str, REQUIRED),
-        "threshold": (float, None, "a checkpoint's decision threshold "
+        "threshold": (_number, None, "a checkpoint's decision threshold "
                                    "(default: its own)"),
         **_REPORT}),
     "verify": (cmd_verify, "re-check program/checkpoint equivalence", {

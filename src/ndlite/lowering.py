@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .model import (ExactLayer, Model, _frac, check_bits, content_key,
-                    exact_bit_forward, exact_layers, exact_predicate,
-                    layer_specs, named_planes, route_kernel, run_layers,
-                    same_content, sum_range, table_route)
+from .model import (ExactLayer, Model, _frac, check_bits, content_cached,
+                    content_key, exact_bit_forward, exact_layers,
+                    exact_predicate, layer_specs, named_planes, route_kernel,
+                    run_layers, same_content, sum_range, table_route)
 from .quant import extract_ternary
 
 INPUT_CHANNEL_NAMES = ("C_l", "C_r", "C_l'", "C_r'")
@@ -145,8 +145,8 @@ class BooleanProgram:
     group_size: int
     layers: list
     warnings: list = field(default_factory=list)
-    # run_program's (layer fields, content_key of the layer arrays,
-    # compiled layers); not part of the program
+    # run_program's content_cached (layer fields, key, compiled layers);
+    # not part of the program
     _compiled: tuple | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -224,21 +224,18 @@ def _layer(codes, folds=None, name="", skip_from=None, decision=None,
                         compare_theta)
 
 
-def lower_layer(ternary, bn=None, bias=None, theta_mode="folded", name="",
-                skip_from=None):
-    """LayerProgram of one ternary layer.
+def lower_layer(ternary, bn=None, bias=None, name="", skip_from=None):
+    """LayerProgram of one ternary layer, its batchnorm or bias folded
+    into the thresholds.
 
     Conv codes are [out_ch, in_ch, kh, kw]; dense codes are [in, out]
-    (channel c is column c). theta_mode "zero" skips folding and emits the
-    literal I(S > 0) convention. skip_from names the layer whose output
-    bits also join the sums (the residual skip).
+    (channel c is column c). skip_from names the layer whose output bits
+    also join the sums (the residual skip).
     """
-    if theta_mode not in ("folded", "zero"):
-        raise ValueError(f"unknown theta mode {theta_mode!r}")
-    folds = None  # theta mode "zero", or no norm to fold
-    if theta_mode == "folded" and bn is not None:
+    folds = None  # no norm to fold
+    if bn is not None:
         folds = fold_batchnorm(bn, ternary.delta)
-    elif theta_mode == "folded" and bias is not None:
+    elif bias is not None:
         folds = fold_bias(bias, ternary.delta)
     return _layer(ternary.codes, folds, name, skip_from)
 
@@ -280,21 +277,18 @@ def _compare_theta(ternary, bias, mode, threshold, scale=1):
     return math.floor(-db / dlt)
 
 
-def lower_model(model: Model, theta_mode="folded", fold_output=True,
-                output_mode="threshold") -> BooleanProgram:
+def lower_model(model: Model) -> BooleanProgram:
     """Compile a full-stage model into a BooleanProgram."""
     if model.stage != "full":
         raise ValueError("lowering requires a fully quantized (full-stage) model")
-    if output_mode not in ("threshold", "argmax"):
-        raise ValueError(f"unknown output fold mode {output_mode!r}")
 
     def tern(name):
         return extract_ternary(model.weights[name], model.delta_of(name))
 
     specs = layer_specs(model.cfg)
     # spec.norm, "bn" or "bias", names lower_layer's norm argument
-    layers = [lower_layer(tern(spec.name), theta_mode=theta_mode,
-                          name=spec.name, skip_from=spec.skip_from,
+    layers = [lower_layer(tern(spec.name), name=spec.name,
+                          skip_from=spec.skip_from,
                           **{spec.norm: model.norms[spec.name]})
               for spec in specs[:-1]]
     warnings = []
@@ -303,19 +297,17 @@ def lower_model(model: Model, theta_mode="folded", fold_output=True,
     out = specs[-1]
     out_t, out_b = tern(out.name), model.norms[out.name]
     thr = model.cfg.decision_threshold
-    folded = fold_output_pair(out_t, out_b, mode=output_mode,
-                              threshold=thr) if fold_output else None
+    folded = fold_output_pair(out_t, out_b, threshold=thr)
     if folded is not None:
         layers.append(LayerProgram.from_channels(
             out.name, out.kind, out.in_width, out.kernel, [folded],
             decision="folded"))
     else:
-        if fold_output:
-            warnings.append("output rows are not antisymmetric; emitting "
-                            "both channels with a compare decision")
+        warnings.append("output rows are not antisymmetric; emitting "
+                        "both channels with a compare decision")
         layers.append(_layer(
             out_t.codes, name=out.name, decision="compare",
-            compare_theta=_compare_theta(out_t, out_b, output_mode, thr)))
+            compare_theta=_compare_theta(out_t, out_b, "threshold", thr)))
     return BooleanProgram(group_size=model.cfg.group_size, layers=layers,
                           warnings=warnings)
 
@@ -422,10 +414,8 @@ def _compiled_layers(prog):
     edited in place)."""
     fields = prog.group_size, [lp._fields() for lp in prog.layers]
     arrays = [a for lp in prog.layers for a in lp._arrays()]
-    if (prog._compiled is None or prog._compiled[0] != fields
-            or not same_content(arrays, prog._compiled[1])):
-        prog._compiled = (fields, content_key(arrays), _compile(prog))
-    return prog._compiled[2]
+    return content_cached(prog, "_compiled", fields, arrays,
+                          lambda: _compile(prog))
 
 
 def run_program(prog: BooleanProgram, bits, return_planes=False):

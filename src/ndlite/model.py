@@ -164,7 +164,7 @@ class Model:
         self.norms = norms
         # name -> 0-d float64 array, learnable in quantized stages
         self.deltas = {}
-        # exact_layers' (config, content_key, ExactLayers); not a parameter
+        # exact_layers' content_cached tuple; not a parameter
         self._exact = None
 
     # ------------------------------------------------------------ plumbing
@@ -484,6 +484,20 @@ def same_content(arrays, key):
         for a, (dtype, shape, data) in zip(arrays, key))
 
 
+def content_cached(owner, attr, fields, arrays, build):
+    """build()'s value, kept in owner.attr as (fields, content_key(arrays),
+    value) and built again whenever fields or the content of arrays differ
+    from the kept ones (arrays may be edited in place). The tuple is
+    replaced, never edited, so copies of owner may share it."""
+    kept = getattr(owner, attr)
+    if kept is None or kept[0] != fields or not same_content(arrays, kept[1]):
+        # built first: the key's copy of the arrays is not held meanwhile
+        value = build()
+        kept = (fields, content_key(arrays), value)
+        setattr(owner, attr, kept)
+    return kept[2]
+
+
 def check_layout(x, group_size):
     """ValueError unless x is a batch [N, 4, 16, group_size]."""
     if x.ndim != 4 or x.shape[1:] != (4, 16, group_size):
@@ -711,10 +725,12 @@ def exact_layers(model: Model):
         arrays += [model.weights[spec.name], model.deltas[spec.name],
                    getattr(norm, "eps", 0.0),
                    *_norm_tensors(spec, norm).values()]
-    cfg = tuple(vars(model.cfg).items())
-    if (model._exact is not None and model._exact[0] == cfg
-            and same_content(arrays, model._exact[1])):
-        return model._exact[2]
+    return content_cached(model, "_exact", tuple(vars(model.cfg).items()),
+                          arrays, lambda: _build_exact_layers(model, specs))
+
+
+def _build_exact_layers(model, specs):
+    """One ExactLayer per spec, with the table route's tables."""
     shape = (16, model.cfg.group_size, 4)
     layers = []
     for spec in specs:
@@ -731,8 +747,7 @@ def exact_layers(model: Model):
         layers.append(ExactLayer(spec.name, spec.skip_from, reach, kmat,
                                  fan_in, lo, hi, t.astype(np.float32), first,
                                  "compare" if last else None))
-    model._exact = (cfg, content_key(arrays), table_route(layers))
-    return layers
+    return table_route(layers)
 
 
 def exact_bit_forward(model: Model, bits, return_planes=False):

@@ -35,6 +35,7 @@ ORACLE = f"{MODEL}::test_exact_forward_matches_definition_oracle"
 PROGRAM_TESTS = [f"{LOWERING}::test_program_matches_exact_{case}" for case in (
     "model_folded", "model_compare_fallback", "two_blocks_wider_group")]
 PROOF = f"{CLI}::test_verify_proof_catches_mutation_without_trials"
+COMPARE = f"{LOWERING}::test_compare_decision_takes_the_decision_threshold"
 TABLE = f"{MODEL}::test_table_route_equals_gemm_route"
 EDITS = [f"{MODEL}::test_exact_forward_follows_in_place_edits",
          f"{LOWERING}::test_run_program_sees_in_place_edits"]
@@ -89,23 +90,22 @@ MUTATIONS = [
     ("table route: conv0's table ignores first", "model.py",
      "    bits = (patterns @ layer0.kmat > layer0.t) ^ layer0.first",
      "    bits = patterns @ layer0.kmat > layer0.t", [TABLE, ORACLE]),
-    ("table route: a program's tables kept over an edit", "lowering.py",
-     "        prog._compiled = (fields, content_key(arrays), _compile(prog))"
-     "\n",
-     "        old = prog._compiled\n"
-     "        prog._compiled = (fields, content_key(arrays), _compile(prog))"
-     "\n"
-     "        for new, was in zip(prog._compiled[2], old[2] if old else []):"
-     "\n"
+    ("table route: a program's tables kept over an edit", "model.py",
+     "        kept = (fields, content_key(arrays), value)\n",
+     "        old = kept\n"
+     "        kept = (fields, content_key(arrays), value)\n"
+     "        for new, was in zip(kept[2], old[2] if old and "
+     "attr == '_compiled' else []):\n"
      "            new.bit_table, new.sum_tables = was.bit_table, "
      "was.sum_tables\n", EDITS),
     ("table route: a model's tables kept over an edit", "model.py",
-     "    model._exact = (cfg, content_key(arrays), table_route(layers))\n",
-     "    old = model._exact\n"
-     "    model._exact = (cfg, content_key(arrays), table_route(layers))\n"
-     "    for new, was in zip(layers, old[2] if old else []):\n"
-     "        new.bit_table, new.sum_tables = was.bit_table, was.sum_tables\n",
-     EDITS),
+     "        kept = (fields, content_key(arrays), value)\n",
+     "        old = kept\n"
+     "        kept = (fields, content_key(arrays), value)\n"
+     "        for new, was in zip(kept[2], old[2] if old and "
+     "attr == '_exact' else []):\n"
+     "            new.bit_table, new.sum_tables = was.bit_table, "
+     "was.sum_tables\n", EDITS),
     # sum_range
     ("sum_range: skip bit left out of hi", "model.py",
      "return lo.astype(np.int64), hi.astype(np.int64) + skip",
@@ -126,6 +126,13 @@ MUTATIONS = [
     ("_prove: antisymmetry of a folded output not checked", "lowering.py",
      "            if not np.array_equal(kmat[:, 0], -kmat[:, 1]):",
      "            if False:", [PROOF]),
+    # lower_model's output decision
+    ("lower_model: the compare decision takes the argmax rule",
+     "lowering.py", '_compare_theta(out_t, out_b, "threshold", thr)',
+     '_compare_theta(out_t, out_b, "argmax", thr)', [COMPARE]),
+    ("lower_model: the fold is never tried", "lowering.py",
+     "    folded = fold_output_pair(out_t, out_b, threshold=thr)",
+     "    folded = None", [PROGRAM_TESTS[0]]),
     # _compile_layer, the thresholds run_program runs
     ("compile: thresholds clamped from lo + 1", "lowering.py",
      "min(max(th, lo_c - 1), hi_c)", "min(max(th, lo_c + 1), hi_c)",

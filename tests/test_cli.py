@@ -28,8 +28,9 @@ from ndlite.model import (evaluate, exact_bit_forward, layer_specs,
 from ndlite.model import ModelConfig, TrainHyper
 from ndlite.quant import QuantSchedule
 
-from test_lowering import (_planted_conv0_model, antisymmetrize_output,
-                           damaged, saved_programs_in, set_channel)
+from test_lowering import (_planted_conv0_model, _raise_theta,
+                           antisymmetrize_output, damaged, saved_programs_in,
+                           set_channel)
 from test_model import randomized_quantized_model, small_cfg
 
 
@@ -151,6 +152,8 @@ def _parsed(argv):
 
 # two distinct texts of each option type; a choice takes its last and first
 _SAMPLES = {int: ("5", "6"), float: ("0.25", "0.75"), str: ("v.bin", "w.bin"),
+            ndlite.cli._rate: ("0.25", "0.75"),
+            ndlite.cli._number: ("inf", "0.75"),
             ndlite.cli._count: ("3", "4"), ndlite.cli._sizes: ("8,8", "6,5"),
             ndlite.cli._delta: ("0x1/0x2", "0x3/0x4"),
             ndlite.cli._boolean: ("false", "true")}
@@ -261,6 +264,49 @@ def test_bad_dense_sizes_exit_2_naming_the_option(tmp_path, monkeypatch,
         assert named in err and f"got {bad!r}" in err, err
         assert "invalid literal" not in err and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("argv, key, bad", [
+    (["train", "--data", "d.nds", "--val-data", "v.nds", "--out", "b.ndwf"],
+     "lr", bad) for bad in ("nan", "inf", "0", "-1e-3", "x")] + [
+    (["quantize", "--checkpoint", "c.ndwf", "--out", "b.ndwf"], "lr", "nan"),
+    (["eval", "c.ndwf", "--data", "v.nds"], "threshold", "nan"),
+    (["eval", "c.ndwf", "--data", "v.nds"], "threshold", "x")])
+def test_nan_rate_or_threshold_exits_2_naming_it(tmp_path, monkeypatch,
+                                                 capsys, argv, key, bad):
+    """A learning rate is a finite number > 0 and eval's threshold any
+    number but NaN: another value exits 2 before any work, as a flag and
+    as a config line, naming the option and the value."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {bad}\n")
+    flag = "--" + key
+    for extra, named in (([f"{flag}={bad}"], flag), (["--config", cfg],
+                                                     f"{key} = {bad}")):
+        capsys.readouterr()
+        assert run(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert named in err and repr(bad) in err, err
+        assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
+
+def test_nd_seed_that_is_no_integer_exits_2_naming_it(tmp_path, monkeypatch,
+                                                      capsys):
+    """ND_SEED is an integer in any base Python reads; another value exits
+    2 before any work, naming the variable and the value."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen-data", "--out", "s.nds", "--n-per-class", 2,
+            "--rounds", 3, "--group-size", 1]
+    monkeypatch.setenv("ND_SEED", "abc")
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "ND_SEED = abc" in err and "invalid literal" not in err, err
+    assert os.listdir(tmp_path) == []
+    monkeypatch.setenv("ND_SEED", "0x10")
+    assert run(argv) == 0
+    assert read_report("s.nds.report.json")["resolved"]["seed"] == 16
 
 
 def test_count_and_eval_take_no_seed(quant_ckpt, tiny_data):
@@ -383,44 +429,60 @@ def test_lower_prints_sparsity_and_verifies(work, quant_ckpt, capsys):
     load_program(out)
 
 
-def test_lower_zero_theta_exits_3(work, quant_ckpt, capsys):
-    """--theta-mode zero drops the batchnorm folds, so the proof alone, with
-    no random trials, rejects the program: exit 3, a counterexample on
-    stderr and verify_passed false in the report."""
-    out = work / "zero.bprog"
+def test_lower_of_an_unequal_program_exits_3(work, monkeypatch, capsys):
+    """A lowered program that is not the model's (one conv0 channel's
+    theta raised) is still written, and the proof alone, with no random
+    trials, rejects it: exit 3, a counterexample on stderr and
+    verify_passed false in the report."""
+    ckpt, out = work / "unequal.ndwf", work / "unequal.bprog"
+    save_model(_planted_conv0_model(), ckpt)
+
+    def lower_then_raise_theta(model):
+        prog = lower_model(model)
+        _raise_theta(prog)
+        return prog
+    monkeypatch.setattr(ndlite.cli, "lower_model", lower_then_raise_theta)
     capsys.readouterr()
-    assert run(["lower", "--checkpoint", quant_ckpt, "--out", out,
-                "--theta-mode", "zero", "--trials", 0]) == 3
+    assert run(["lower", "--checkpoint", ckpt, "--out", out,
+                "--trials", 0]) == 3
     err = capsys.readouterr().err
     assert "verification FAILED" in err and "counterexample:" in err
-    res = read_report(f"{out}.report.json")["results"]
+    rep = read_report(f"{out}.report.json")
+    res = rep["results"]
     assert res["verify_passed"] is False and res["trials_run"] == 0
     assert res["exhaustive_channels"] < res["total_channels"]
+    assert rep["outputs"] == {str(out): sha256_file(out)}
+    want = lower_model(load_model(ckpt))
+    _raise_theta(want)
+    assert load_program(out).layers == want.layers
 
 
 def test_config_booleans(work, quant_ckpt, lowered, capsys):
     """A config-file boolean is true or false in any case; any other value
-    exits 2 naming its key."""
+    exits 2 naming its key. lower takes no option that shapes the program:
+    theta_mode as a config line and --fold-output as a flag exit 2."""
     cfg = work / "bool.cfg"
-    out = work / "bool.bprog"
+    rpt = work / "bool.count.json"
     for text, want in (("FALSE", False), ("True", True)):
-        cfg.write_text(f"fold_output = {text}\n"
-                       f"count_dead_indicators = {text}\n")
-        assert run(["lower", "--config", cfg, "--checkpoint", quant_ckpt,
-                    "--out", out, "--trials", 0]) == 0
-        assert read_report(f"{out}.report.json")["resolved"][
-            "fold_output"] is want
-        rpt = work / "bool.count.json"
+        cfg.write_text(f"count_dead_indicators = {text}\n")
         assert run(["count", lowered, "--config", cfg, "--report", rpt]) == 0
         assert read_report(rpt)["resolved"]["count_dead_indicators"] is want
-    for key, argv in (("fold_output", ["lower", "--checkpoint", quant_ckpt,
-                                       "--out", out]),
-                      ("count_dead_indicators", ["count", lowered])):
-        cfg.write_text(f"{key} = yes\n")
+    cfg.write_text("count_dead_indicators = yes\n")
+    capsys.readouterr()
+    assert run(["count", lowered, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "count_dead_indicators = yes" in err and "Traceback" not in err
+    out = work / "removed.bprog"
+    lower = ["lower", "--checkpoint", quant_ckpt, "--out", out]
+    cfg.write_text("theta_mode = zero\n")
+    for argv, named in ((lower + ["--config", cfg],
+                         "no command takes theta_mode"),
+                        (lower + ["--fold-output"], "--fold-output")):
         capsys.readouterr()
-        assert run(argv + ["--config", cfg]) == 2
+        assert run(argv) == 2
         err = capsys.readouterr().err
-        assert f"{key} = yes" in err and "Traceback" not in err
+        assert named in err and "Traceback" not in err, err
+    assert not out.exists() and not Path(f"{out}.report.json").exists()
 
 
 def test_lower_rejects_fp_checkpoint(work, fp_ckpt):
@@ -479,17 +541,17 @@ def test_eval_rejects_empty_dataset(work, quant_ckpt, lowered, capsys):
 
 
 def test_eval_threshold_out_of_range(work, fp_ckpt, tiny_data):
-    rpt = work / "eval.hi.json"
-    assert run(["eval", fp_ckpt, "--data", tiny_data["val"],
-                "--threshold", 1.01, "--report", rpt]) == 0
-    res = read_report(rpt)["results"]
-    assert res["accuracy"] == 0.5              # balanced set, all "random"
-    assert res["confusion"]["tp"] == 0 and res["confusion"]["fp"] == 0
-    rpt = work / "eval.lo.json"
-    assert run(["eval", fp_ckpt, "--data", tiny_data["val"],
-                "--threshold", -0.5, "--report", rpt]) == 0
-    res = read_report(rpt)["results"]
-    assert res["confusion"]["tn"] == 0 and res["confusion"]["fn"] == 0
+    """A threshold outside (0, 1), an infinite one too, is the degenerate
+    rule: above 1 every sample is "random", at 0 or below every one
+    "real"; the set is balanced, so either gives accuracy 0.5."""
+    for threshold, never in (("1.01", ("tp", "fp")), ("inf", ("tp", "fp")),
+                             ("-0.5", ("tn", "fn")), ("-inf", ("tn", "fn"))):
+        rpt = work / "eval.out_of_range.json"
+        assert run(["eval", fp_ckpt, "--data", tiny_data["val"],
+                    f"--threshold={threshold}", "--report", rpt]) == 0
+        res = read_report(rpt)["results"]
+        assert res["accuracy"] == 0.5, threshold
+        assert res["confusion"][never[0]] == res["confusion"][never[1]] == 0
 
 
 def test_eval_program_rejects_threshold_flag(lowered, tiny_data):

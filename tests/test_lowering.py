@@ -191,18 +191,6 @@ def test_lower_layer_dense_dead_and_theta():
     assert chans[2].const == 1  # dead, bias 0.3 > 0 at S == 0
 
 
-def test_lower_layer_zero_theta_mode():
-    codes = np.zeros((6, 2), dtype=np.int8)
-    codes[1, 0] = 1
-    bn_like_bias = [5.0, -5.0]
-    chans = lower_layer(ternary_from_codes(codes, 0.5), bias=bn_like_bias,
-                        theta_mode="zero").channels
-    assert chans[0].theta == 0 and chans[0].flip is False
-    assert chans[1].const == 0  # dead channels emit constant 0 in zero mode
-    with pytest.raises(ValueError):
-        lower_layer(ternary_from_codes(codes, 0.5), theta_mode="sideways")
-
-
 def test_zero_codes_never_appear_in_index_sets():
     m = randomized_quantized_model(17)
     prog = lower_model(m)
@@ -314,6 +302,22 @@ def test_program_matches_exact_model_compare_fallback():
         assert_same_planes(prog, m, bits)
 
 
+def test_compare_decision_takes_the_decision_threshold():
+    """A compare decision decides at the model's decision threshold, not
+    by argmax (score > 0.5): with a threshold beyond the nearest score on
+    either side of 0.5, the program gives the exact model's labels, which
+    differ from argmax's on the samples of that score."""
+    m = randomized_firing_model(2)
+    bits = np.random.default_rng(2).integers(0, 2, size=(200, 4, 16, 1),
+                                             dtype=np.uint8)
+    _, scores = exact_bit_forward(m, bits)
+    for near in (scores[scores < 0.5].max(), scores[scores > 0.5].min()):
+        m.cfg.decision_threshold = float(near + (near > 0.5)) / 2
+        labels = run_program(lower_model(m), bits)
+        assert np.array_equal(labels, exact_bit_forward(m, bits)[0])
+        assert not np.array_equal(labels, scores > 0.5)
+
+
 def test_program_matches_exact_two_blocks_wider_group():
     """On a saturated and on a firing random model."""
     cfg = small_cfg(residual_blocks=2, group_size=4)
@@ -374,7 +378,7 @@ def test_routes_do_not_depend_on_the_block_size(seed, group_size, fold, n):
     m = randomized_quantized_model(seed, cfg=small_cfg(group_size=group_size))
     if fold:
         antisymmetrize_output(m)
-    prog = lower_model(m, fold_output=fold)
+    prog = lower_model(m)
     bits = np.random.default_rng(seed).integers(
         0, 2, size=(n, 4, 16, group_size), dtype=np.uint8)
     with pytest.MonkeyPatch.context() as mp:
@@ -438,7 +442,7 @@ def test_program_planes_equal_exact_forward_property(seed, group_size, blocks,
         seed, cfg=small_cfg(residual_blocks=blocks, group_size=group_size))
     if fold:
         antisymmetrize_output(m)
-    prog = lower_model(m, fold_output=fold)
+    prog = lower_model(m)
     assert prog.layers[-1].decision == ("folded" if fold else "compare")
     bits = np.random.default_rng(seed).integers(
         0, 2, size=(64, 4, 16, group_size), dtype=np.uint8)
@@ -629,18 +633,6 @@ def test_lower_model_requires_full_stage():
     m.set_stage("weights")
     with pytest.raises(ValueError):
         lower_model(m)
-
-
-def test_zero_theta_mode_equals_folded_on_identity_model():
-    m = build_model(small_cfg(), seed=9)
-    for bn in [m.norms["conv0"], m.norms["res0.c1"], m.norms["res0.c2"]]:
-        identity_bn(bn)
-    antisymmetrize_output(m)
-    m.set_stage("full")
-    folded = lower_model(m, theta_mode="folded")
-    zero = lower_model(m, theta_mode="zero")
-    assert folded.layers[-1].decision == "folded"
-    assert folded.layers == zero.layers
 
 
 # -------------------------------------------------------------- equivalence
