@@ -9,7 +9,7 @@ of both forms.
 
 from .speck import encrypt, key_schedule
 from .dataset import Dataset, gen_dataset, load_dataset, save_dataset
-from .model import Model, ModelConfig, TrainHyper, build_model, classify, evaluate, train
+from .model import Model, ModelConfig, TrainHyper, build_model, evaluate, train
 from .quant import QuantSchedule, extract_ternary, quantize_weights
 from .lowering import (BooleanProgram, load_program, lower_model, run_program,
                        save_program, verify_equivalence)
@@ -28,7 +28,6 @@ __all__ = [
     "ModelConfig",
     "TrainHyper",
     "build_model",
-    "classify",
     "evaluate",
     "train",
     "QuantSchedule",

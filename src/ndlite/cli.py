@@ -197,6 +197,10 @@ def resolve(args):
     return o, Report(args.command, path, vars(o), args.config, text)
 
 
+# json's names of the non-finite floats -> what a report writes for them
+_NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+
+
 class Report:
     """Serialized before work starts, rewritten with results at the end."""
 
@@ -229,10 +233,15 @@ class Report:
         self._write()
 
     def _write(self):
+        """Writes the payload as strict JSON: a non-finite float, such as
+        an infinite threshold or a diverged loss, as "inf", "-inf" or
+        "nan"."""
         if self.path is None:
             return
+        payload = json.loads(json.dumps(self.payload),
+                             parse_constant=_NON_FINITE.get)
         with open(self.path, "w", encoding="utf-8") as f:
-            json.dump(self.payload, f, indent=2, sort_keys=True)
+            json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
             f.write("\n")
 
 
@@ -329,10 +338,17 @@ def cmd_train(args):
 
 def cmd_quantize(args):
     o, report = resolve(args)
-    fine_tune = o.data is not None and o.epochs > 0
+    fine_tune = o.epochs > 0
+    if fine_tune and o.data is None:
+        raise CliError(EXIT_VALIDATION, f"epochs = {o.epochs} fine-tunes, "
+                       "which needs data and val_data")
     if fine_tune and o.val_data is None:
         raise CliError(EXIT_VALIDATION,
                        "fine-tuning needs val_data alongside data")
+    for key in ("data", "val_data"):
+        if not fine_tune and getattr(o, key) is not None:
+            raise CliError(EXIT_VALIDATION, f"{key} is read only when "
+                           "fine-tuning, with epochs > 0")
     report.add_input(o.checkpoint)
     report.start()
 
@@ -630,6 +646,28 @@ def build_parser():
     return p
 
 
+# Every flag that takes a value: all but path and the --key/--no-key ones.
+_VALUE_FLAGS = {"--config"} | {
+    "--" + key.replace("_", "-") for *_, options in COMMANDS.values()
+    for key, (kind, *_) in options.items()
+    if key != "path" and kind is not _boolean}
+
+
+def _dash_values(argv):
+    """argv with '--key -v' written '--key=-v' for each flag that takes a
+    value: argparse reads a token that starts with '-', unless it is a
+    plain negative decimal, as a flag (-inf, -1e-3). A token that starts
+    with '--' is always a flag."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _VALUE_FLAGS and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 @functools.cache
 def _parser():
     """The parser of main, built on its first call (2-3 ms) and reused:
@@ -639,7 +677,8 @@ def _parser():
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(
+            _dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return EXIT_VALIDATION if e.code not in (0, None) else EXIT_OK
     try:

@@ -17,11 +17,11 @@ connection enters the second conv's pre-normalization sum scaled by that
 conv's step size, so the whole network computes integer accumulator sums of
 input bits. In the "full" stage the model's reference semantics is exact
 rational arithmetic over those integer sums (exact_bit_forward); evaluate()
-and classify() route through it, which is what lowered programs are
-verified against. Each indicator's rational predicate is affine in the
-integer sum, so one integer switch point per channel, found in Fraction
-arithmetic and cached per model content (exact_layers), makes it one
-compare. Nothing is taken from the lowering's folded thresholds.
+routes through it, which is what lowered programs are verified against.
+Each indicator's rational predicate is affine in the integer sum, so one
+integer switch point per channel, found in Fraction arithmetic and cached
+per model content (exact_layers), makes it one compare. Nothing is taken
+from the lowering's folded thresholds.
 
 The integer network is one loop, run_layers over ExactLayers: float32 GEMM
 sums (nn.conv_sums, nn.matmul_rows), exact because every channel's fan-in
@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import nn
-from .dataset import Dataset, REAL
+from .dataset import Dataset
 from .quant import (STAGES, binarize_activation, binarize_activation_grad,
                     extract_ternary, init_step_size, quantize_weights,
                     step_size_grad, ste_weight_grad, QuantSchedule)
@@ -770,19 +770,7 @@ def exact_bit_forward(model: Model, bits, return_planes=False):
     return labels, scores
 
 
-# -------------------------------------------------------- classify/evaluate
-
-def classify(model: Model, bits):
-    """(label, score) for one sample's bits [4, 16, g]; label is real iff
-    score passes the model's decision threshold (inclusive)."""
-    x = np.asarray(bits)[None]
-    if model.stage == "full":
-        labels, scores = exact_bit_forward(model, x)
-        return int(labels[0]), float(scores[0])
-    score = float(model.scores(x)[0])
-    label = REAL if score >= model.cfg.decision_threshold else 1 - REAL
-    return label, score
-
+# ---------------------------------------------------------------- evaluate
 
 def evaluate(model: Model, dataset: Dataset):
     """(accuracy, confusion) under the decision-threshold rule. Both routes

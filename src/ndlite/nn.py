@@ -12,14 +12,12 @@ per-channel affine map of bn_affine.
 
 A 'same' conv is a GEMM of window rows [N*H*W, live_taps*C] with the kernel
 matrix of tap_matrix, over the taps that can read data (at group depth 1,
-3 of a 3x3 kernel's 9), one block of about GEMM_ROWS output positions at a
-time through a reused window buffer. Training's conv2d keeps that one
-buffer and its input, not the batch's window rows: conv2d_grad builds each
-block's windows again (_im2col) and sums dw = cols^T . dY over the blocks,
-so training memory stays bounded at the price of a second window copy.
-conv_sums runs every inference route and conv2d_grad's dx with its own
-buffers; on 0/1 inputs times +-1 codes its sums are exact integers under
-F32_EXACT_LIMIT.
+3 of a 3x3 kernel's 9). conv_sums is the one conv forward, for training
+and every inference route; _window_blocks is the one window builder, one
+block of about GEMM_ROWS output positions at a time through one padded
+buffer. conv2d keeps x, not the batch's window rows, and conv2d_grad builds
+them again for dw. On 0/1 inputs times +-1 codes the sums are exact
+integers under F32_EXACT_LIMIT.
 """
 
 from __future__ import annotations
@@ -96,23 +94,41 @@ def _windows(xp, reach):
         (sn, sh, sw, sh, sw, sc), writeable=False)
 
 
-def _im2col(x, kh, kw, ph, pw, *, out):
+def _im2col(x, kh, kw, ph, pw, *, out, pad):
     """Window rows [N*H*W, live_taps*C] of a channels-last map x [N, H, W, C],
     written into the first N*H*W rows of out (C-contiguous, live_taps*C
     columns) and returned as that view: row (n, i, j) holds, tap by tap, the
     C inputs that output position reads. Only the live taps are built (see
-    _live_taps)."""
+    _live_taps). x goes into pad [>= N, H+2rh, W+2rw, C], whose border the
+    caller keeps zero."""
     n, h, w, c = x.shape
     reach, _ = _live_taps(ph, pw, h, w)
     rh, rw = reach
-    xp = x
-    if rh or rw:
-        xp = np.zeros((n, h + 2 * rh, w + 2 * rw, c), dtype=x.dtype)
-        xp[:, rh:rh + h, rw:rw + w] = x
+    xp = pad[:n]
+    xp[:, rh:rh + h, rw:rw + w] = x
     win = _windows(xp, reach)
     rows = out[:n * h * w]
     rows.reshape(win.shape)[...] = win
     return rows
+
+
+def _window_blocks(x, kh, kw, ph, pw, cols):
+    """Yields (lo, hi, rows) for each block of samples x[lo:hi] whose window
+    rows fit the buffer cols: rows is that block's _im2col, in cols. Every
+    block goes through one zero-padded buffer."""
+    n, h, w, c = x.shape
+    (rh, rw), _ = _live_taps(ph, pw, h, w)
+    step = max(1, len(cols) // (h * w))  # samples per block
+    pad = np.zeros((min(n, step), h + 2 * rh, w + 2 * rw, c), x.dtype)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        yield lo, hi, _im2col(x[lo:hi], kh, kw, ph, pw, out=cols, pad=pad)
+
+
+def _block_rows(n, h, w):
+    """Rows of a window buffer for blocks of about GEMM_ROWS output
+    positions: whole samples, at least one, at most n."""
+    return min(n, max(1, GEMM_ROWS // (h * w))) * h * w
 
 
 def tap_matrix(k, hh, ww):
@@ -128,27 +144,18 @@ def tap_matrix(k, hh, ww):
 
 def conv2d(x, w, b=None):
     """Stride-1 'same' convolution of channels-last x [N,H,W,C] with
-    w [O,C,kh,kw] and b [O], to y [N,H,W,O]. Per block of about GEMM_ROWS
-    output positions, the block's window rows on the live taps (_im2col,
-    into one buffer every block reuses) times the kernel matrix
-    (matmul_rows). The cache keeps that buffer and x, not the batch's
-    window rows: conv2d_grad builds them again block by block, so x must
-    not change in between."""
+    w [O,C,kh,kw] and b [O], to y [N,H,W,O]: conv_sums with w's
+    tap_matrix, plus b. The cache keeps x and an empty one-block window
+    buffer, not the batch's window rows: conv2d_grad builds them block by
+    block, so x must not change in between."""
     n, h, wd, c = x.shape
-    out_ch, c_in, kh, kw = w.shape
-    if c_in != c:
-        raise ValueError(f"input has {c} channels, kernel expects {c_in}")
-    ph, pw = _same_pad(kh, kw)
-    _, kmat = tap_matrix(w, h, wd)
-    step = max(1, GEMM_ROWS // (h * wd))  # samples per block
-    cols = np.empty((min(n, step) * h * wd, len(kmat)), x.dtype)
-    y = np.empty((n, h, wd, out_ch), np.result_type(x, kmat))
-    for lo in range(0, n, step):
-        xb = x[lo:lo + step]
-        matmul_rows(_im2col(xb, kh, kw, ph, pw, out=cols), kmat,
-                    out=y[lo:lo + len(xb)].reshape(-1, out_ch))
+    if w.shape[1] != c:
+        raise ValueError(f"input has {c} channels, kernel expects {w.shape[1]}")
+    reach, kmat = tap_matrix(w, h, wd)
+    y = conv_sums(x, reach, kmat)
     if b is not None:
         y += b
+    cols = np.empty((_block_rows(n, h, wd), len(kmat)), x.dtype)
     return y, (cols, w, x, b is not None)
 
 
@@ -164,12 +171,9 @@ def conv2d_grad(dy, cache):
     ph, pw = _same_pad(kh, kw)
     _, live = _live_taps(ph, pw, h, wd)
     rows = dy.reshape(-1, out_ch)
-    step = max(1, len(cols) // (h * wd))  # the forward's samples per block
     dwm = np.zeros((cols.shape[1], out_ch), np.result_type(cols, dy))
-    for lo in range(0, n, step):
-        xb = x[lo:lo + step]
-        block = _im2col(xb, kh, kw, ph, pw, out=cols)
-        dwm += block.T @ rows[lo * h * wd:(lo + len(xb)) * h * wd]
+    for lo, hi, block in _window_blocks(x, kh, kw, ph, pw, cols):
+        dwm += block.T @ rows[lo * h * wd:hi * h * wd]
     dw = np.zeros(w.shape, dwm.dtype)
     taps = dw[live].shape[2:]
     dw[live] = dwm.reshape(*taps, c, out_ch).transpose(3, 2, 0, 1)
@@ -208,11 +212,11 @@ def channels_first_rows(w, c, hh, ww):
 
 def conv_sums(x, reach, kmat, out=None):
     """Conv sums [N, H, W, O] of a channels-last map x [N, H, W, C] (0/1
-    bits, or a float dY in conv2d_grad), with (reach, kmat) from tap_matrix,
-    in np.result_type(x, kmat), into out (C-contiguous) or a new array: one
-    GEMM per block of about GEMM_ROWS output positions over their live-tap
-    windows, reads past the edge being the zero padding. A 1x1 conv is one
-    matmul_rows over the [rows, C] view."""
+    bits, conv2d's input or conv2d_grad's dY), with (reach, kmat) from
+    tap_matrix, in np.result_type(x, kmat), into out (C-contiguous) or a new
+    array: one GEMM per block of _window_blocks, reads past the edge being
+    the zero padding. A 1x1 conv is one matmul_rows over the [rows, C]
+    view."""
     n, hh, ww, c = x.shape
     rh, rw = reach
     s = out if out is not None else np.empty(
@@ -220,18 +224,10 @@ def conv_sums(x, reach, kmat, out=None):
     if rh == rw == 0:
         matmul_rows(x.reshape(-1, c), kmat, out=s.reshape(-1, s.shape[-1]))
         return s
-    step = max(1, GEMM_ROWS // (hh * ww))  # samples per block
-    # Every block reuses both buffers; the padding border of xp stays 0.
-    xp = np.zeros((min(n, step), hh + 2 * rh, ww + 2 * rw, c), dtype=x.dtype)
-    win = _windows(xp, reach)
-    cols = np.empty(win.shape, s.dtype)
-    for lo in range(0, n, step):
-        xb = x[lo:lo + step]
-        m = len(xb)
-        xp[:m, rh:rh + hh, rw:rw + ww] = xb
-        cols[:m] = win[:m]
-        np.matmul(cols[:m].reshape(m * hh * ww, -1), kmat,
-                  out=s[lo:lo + m].reshape(m * hh * ww, -1))
+    cols = np.empty((_block_rows(n, hh, ww), len(kmat)), s.dtype)
+    for lo, hi, rows in _window_blocks(x, 2 * rh + 1, 2 * rw + 1, rh, rw,
+                                       cols):
+        np.matmul(rows, kmat, out=s[lo:hi].reshape(len(rows), -1))
     return s
 
 

@@ -171,16 +171,18 @@ MUTATIONS = [
      "skip_grads[spec.skip_from] = lam * dy",
      "skip_grads[spec.skip_from] = 0 * dy", BACKWARD),
     # the training kernels
-    ("conv2d_grad: dw drops the remainder block", "nn.py",
-     "        dwm += block.T @ rows[lo * h * wd:(lo + len(xb)) * h * wd]\n",
-     "        if len(xb) == step:\n"
-     "            dwm += block.T @ rows[lo * h * wd:(lo + len(xb)) * h * wd]"
-     "\n", [f"{NN}::test_conv_gemm_blocks_agree"]),
-    ("conv2d: the forward reuses the first block's windows", "nn.py",
-     "matmul_rows(_im2col(xb, kh, kw, ph, pw, out=cols), kmat,",
-     "matmul_rows(cols[:len(xb) * h * wd] if lo else "
-     "_im2col(xb, kh, kw, ph, pw, out=cols), kmat,",
+    ("_window_blocks: the last partial block skipped", "nn.py",
+     "for lo in range(0, n, step):",
+     "for lo in range(0, n - n % step, step):",
      [f"{NN}::test_conv_gemm_blocks_agree"]),
+    ("_window_blocks: every block yields the first block's rows", "nn.py",
+     "yield lo, hi, _im2col(x[lo:hi], kh, kw, ph, pw, out=cols, pad=pad)",
+     "yield lo, hi, (cols[:(hi - lo) * h * w] if lo else "
+     "_im2col(x[lo:hi], kh, kw, ph, pw, out=cols, pad=pad))",
+     [f"{NN}::test_conv_gemm_blocks_agree"]),
+    ("_im2col: x written into the padded buffer at offset 0", "nn.py",
+     "xp[:, rh:rh + h, rw:rw + w] = x", "xp[:, :h, :w] = x",
+     [f"{NN}::test_conv2d_is_conv_sums_of_tap_matrix"]),
     ("batchnorm_grad: dx without the dbeta/m term", "nn.py",
      "    dx -= dbeta / m\n", "    pass\n",
      [f"{NN}::test_batchnorm_matches_float64_reference"]),
@@ -205,6 +207,28 @@ MUTATIONS = [
      "        if not any(key in options for *_, options in COMMANDS.values()):",
      "        if False:",
      [f"{CLI}::test_config_key_no_command_takes_exits_2"]),
+    ("main: a flag value that starts with '-' read as a flag", "cli.py",
+     '            out[-1] += "=" + arg', "            out.append(arg)",
+     [f"{CLI}::test_nan_rate_or_threshold_exits_2_naming_it"]),
+    ("main: a token that starts with '--' taken as a flag value", "cli.py",
+     '                and not arg.startswith("--")):', "                ):",
+     [f"{CLI}::test_a_double_dash_token_is_never_a_flag_value"]),
+    ("report: non-finite floats left as floats", "cli.py",
+     "parse_constant=_NON_FINITE.get)", "parse_constant=float)",
+     [f"{CLI}::test_report_writes_non_finite_floats_as_strings"]),
+    ("quantize: fine-tuning epochs without data ignored", "cli.py",
+     "    if fine_tune and o.data is None:", "    if False:",
+     [f"{CLI}::test_quantize_options_that_do_nothing_exit_2"]),
+    ("quantize: data without fine-tuning epochs ignored", "cli.py",
+     "        if not fine_tune and getattr(o, key) is not None:",
+     "        if False:",
+     [f"{CLI}::test_quantize_options_that_do_nothing_exit_2"]),
+    # evaluate, the decision rule's one entry point
+    ("evaluate: a full-stage model takes the float route", "model.py",
+     "        pred, _ = exact_bit_forward(model, dataset.bits)",
+     "        pred = model.scores(dataset.bits) >= "
+     "model.cfg.decision_threshold",
+     [f"{MODEL}::test_evaluate_routes_full_stage_through_exact_path"]),
 ]
 
 

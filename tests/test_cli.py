@@ -38,9 +38,14 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def _not_strict_json(constant):
+    raise ValueError(f"a report holds {constant}, which strict JSON has not")
+
+
 def read_report(path):
+    """A report, read as strict JSON: NaN and Infinity are faults."""
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        return json.load(f, parse_constant=_not_strict_json)
 
 
 @pytest.fixture(scope="module")
@@ -275,20 +280,49 @@ def test_bad_dense_sizes_exit_2_naming_the_option(tmp_path, monkeypatch,
 def test_nan_rate_or_threshold_exits_2_naming_it(tmp_path, monkeypatch,
                                                  capsys, argv, key, bad):
     """A learning rate is a finite number > 0 and eval's threshold any
-    number but NaN: another value exits 2 before any work, as a flag and
-    as a config line, naming the option and the value."""
+    number but NaN: another value exits 2 before any work, as a flag (a
+    value after '=' or after a space, -1e-3 too) and as a config line,
+    naming the option and the value."""
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = {bad}\n")
     flag = "--" + key
-    for extra, named in (([f"{flag}={bad}"], flag), (["--config", cfg],
-                                                     f"{key} = {bad}")):
+    for extra, named in (([f"{flag}={bad}"], flag), ([flag, bad], flag),
+                         (["--config", cfg], f"{key} = {bad}")):
         capsys.readouterr()
         assert run(argv + extra) == 2
         err = capsys.readouterr().err
         assert named in err and repr(bad) in err, err
         assert "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
+
+def test_a_double_dash_token_is_never_a_flag_value(tmp_path, monkeypatch,
+                                                   capsys):
+    """A token that starts with '--' is a flag, not the value of the flag
+    before it, though a value may start with one '-'."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["train", "--data", "--val-data", "v.nds", "--out", "m"],
+                 ["eval", "c.ndwf", "--data", "--threshold", "-inf"]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "argument --data: expected one argument" in \
+            capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_report_writes_non_finite_floats_as_strings(tmp_path):
+    """Strict JSON has no NaN or Infinity: a report writes them as "nan",
+    "inf" and "-inf", so a diverged loss still gets its report."""
+    path = tmp_path / "r.json"
+    report = ndlite.cli.Report("train", path, {"threshold": float("inf")},
+                               None, None)
+    report.start()
+    assert read_report(path)["resolved"] == {"threshold": "inf"}
+    report.finish(loss=float("nan"),
+                  runs=[{"epochs": [{"loss": float("-inf")}], "acc": 0.5}])
+    assert read_report(path)["results"] == {
+        "loss": "nan", "runs": [{"epochs": [{"loss": "-inf"}], "acc": 0.5}]}
 
 
 def test_nd_seed_that_is_no_integer_exits_2_naming_it(tmp_path, monkeypatch,
@@ -398,6 +432,24 @@ def test_quantize_fine_tune_needs_val_data(work, tiny_data, fp_ckpt, capsys):
     assert "fine-tuning needs val_data alongside data" in err
     assert "Traceback" not in err and not out.exists()
     assert not Path(f"{out}.report.json").exists()
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--epochs", 3], "epochs = 3"), (["--data", "train"], "data is"),
+    (["--val-data", "val"], "val_data is"),
+    (["--data", "train", "--val-data", "val", "--epochs", 0], "data is")])
+def test_quantize_options_that_do_nothing_exit_2(work, tiny_data, fp_ckpt,
+                                                 capsys, extra, named):
+    """Fine-tuning epochs without data, and data without fine-tuning
+    epochs, exit 2 naming the option, before the report is written."""
+    out = work / "idle.ndwf"
+    extra = [tiny_data.get(a, a) for a in extra]
+    capsys.readouterr()
+    assert run(["quantize", "--checkpoint", fp_ckpt, "--out", out,
+                *extra]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err, err
+    assert not out.exists() and not Path(f"{out}.report.json").exists()
 
 
 # ------------------------------------------------------- lower/verify/eval
@@ -546,12 +598,16 @@ def test_eval_threshold_out_of_range(work, fp_ckpt, tiny_data):
     "real"; the set is balanced, so either gives accuracy 0.5."""
     for threshold, never in (("1.01", ("tp", "fp")), ("inf", ("tp", "fp")),
                              ("-0.5", ("tn", "fn")), ("-inf", ("tn", "fn"))):
-        rpt = work / "eval.out_of_range.json"
-        assert run(["eval", fp_ckpt, "--data", tiny_data["val"],
-                    f"--threshold={threshold}", "--report", rpt]) == 0
-        res = read_report(rpt)["results"]
-        assert res["accuracy"] == 0.5, threshold
-        assert res["confusion"][never[0]] == res["confusion"][never[1]] == 0
+        for flag in ([f"--threshold={threshold}"], ["--threshold", threshold]):
+            rpt = work / "eval.out_of_range.json"
+            assert run(["eval", fp_ckpt, "--data", tiny_data["val"], *flag,
+                        "--report", rpt]) == 0, flag
+            rep = read_report(rpt)
+            assert float(rep["resolved"]["threshold"]) == float(threshold)
+            res = rep["results"]
+            assert res["accuracy"] == 0.5, threshold
+            assert res["confusion"][never[0]] == res["confusion"][never[1]] \
+                == 0
 
 
 def test_eval_program_rejects_threshold_flag(lowered, tiny_data):

@@ -23,9 +23,9 @@ from ndlite import model as model_module
 from ndlite.dataset import gen_dataset
 from ndlite.model import (ExactPredicate, Model, ModelConfig, TrainHyper,
                           _bias_predicate, _bn_predicate, build_model,
-                          classify, evaluate, exact_bit_forward,
-                          exact_layers, layer_specs, load_model, run_layers,
-                          save_model, sum_range, train)
+                          evaluate, exact_bit_forward, exact_layers,
+                          layer_specs, load_model, run_layers, save_model,
+                          sum_range, train)
 from ndlite.quant import QuantSchedule, extract_ternary
 
 from exact_reference import channel_lut_bits
@@ -178,44 +178,21 @@ def test_project_deltas_clamps():
     assert float(m.deltas["conv0"]) == 1e-8
 
 
-# --------------------------------------------------------- classify a rule
-
-def test_symmetric_output_scores_half_and_threshold_inclusive():
-    m = build_model(small_cfg(), seed=0)
-    m.weights["out"][:] = 0.0
-    m.norms["out"][:] = 0.0
-    bits = np.random.default_rng(1).integers(0, 2, size=(4, 16, 1)).astype(np.uint8)
-    label, score = classify(m, bits)
-    assert score == 0.5
-    assert label == 0  # 0.5 < 0.505
-
-    m_inc = build_model(small_cfg(decision_threshold=0.5), seed=0)
-    m_inc.weights["out"][:] = 0.0
-    m_inc.norms["out"][:] = 0.0
-    label, score = classify(m_inc, bits)
-    assert score == 0.5 and label == 1  # boundary inclusive
-
-
-def test_classify_full_stage_is_exact_bit_forward():
-    """A full-stage model classifies one sample by the exact route: the
-    label and score of exact_bit_forward on a batch holding it."""
-    m = randomized_firing_model(4)
-    bits = np.random.default_rng(4).integers(0, 2, size=(64, 4, 16, 1),
-                                             dtype=np.uint8)
-    labels, scores = exact_bit_forward(m, bits)
-    assert set(labels.tolist()) == {0, 1}
-    assert [classify(m, b) for b in bits] == list(zip(labels.tolist(),
-                                                      scores.tolist()))
-
+# --------------------------------------------------------- evaluate a rule
 
 def test_evaluate_all_half_scorer_and_errors():
+    # A symmetric output layer scores exactly 0.5: random under the default
+    # threshold 0.505, real under 0.5 (the boundary is inclusive).
     ds = gen_dataset(n_per_class=16, rounds=3, group_size=1, seed=0)
-    m = build_model(small_cfg(), seed=0)
-    m.weights["out"][:] = 0.0
-    m.norms["out"][:] = 0.0
-    acc, confusion = evaluate(m, ds)
-    assert acc == 0.5  # everything classified random; the set is balanced
-    assert confusion == {"tp": 0, "tn": 16, "fp": 0, "fn": 16}
+    for threshold, confusion in ((0.505, {"tp": 0, "tn": 16, "fp": 0,
+                                          "fn": 16}),
+                                 (0.5, {"tp": 16, "tn": 0, "fp": 16,
+                                        "fn": 0})):
+        m = build_model(small_cfg(decision_threshold=threshold), seed=0)
+        m.weights["out"][:] = 0.0
+        m.norms["out"][:] = 0.0
+        assert np.all(m.scores(ds.bits) == 0.5)
+        assert evaluate(m, ds) == (0.5, confusion)  # the set is balanced
 
     empty = gen_dataset(n_per_class=2, rounds=3, group_size=1, seed=0)
     empty.bits = empty.bits[:0]
@@ -892,7 +869,13 @@ def test_exact_forward_asserts_float32_exact_bound(monkeypatch):
         exact_bit_forward(m, bits)
 
 
-def test_evaluate_routes_full_stage_through_exact_path():
+def test_evaluate_routes_full_stage_through_exact_path(monkeypatch):
+    # The float route decides these sets as the exact route does, so it is
+    # made to fail: a full-stage model must not reach it.
+    def float_route(self, bits):
+        raise AssertionError("a full-stage model took the float route")
+
+    monkeypatch.setattr(Model, "scores", float_route)
     ds = gen_dataset(n_per_class=64, rounds=3, group_size=1, seed=3)
     for m in (randomized_quantized_model(33), randomized_firing_model(33)):
         acc, confusion = evaluate(m, ds)

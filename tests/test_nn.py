@@ -188,6 +188,24 @@ def test_conv_gemm_blocks_agree(monkeypatch, n, h, width, kernel):
     assert rel_err(blocked[0], cl(naive_conv2d(x, w, b))) < 1e-12
 
 
+@pytest.mark.parametrize("g, n", [(1, 300), (8, 40)], ids=["g1", "g8"])
+def test_conv2d_is_conv_sums_of_tap_matrix(g, n):
+    # At the default GEMM_ROWS a block holds 256 samples at g=1 and 32 at
+    # g=8, so the last block is a remainder. conv2d's output is conv_sums'
+    # bit for bit, and both match a shifted-slice sum over the padded map.
+    r = np.random.default_rng(19)
+    x = r.normal(size=(n, 16, g, 6)).astype(np.float32)
+    w = r.normal(size=(5, 6, 3, 3)).astype(np.float32)
+    b = r.normal(size=5).astype(np.float32)
+    sums = nn.conv_sums(x, *nn.tap_matrix(w, 16, g))
+    assert np.array_equal(nn.conv2d(x, w)[0], sums)
+    assert np.array_equal(nn.conv2d(x, w, b)[0], sums + b)
+    xp = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    ref = sum(np.einsum("nhwc,oc->nhwo", xp[:, u:u + 16, v:v + g], w[:, :, u, v])
+              for u in range(3) for v in range(3))
+    assert rel_err(sums, ref) < 1e-5
+
+
 def test_conv_training_memory_does_not_grow_with_blocks(monkeypatch):
     # The cache keeps one block's window buffer, not the batch's window
     # rows, so past y and dx (x and dy are made before tracing) conv2d and
